@@ -3,8 +3,9 @@
 Aircraft attitude, velocity and position over a window of camera keyframes,
 plus the pad marker positions, are estimated jointly by damped Gauss-Newton
 on SO(3)^n x R^m over preintegrated IMU factors and pixel reprojection
-factors, with marker altitudes pinned to the ground plane through an exact
-equality-constrained (KKT) step.
+factors, with marker altitudes pinned to the ground plane by an exact
+equality-constrained step that fixes their increment entries and solves for
+the rest.
 """
 
 from .dataset_io import read_dataset, write_dataset

@@ -35,22 +35,23 @@ MAGIC = "padvio-dataset"
 VERSION = "v1"
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """Shortest decimal text that reads back as the same float."""
     return repr(float(x))
 
 
 def _fmt_vec(v) -> str:
-    return " ".join(_fmt(x) for x in np.asarray(v, dtype=float).reshape(-1))
+    return " ".join(fmt(x) for x in np.asarray(v, dtype=float).reshape(-1))
 
 
 def dumps(dataset: Dataset) -> str:
     truth = dataset.ground_truth
     lines = [f"{MAGIC} {VERSION}"]
     lines.append(f"world gravity {_fmt_vec(dataset.world.gravity)}")
-    lines.append(f"camera focal {_fmt(dataset.cam.focal)}")
+    lines.append(f"camera focal {fmt(dataset.cam.focal)}")
     lines.append(f"camera principal_point {_fmt_vec(dataset.cam.principal_point)}")
-    lines.append(f"timing imu_dt {_fmt(dataset.imu_dt)}")
-    lines.append(f"timing camera_dt {_fmt(dataset.camera_dt)}")
+    lines.append(f"timing imu_dt {fmt(dataset.imu_dt)}")
+    lines.append(f"timing camera_dt {fmt(dataset.camera_dt)}")
     lines.append(f"landmarks {truth.num_landmarks}")
     for i, lm in enumerate(truth.landmarks, start=1):
         lines.append(f"l {i} {_fmt_vec(lm)}")
@@ -59,7 +60,7 @@ def dumps(dataset: Dataset) -> str:
         lines.append(f"k {i} {_fmt_vec(pose.R)} {_fmt_vec(pose.v)} {_fmt_vec(pose.p)}")
     lines.append(f"imu {len(dataset.imu_samples)}")
     for s in dataset.imu_samples:
-        lines.append(f"i {_fmt_vec(s.omega)} {_fmt_vec(s.accel)} {_fmt(s.dt)}")
+        lines.append(f"i {_fmt_vec(s.omega)} {_fmt_vec(s.accel)} {fmt(s.dt)}")
     lines.append(f"pixels {len(dataset.pixel_measurements)}")
     for m in dataset.pixel_measurements:
         lines.append(f"p {m.frame_index} {m.landmark_id} {_fmt_vec(m.uv)}")

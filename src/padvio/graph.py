@@ -205,17 +205,15 @@ def cost(problem: Problem) -> float:
 
 
 def altitude_constraint(problem: Problem):
-    """Constraint rows pinning every landmark to the ground plane.
+    """The landmark altitudes as fixed increment entries.
 
-    Returns (J_h, c): row i selects landmark i's z increment, c_i is the
-    current altitude, so a step with J_h @ delta = -c lands on z = 0.
+    Returns (fixed, c): fixed[i] = 9(n-1) + 3i + 2 indexes landmark i's z
+    increment, c_i is its current altitude, so a step with delta[fixed] = -c
+    lands every landmark on z = 0.
     """
     window = problem.window
-    N = window.num_landmarks
-    J_h = np.zeros((N, window.dim))
-    for i in range(N):
-        J_h[i, 9 * (window.n - 1) + 3 * i + 2] = 1.0
-    return J_h, window.landmarks[:, 2].copy()
+    fixed = 9 * (window.n - 1) + 3 * np.arange(window.num_landmarks) + 2
+    return fixed, window.landmarks[:, 2].copy()
 
 
 def min_landmarks(n: int) -> int:

@@ -198,9 +198,11 @@ def perturb_initialization(dataset: Dataset, mode: str) -> WindowState:
     """Initial window for the optimizer.
 
     "truth" returns the ground truth unchanged. "cold" is the fixed
-    cold-start: every pose set to attitude I, velocity 0, position (0,0,-4);
-    each landmark placed where its earliest measured pixel ray (cast from the
-    cold frame pose) meets the ground plane, so altitudes start at exactly 0.
+    cold-start: keyframe 1 is the dataset's prior keyframe (it is never
+    updated), every later pose is set to attitude I, velocity 0, position
+    (0,0,-4); each landmark is placed where its earliest measured pixel ray
+    (cast from the cold pose) meets the ground plane, so altitudes start at
+    exactly 0.
     """
     truth = dataset.ground_truth
     if mode == "truth":
@@ -210,7 +212,8 @@ def perturb_initialization(dataset: Dataset, mode: str) -> WindowState:
 
     n = truth.n
     cold_p = np.array([0.0, 0.0, -4.0])
-    poses = [PoseState(np.eye(3), np.zeros(3), cold_p.copy()) for _ in range(n)]
+    poses = [truth.poses[0].copy()]
+    poses += [PoseState(np.eye(3), np.zeros(3), cold_p.copy()) for _ in range(n - 1)]
     cam = dataset.cam
     landmarks = np.zeros_like(truth.landmarks)
     for lm in range(1, truth.num_landmarks + 1):

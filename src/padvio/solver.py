@@ -1,14 +1,12 @@
-"""Damped Gauss-Newton iteration with equality-constrained landmark altitudes.
+"""Damped Gauss-Newton iteration with landmark altitudes pinned to the ground plane.
 
-Each iteration solves the saddle-point system
-
-    [ H    J_h^T ] [ delta  ]   [ -g ]
-    [ J_h  0     ] [ lambda ] = [ -c ]
-
-with H = J^T W J + alpha I and g = J^T W e, then retracts delta through
-boxplus. The altitude constraint is linear in a linear variable, so it is
-met exactly after the first constrained step. Damping alpha is constant for
-the whole run; iteration count is fixed unless a convergence tolerance is set.
+Each iteration solves H delta = -g, with H = J^T W J + alpha I and
+g = J^T W e, subject to delta_z = -c for every landmark altitude z, then
+retracts delta through boxplus. The constraint fixes coordinates of a
+Euclidean block, so it is imposed by eliminating those entries (the
+null-space method) rather than through a saddle-point system; the retracted
+altitudes z + (-z) are exactly 0. Damping alpha is constant for the whole
+run; iteration count is fixed unless a convergence tolerance is set.
 """
 
 from __future__ import annotations
@@ -39,7 +37,8 @@ class SolveReport:
 
 
 class RankDeficientError(RuntimeError):
-    """The KKT (or damped normal) matrix is singular."""
+    """The damped normal matrix, reduced to the free entries, is singular,
+    or a constrained entry is fixed twice."""
 
     def __init__(self, size: int, rank: int):
         self.deficiency = size - rank
@@ -69,29 +68,30 @@ def _normal_system(residual, jacobian, weights, damping):
     return H, g
 
 
-def constrained_step(H: np.ndarray, g: np.ndarray, J_h: np.ndarray, c: np.ndarray):
-    """Solve the KKT system; with no constraint rows this is plain H delta = -g.
+def constrained_step(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, c: np.ndarray):
+    """Minimise the quadratic model with the increment entries `fixed` set to -c.
 
-    Returns (delta, lambda). The returned delta satisfies J_h @ delta = -c to
-    solver precision.
+    The free entries solve H_ff delta_f = -(g_f + H_fc delta_c); the returned
+    multipliers lambda = -(H[fixed] @ delta + g[fixed]) are those of the
+    equivalent saddle-point system. With no fixed entries this is the plain
+    solve H delta = -g. Returns (delta, lambda).
     """
+    fixed = np.asarray(fixed, dtype=np.intp)
     dim = H.shape[0]
-    m = 0 if J_h is None else J_h.shape[0]
-    if m == 0:
-        try:
-            return np.linalg.solve(H, -g), np.zeros(0)
-        except np.linalg.LinAlgError:
-            raise RankDeficientError(dim, int(np.linalg.matrix_rank(H))) from None
-    K = np.zeros((dim + m, dim + m))
-    K[:dim, :dim] = H
-    K[:dim, dim:] = J_h.T
-    K[dim:, :dim] = J_h
-    rhs = np.concatenate([-g, -np.asarray(c, dtype=float)])
+    free = np.ones(dim, dtype=bool)
+    free[fixed] = False
+    m = dim - int(np.count_nonzero(free))
+    if m != fixed.size:  # a repeated index: duplicate constraint rows
+        raise RankDeficientError(dim + fixed.size, dim + m)
+    delta = np.zeros(dim)
+    delta[fixed] = -np.asarray(c, dtype=float)
+    H_free = H[free]
+    H_ff = H_free[:, free]
     try:
-        solution = np.linalg.solve(K, rhs)
+        delta[free] = np.linalg.solve(H_ff, -(g[free] + H_free @ delta))
     except np.linalg.LinAlgError:
-        raise RankDeficientError(dim + m, int(np.linalg.matrix_rank(K))) from None
-    return solution[:dim], solution[dim:]
+        raise RankDeficientError(dim - m, int(np.linalg.matrix_rank(H_ff))) from None
+    return delta, -(H[fixed] @ delta + g[fixed])
 
 
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
@@ -118,22 +118,16 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
             H, g = _normal_system(residual, jacobian, weights, config.damping)
             cost_history.append(float(residual @ (weights * residual)))
             if config.constrain_altitude:
-                J_h, c = altitude_constraint(current)
+                fixed, c = altitude_constraint(current)
             else:
-                J_h, c = np.zeros((0, window.dim)), np.zeros(0)
-            delta, _ = constrained_step(H, g, J_h, c)
+                fixed, c = np.zeros(0, dtype=np.intp), np.zeros(0)
+            delta, _ = constrained_step(H, g, fixed, c)
         except (DegenerateDepthError, RankDeficientError, ValueError) as err:
             # ValueError covers the log map degenerating when a diverging
             # iterate pushes a relative rotation to pi
             raise IterationError(err, iteration, cost_history, step_norms) from err
         step_norms.append(float(np.linalg.norm(delta)))
         window = boxplus(window, delta)
-        if config.constrain_altitude:
-            # the KKT step satisfies the constraint to solver precision;
-            # snap off the remaining roundoff so altitudes are exactly zero
-            landmarks = window.landmarks.copy()
-            landmarks[:, 2] = 0.0
-            window = WindowState(window.poses, landmarks)
         if step_norms[-1] < config.convergence_tol:
             break
     return SolveReport(cost_history, window, len(cost_history), step_norms)

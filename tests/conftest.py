@@ -13,13 +13,3 @@ def random_rotation(rng, max_angle=1.5):
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     return exp_map(axis * rng.uniform(0.0, max_angle))
-
-
-def fd_jacobian(f, dim, h=1e-6):
-    """Central-difference Jacobian of f around the zero increment."""
-    cols = []
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = h
-        cols.append((f(e) - f(-e)) / (2.0 * h))
-    return np.column_stack(cols)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from padvio import cli
+from padvio import checks, cli
 from padvio.dataset_io import read_dataset, write_dataset
 from padvio.graph import PoseState, WindowState
 from padvio.imu import ImuSample, WorldParams
@@ -161,6 +161,14 @@ def test_check_jacobians_passes(capsys):
     assert "PASS" in out
 
 
-def test_check_jacobians_corrupt_hook_fails(capsys):
-    assert cli.main(["check-jacobians", "--trials", "3", "--corrupt"]) == 3
+def test_check_jacobians_corrupt_hook_fails(capsys, monkeypatch):
+    original = checks.imu_residual_jacobian
+
+    def wrong_jacobian(*args):
+        J = original(*args)
+        J[0, 0] += 1e-3
+        return J
+
+    monkeypatch.setattr(checks, "imu_residual_jacobian", wrong_jacobian)
+    assert cli.main(["check-jacobians", "--trials", "3"]) == 3
     assert "FAIL" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from padvio.checks import central_difference
 from padvio.graph import PoseState, pose_boxplus
 from padvio.imu import (
     ImuSample,
@@ -13,7 +14,7 @@ from padvio.imu import (
 )
 from padvio.manifold import exp_map
 
-from conftest import fd_jacobian, random_rotation
+from conftest import random_rotation
 
 
 def test_integrate_stationary_sample():
@@ -140,7 +141,7 @@ def test_jacobian_matches_finite_differences(rng):
                 delta, pose_boxplus(pose_i, d[:9]), pose_boxplus(pose_j, d[9:]), world
             )
 
-        numeric = fd_jacobian(residual_at, 18)
+        numeric = central_difference(residual_at, 18)
         analytic = imu_residual_jacobian(delta, pose_i, pose_j, world)
         err = np.abs(analytic - numeric).max() / max(1.0, np.abs(numeric).max())
         worst = max(worst, err)

@@ -157,6 +157,22 @@ def test_perturb_cold_sets_reference_values():
     assert np.all(window.landmarks[:, 2] == 0.0)
 
 
+def test_perturb_cold_keeps_dataset_prior_keyframe():
+    spec = _reference_spec()
+    spec.initial_pose = PoseState(np.eye(3), np.array([0.3, -0.2, 0.1]), np.array([0.4, -0.1, -5.0]))
+    dataset = generate(spec, PAD, CAM, WorldParams(), NoiseSpec(seed=2))
+    window = perturb_initialization(dataset, "cold")
+    prior = dataset.ground_truth.poses[0]
+    np.testing.assert_array_equal(window.poses[0].R, prior.R)
+    np.testing.assert_array_equal(window.poses[0].v, prior.v)
+    np.testing.assert_array_equal(window.poses[0].p, prior.p)
+    assert window.poses[0].p is not prior.p  # a copy, not the dataset's arrays
+    for pose in window.poses[1:]:
+        np.testing.assert_array_equal(pose.R, np.eye(3))
+        np.testing.assert_array_equal(pose.v, np.zeros(3))
+        np.testing.assert_array_equal(pose.p, [0.0, 0.0, -4.0])
+
+
 def test_perturb_cold_triangulates_landmarks_from_first_frame():
     # with no pixel noise the first frame's true pose equals the cold pose,
     # so the ray/ground intersection recovers the landmarks exactly

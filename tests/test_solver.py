@@ -70,8 +70,7 @@ def test_zero_residual_gives_zero_step():
 
 def test_constrained_step_trivial_case():
     H = np.eye(4)
-    J_h = np.array([[1.0, 0.0, 0.0, 0.0]])
-    delta, lam = constrained_step(H, np.zeros(4), J_h, np.zeros(1))
+    delta, lam = constrained_step(H, np.zeros(4), np.array([0]), np.zeros(1))
     np.testing.assert_array_equal(delta, np.zeros(4))
     np.testing.assert_array_equal(lam, np.zeros(1))
 
@@ -80,9 +79,48 @@ def test_unconstrained_step_reduces_to_plain_solve(rng):
     A = rng.standard_normal((6, 6))
     H = A @ A.T + 6 * np.eye(6)
     g = rng.standard_normal(6)
-    delta, lam = constrained_step(H, g, np.zeros((0, 6)), np.zeros(0))
+    delta, lam = constrained_step(H, g, np.zeros(0, dtype=int), np.zeros(0))
     np.testing.assert_allclose(delta, np.linalg.solve(H, -g), atol=1e-12)
     assert lam.size == 0
+
+
+def _saddle_point_step(H, g, fixed, c):
+    """Reference oracle: the KKT system [[H, A^T], [A, 0]] for the rows A
+    that select the fixed increment entries."""
+    dim, m = H.shape[0], len(fixed)
+    A = np.zeros((m, dim))
+    A[np.arange(m), fixed] = 1.0
+    K = np.block([[H, A.T], [A, np.zeros((m, m))]])
+    solution = np.linalg.solve(K, np.concatenate([-g, -c]))
+    return solution[:dim], solution[dim:]
+
+
+def _level_circle_dataset(n):
+    # a level circle 4 m above the pad keeps every marker in view for long windows
+    spec = TrajectorySpec(
+        duration=0.4 * (n - 1),
+        initial_pose=PoseState(np.eye(3), np.array([0.0, -0.025, 0.0]), np.array([0.0, 0.0, -4.0])),
+        angular_profile=Profile("constant", {"value": [0.0, 0.0, 0.05]}),
+        accel_profile=Profile("constant", {"value": [0.00125, 0.0, -9.81]}),
+    )
+    landmarks = np.array([[0.577, 0.0, 0.0], [-0.289, 0.5, 0.0], [-0.289, -0.5, 0.0]])
+    return generate(spec, landmarks, CameraModel(1.0), WorldParams(), NoiseSpec(1e-4, 1e-5, 7))
+
+
+@pytest.mark.parametrize(
+    "make_dataset", [lambda: _reference_dataset(seed=2), lambda: _level_circle_dataset(30)], ids=["n7", "n30"]
+)
+def test_constrained_step_matches_saddle_point_oracle(make_dataset):
+    dataset = make_dataset()
+    window = dataset.ground_truth.copy()
+    window.landmarks[:, 2] = 0.5
+    problem = make_problem(dataset, window)
+    H, g = build_normal_system(problem, damping=0.1)
+    fixed, c = altitude_constraint(problem)
+    delta, lam = constrained_step(H, g, fixed, c)
+    ref_delta, ref_lam = _saddle_point_step(H, g, fixed, c)
+    assert np.abs(delta - ref_delta).max() <= 1e-9 * np.abs(ref_delta).max()
+    assert np.abs(lam - ref_lam).max() <= 1e-9 * np.abs(ref_lam).max()
 
 
 def test_constrained_step_lands_on_plane():
@@ -91,20 +129,23 @@ def test_constrained_step_lands_on_plane():
     window.landmarks[:, 2] = 0.5
     problem = make_problem(dataset, window)
     H, g = build_normal_system(problem, damping=0.1)
-    J_h, c = altitude_constraint(problem)
-    delta, _ = constrained_step(H, g, J_h, c)
-    np.testing.assert_allclose(J_h @ delta, -c, atol=1e-9)
+    fixed, c = altitude_constraint(problem)
+    delta, _ = constrained_step(H, g, fixed, c)
+    np.testing.assert_array_equal(delta[fixed], -c)
     updated = boxplus(window, delta)
-    assert np.abs(updated.landmarks[:, 2]).max() < 1e-9
+    assert np.all(updated.landmarks[:, 2] == 0.0)
 
 
 def test_constrained_step_reports_rank_deficiency():
-    H = np.eye(3)
-    J_h = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])  # duplicated constraint
+    # a repeated fixed index is a duplicated constraint row
     with pytest.raises(RankDeficientError) as excinfo:
-        constrained_step(H, np.zeros(3), J_h, np.zeros(2))
+        constrained_step(np.eye(3), np.zeros(3), np.array([2, 2]), np.zeros(2))
     assert excinfo.value.deficiency >= 1
     assert "rank deficient" in str(excinfo.value)
+    # a singular block on the free entries
+    with pytest.raises(RankDeficientError) as excinfo:
+        constrained_step(np.diag([1.0, 0.0, 1.0]), np.ones(3), np.array([2]), np.zeros(1))
+    assert excinfo.value.deficiency == 1
 
 
 def test_solve_stays_at_noise_free_truth():
@@ -140,7 +181,7 @@ def test_constrained_solve_keeps_altitudes_pinned_every_iterate():
     for iterations in range(1, 7):
         problem = make_problem(dataset, start.copy())
         report = solve(problem, SolverConfig(max_iterations=iterations))
-        assert np.abs(report.final_window.landmarks[:, 2]).max() < 1e-9
+        assert np.all(report.final_window.landmarks[:, 2] == 0.0)
 
 
 def test_unconstrained_solve_leaves_altitudes_free():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from padvio.checks import central_difference
 from padvio.graph import PoseState, pose_boxplus
 from padvio.manifold import exp_map, hat
 from padvio.vision import (
@@ -14,7 +15,7 @@ from padvio.vision import (
     projection_differential,
 )
 
-from conftest import fd_jacobian, random_rotation
+from conftest import random_rotation
 
 
 def _pose(R=None, p=None, v=None):
@@ -110,8 +111,8 @@ def test_inner_point_jacobian_blocks(rng):
     def q_of_position(d):
         return landmark_in_body(pose_boxplus(pose, np.concatenate([np.zeros(6), d])), landmark)
 
-    np.testing.assert_allclose(fd_jacobian(q_of_landmark, 3), pose.R.T, atol=1e-9)
-    np.testing.assert_allclose(fd_jacobian(q_of_position, 3), -np.eye(3), atol=1e-9)
+    np.testing.assert_allclose(central_difference(q_of_landmark, 3), pose.R.T, atol=1e-9)
+    np.testing.assert_allclose(central_difference(q_of_position, 3), -np.eye(3), atol=1e-9)
 
 
 def test_rotation_block_first_order_identity(rng):
@@ -123,7 +124,7 @@ def test_rotation_block_first_order_identity(rng):
     def q_of_rotation(d):
         return exp_map(-d) @ pose.R.T @ (landmark - pose.p)
 
-    np.testing.assert_allclose(fd_jacobian(q_of_rotation, 3), hat(q), atol=1e-9)
+    np.testing.assert_allclose(central_difference(q_of_rotation, 3), hat(q), atol=1e-9)
 
 
 def test_chain_rule_factorization(rng):
@@ -153,7 +154,7 @@ def test_jacobian_matches_finite_differences(rng):
         def residual_at(d):
             return photometric_residual(cam, pose_boxplus(pose, d[:9]), landmark + d[9:], meas)
 
-        numeric = fd_jacobian(residual_at, 12)
+        numeric = central_difference(residual_at, 12)
         analytic = photometric_jacobian(cam, pose, landmark)
         err = np.abs(analytic - numeric).max() / max(1.0, np.abs(numeric).max())
         worst = max(worst, err)
