@@ -170,7 +170,7 @@ def solver_config(config: ExperimentConfig) -> SolverConfig:
 
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    dataset_io.write_text(path, "\n".join(lines) + "\n")
 
 
 def write_convergence(path: Path, cost_history, step_norms) -> None:
@@ -276,6 +276,9 @@ def cmd_estimate(args) -> int:
         report = solve(problem, solver_config(config))
     except IterationError as err:
         write_convergence(out / "convergence.csv", err.cost_history, err.step_norms)
+        # an earlier run's reports in this directory must not pass for this run's
+        for name in ("pose_errors.csv", "landmark_errors.csv", "summary.csv"):
+            (out / name).unlink(missing_ok=True)
         print(f"solver failed: {err}", file=sys.stderr)
         return 2
     wall_clock = time.perf_counter() - start

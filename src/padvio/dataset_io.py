@@ -17,6 +17,9 @@ round-trip precision so files are byte-reproducible):
     i <wx wy wz> <ax ay az> <dt>            ... count lines
     pixels <count>
     p <frame> <landmark> <u> <v>            ... count lines
+
+Every file padvio writes, this one and the CLI reports, goes through
+`write_text`, which replaces the file instead of rewriting it in place.
 """
 
 from __future__ import annotations
@@ -67,8 +70,20 @@ def dumps(dataset: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text(path, text: str) -> None:
+    """Replace the file (or symlink) at `path` with a new ASCII file.
+
+    Truncating a non-empty file in place makes ext4 (auto_da_alloc) flush
+    its data on close, tens of ms per write; unlinking first avoids that.
+    No fsync: padvio does not promise durable output.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_text(text, encoding="ascii", newline="\n")
+
+
 def write_dataset(dataset: Dataset, path) -> None:
-    Path(path).write_text(dumps(dataset), encoding="ascii", newline="\n")
+    write_text(path, dumps(dataset))
 
 
 class DatasetFormatError(ValueError):

@@ -47,6 +47,8 @@ def test_simulate_same_seed_byte_identical(tmp_path):
     a = (tmp_path / "a" / "dataset.txt").read_bytes()
     b = (tmp_path / "b" / "dataset.txt").read_bytes()
     assert a == b
+    assert cli.main(["simulate", "--seed", "11", "--out", str(tmp_path / "a")]) == 0
+    assert (tmp_path / "a" / "dataset.txt").read_bytes() == a  # a rerun into the same directory
     assert cli.main(["simulate", "--seed", "12", "--out", str(tmp_path / "c")]) == 0
     assert a != (tmp_path / "c" / "dataset.txt").read_bytes()
 
@@ -131,7 +133,21 @@ def test_estimate_flag_overrides(tmp_path):
     assert len(rows) == 7
 
 
-def test_estimate_solver_failure_exits_2_with_partial_file(tmp_path, capsys):
+def test_estimate_rerun_replaces_longer_reports(tmp_path):
+    data = tmp_path / "data"
+    assert cli.main(["simulate", "--out", str(data)]) == 0
+    dataset = str(data / "dataset.txt")
+    reused, fresh = str(tmp_path / "reused"), str(tmp_path / "fresh")
+    assert cli.main(["estimate", dataset, "--out", reused]) == 0
+    assert cli.main(["estimate", dataset, "--out", reused, "--iterations", "3"]) == 0
+    assert cli.main(["estimate", dataset, "--out", fresh, "--iterations", "3"]) == 0
+    _, rows = _read_csv(tmp_path / "reused" / "convergence.csv")
+    assert len(rows) == 3
+    for name in ("convergence.csv", "pose_errors.csv", "landmark_errors.csv"):
+        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def _degenerate_dataset(tmp_path):
     # camera center on the ground plane: the only landmark projects at depth 0
     poses = [PoseState(np.eye(3), np.zeros(3), np.zeros(3)) for _ in range(2)]
     dataset = Dataset(
@@ -145,13 +161,31 @@ def test_estimate_solver_failure_exits_2_with_partial_file(tmp_path, capsys):
     )
     path = tmp_path / "degenerate.txt"
     write_dataset(dataset, path)
+    return str(path)
+
+
+def test_estimate_solver_failure_exits_2_with_partial_file(tmp_path, capsys):
+    path = _degenerate_dataset(tmp_path)
     cfg = _write_config(tmp_path, init="truth")
-    assert cli.main(["estimate", str(path), "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert cli.main(["estimate", path, "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "iteration 1" in err and "landmark 1" in err
     header, rows = _read_csv(tmp_path / "convergence.csv")
     assert header == ["iteration", "cost", "step_norm"]
     assert rows == []  # aborted before the first cost was recorded
+
+
+def test_estimate_solver_failure_removes_earlier_reports(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
+    assert cli.main(["estimate", str(tmp_path / "dataset.txt"), "--out", str(out)]) == 0
+    cfg = _write_config(tmp_path, init="truth")
+    assert cli.main(["estimate", _degenerate_dataset(tmp_path), "--config", cfg, "--out", str(out)]) == 2
+    header, rows = _read_csv(out / "convergence.csv")
+    assert header == ["iteration", "cost", "step_norm"]
+    assert rows == []
+    for name in ("pose_errors.csv", "landmark_errors.csv", "summary.csv"):
+        assert not (out / name).exists()
 
 
 def test_check_jacobians_passes(capsys):

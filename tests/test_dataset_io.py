@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from padvio.dataset_io import DatasetFormatError, dumps, loads, read_dataset, write_dataset
+from padvio.dataset_io import DatasetFormatError, dumps, loads, read_dataset, write_dataset, write_text
 from padvio.imu import WorldParams
 from padvio.sim import CameraModel, NoiseSpec, Profile, TrajectorySpec, generate, triangle_landmarks
 
@@ -45,6 +45,26 @@ def test_file_round_trip(tmp_path):
     restored = read_dataset(path)
     assert len(restored.imu_samples) == len(original.imu_samples)
     assert dumps(restored) == dumps(original)
+
+
+def test_write_text_replaces_instead_of_truncating(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"old contents\n")
+    with open(path, "rb") as held:
+        write_text(path, "new\n")
+        # the open handle still sees the old inode: the file was replaced, not rewritten
+        assert held.read() == b"old contents\n"
+    assert path.read_bytes() == b"new\n"
+
+
+def test_write_text_replaces_symlink_with_regular_file(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"target\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_text(link, "new\n")
+    assert not link.is_symlink() and link.read_bytes() == b"new\n"
+    assert target.read_bytes() == b"target\n"
 
 
 def test_same_seed_serializes_byte_identical():
