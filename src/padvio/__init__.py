@@ -16,7 +16,6 @@ from .graph import (
     altitude_constraint,
     assemble,
     boxplus,
-    cost,
     min_landmarks,
     stacked_residual,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "boxplus",
     "build_normal_system",
     "constrained_step",
-    "cost",
     "exp_map",
     "generate",
     "hat",

@@ -88,22 +88,34 @@ def load_config(path: Optional[str]) -> ExperimentConfig:
     return config
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_config(config: ExperimentConfig) -> None:
     def bad(name: str, why: str):
         return ConfigError(f"invalid config field {name}: {why}")
 
-    if not isinstance(config.window_length, int) or config.window_length < 2:
+    if not _is_int(config.window_length) or config.window_length < 2:
         raise bad("window_length", "must be an integer >= 2")
+    if not _is_int(config.seed) or config.seed < 0:
+        raise bad("seed", "must be an integer >= 0")
     for name in ("imu_dt", "camera_dt", "focal", "photometric_weight"):
         value = getattr(config, name)
-        if not isinstance(value, (int, float)) or not value > 0:
+        if not _is_number(value) or not value > 0:
             raise bad(name, "must be a positive number")
     for name in ("imu_noise_variance", "pixel_noise_variance", "damping", "convergence_tol"):
         value = getattr(config, name)
-        if not isinstance(value, (int, float)) or value < 0:
+        if not _is_number(value) or value < 0:
             raise bad(name, "must be a number >= 0")
-    if not isinstance(config.iterations, int) or config.iterations < 1:
+    if not _is_int(config.iterations) or config.iterations < 1:
         raise bad("iterations", "must be an integer >= 1")
+    if not isinstance(config.constrain_altitude, bool):
+        raise bad("constrain_altitude", "must be true or false")
     if config.init not in ("cold", "truth"):
         raise bad("init", "must be 'cold' or 'truth'")
     for name, size in (("principal_point", 2), ("gravity", 3), ("initial_position", 3), ("initial_velocity", 3)):
@@ -115,7 +127,10 @@ def validate_config(config: ExperimentConfig) -> None:
         if arr.shape != (size,):
             raise bad(name, f"must be a {size}-vector")
     if config.landmarks is not None:
-        arr = np.asarray(config.landmarks, dtype=float)
+        try:
+            arr = np.asarray(config.landmarks, dtype=float)
+        except (TypeError, ValueError):
+            raise bad("landmarks", "must be a list of [x, y, z] triples") from None
         if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
             raise bad("landmarks", "must be a list of [x, y, z] triples")
         if np.any(arr[:, 2] != 0.0):
@@ -124,6 +139,12 @@ def validate_config(config: ExperimentConfig) -> None:
         value = getattr(config, name)
         if not isinstance(value, dict) or "name" not in value:
             raise bad(name, "must be an object with a 'name' key")
+        try:
+            sample = sim.evaluate_profile(_profile_from(value), 0.0)
+        except (TypeError, ValueError) as err:
+            raise bad(name, str(err)) from None
+        if not np.all(np.isfinite(sample)):
+            raise bad(name, "parameters must be finite numbers")
 
 
 def _profile_from(config_entry: dict) -> Profile:
@@ -230,6 +251,7 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
+        validate_config(config)
     n = config.window_length
     needed = min_landmarks(n)
     if config_landmarks(config).shape[0] < needed:

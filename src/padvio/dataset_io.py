@@ -10,13 +10,13 @@ round-trip precision so files are byte-reproducible):
     timing imu_dt <dt>
     timing camera_dt <dt>
     landmarks <N>
-    l <id> <x> <y> <z>                      ... N lines, ids 1..N
+    l <id> <x> <y> <z>                      ... N lines, ids 1..N once each
     keyframes <n>
-    k <index> <r11..r33 row-major> <vx vy vz> <px py pz>   ... n lines
+    k <index> <r11..r33 row-major> <vx vy vz> <px py pz>   ... n lines, 1..n once each
     imu <count>
     i <wx wy wz> <ax ay az> <dt>            ... count lines
     pixels <count>
-    p <frame> <landmark> <u> <v>            ... count lines
+    p <frame> <landmark> <u> <v>            ... count lines, ids in 1..n and 1..N
 
 Every file padvio writes, this one and the CLI reports, goes through
 `write_text`, which replaces the file instead of rewriting it in place.
@@ -105,6 +105,19 @@ class _Reader:
         return fields[1:]
 
 
+def _record_index(text: str, count: int, what: str, seen: set | None = None) -> int:
+    """0-based index of a 1-based record id; rejects ids outside 1..count and,
+    when `seen` is given, ids already read."""
+    record_id = int(text)
+    if not 1 <= record_id <= count:
+        raise DatasetFormatError(f"{what} id {record_id} outside 1..{count}")
+    if seen is not None:
+        if record_id in seen:
+            raise DatasetFormatError(f"repeated {what} id {record_id}")
+        seen.add(record_id)
+    return record_id - 1
+
+
 def loads(text: str) -> Dataset:
     try:
         return _parse(text)
@@ -132,16 +145,18 @@ def _parse(text: str) -> Dataset:
 
     num_landmarks = int(reader.next("landmarks")[0])
     landmarks = np.zeros((num_landmarks, 3))
+    seen: set = set()
     for _ in range(num_landmarks):
         fields = reader.next("l")
-        landmarks[int(fields[0]) - 1] = [float(x) for x in fields[1:4]]
+        landmarks[_record_index(fields[0], num_landmarks, "landmark", seen)] = [float(x) for x in fields[1:4]]
 
     num_frames = int(reader.next("keyframes")[0])
     poses: List[PoseState] = [None] * num_frames  # type: ignore[list-item]
+    seen = set()
     for _ in range(num_frames):
         fields = reader.next("k")
         values = [float(x) for x in fields[1:16]]
-        poses[int(fields[0]) - 1] = PoseState(
+        poses[_record_index(fields[0], num_frames, "keyframe", seen)] = PoseState(
             R=np.array(values[0:9]).reshape(3, 3),
             v=np.array(values[9:12]),
             p=np.array(values[12:15]),
@@ -157,8 +172,10 @@ def _parse(text: str) -> Dataset:
     measurements = []
     for _ in range(num_pixels):
         fields = reader.next("p")
+        frame = _record_index(fields[0], num_frames, "pixel keyframe") + 1
+        landmark = _record_index(fields[1], num_landmarks, "pixel landmark") + 1
         measurements.append(
-            PixelMeasurement(int(fields[0]), int(fields[1]), np.array([float(fields[2]), float(fields[3])]))
+            PixelMeasurement(frame, landmark, np.array([float(fields[2]), float(fields[3])]))
         )
 
     return Dataset(

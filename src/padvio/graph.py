@@ -10,12 +10,21 @@ State ordering conventions (fixed so outputs are bit-reproducible):
 
 With every landmark visible in every frame the stacked system therefore has
 (n-1)*9 + n*N*2 rows and (n-1)*9 + N*3 columns.
+
+`stacked_residual` and `assemble` gather the factor inputs once into stacks
+(poses R (n,3,3), v and p (n,3); deltas dR (n-1,3,3), dv and dp (n-1,3),
+dt_total (n-1,); K sorted measurements as (K,) frame and landmark index
+arrays with (K,2) uv values) and evaluate each factor type in one call:
+(n-1,9) IMU residuals with (n-1,9,18) Jacobians and (K,2) pixel residuals
+with (K,2,12) Jacobians. `assemble` scatters the blocks with index arrays.
+`pose_boxplus` broadcasts too, so `boxplus` retracts poses 2..n in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -32,7 +41,9 @@ from .vision import (
 
 @dataclass
 class PoseState:
-    """One keyframe state: attitude (body to world), velocity and position in world frame."""
+    """One keyframe state: attitude (body to world), velocity and position in world frame.
+
+    Factor functions also take a stack of poses: R (K,3,3), v and p (K,3)."""
 
     R: np.ndarray
     v: np.ndarray
@@ -87,14 +98,28 @@ class Problem:
 
 
 def pose_boxplus(pose: PoseState, delta: np.ndarray) -> PoseState:
-    """Retract a 9-vector [dR, dv, dp] onto one pose. The position increment
-    is expressed in the body frame of the pre-update attitude."""
+    """Retract (..., 9) increments [dR, dv, dp] onto poses with matching
+    leading axes. The position increment is expressed in the body frame of
+    the pre-update attitude."""
     delta = np.asarray(delta, dtype=float)
     return PoseState(
-        R=pose.R @ exp_map(delta[0:3]),
-        v=pose.v + delta[3:6],
-        p=pose.p + pose.R @ delta[6:9],
+        R=pose.R @ exp_map(delta[..., 0:3]),
+        v=pose.v + delta[..., 3:6],
+        p=pose.p + (pose.R @ delta[..., 6:9, None])[..., 0],
     )
+
+
+def _stack(poses: List[PoseState]) -> PoseState:
+    """One PoseState whose fields carry a leading axis over `poses`."""
+    return PoseState(
+        R=np.array([pose.R for pose in poses], dtype=float),
+        v=np.array([pose.v for pose in poses], dtype=float),
+        p=np.array([pose.p for pose in poses], dtype=float),
+    )
+
+
+def _take(poses: PoseState, index) -> PoseState:
+    return PoseState(poses.R[index], poses.v[index], poses.p[index])
 
 
 def boxplus(window: WindowState, delta: np.ndarray) -> WindowState:
@@ -102,106 +127,118 @@ def boxplus(window: WindowState, delta: np.ndarray) -> WindowState:
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (window.dim,):
         raise ValueError(f"boxplus: increment has length {delta.size}, expected {window.dim}")
-    poses = [window.poses[0]]
-    for t in range(1, window.n):
-        off = 9 * (t - 1)
-        poses.append(pose_boxplus(window.poses[t], delta[off : off + 9]))
-    landmarks = window.landmarks + delta[9 * (window.n - 1) :].reshape(-1, 3)
+    n = window.n
+    moved = pose_boxplus(_stack(window.poses[1:]), delta[: 9 * (n - 1)].reshape(n - 1, 9))
+    poses = [window.poses[0]] + [_take(moved, t) for t in range(n - 1)]
+    landmarks = window.landmarks + delta[9 * (n - 1) :].reshape(-1, 3)
     return WindowState(poses, landmarks)
 
 
-def _check_problem(problem: Problem) -> None:
-    n = problem.window.n
-    N = problem.window.num_landmarks
+class _FactorInputs(NamedTuple):
+    """Every factor's inputs, stacked along a leading axis per factor type."""
+
+    deltas: PreintegratedDelta  # n-1 deltas
+    pose_i: PoseState  # poses 1..n-1
+    pose_j: PoseState  # poses 2..n
+    meas: PixelMeasurement  # K measurements sorted by (frame, landmark)
+    seen_from: PoseState  # the observing pose of each measurement
+    landmarks: np.ndarray  # (K, 3) the observed landmark of each measurement
+
+
+def _gather(problem: Problem) -> _FactorInputs:
+    """Stack the inputs of every factor; rejects a delta count or a
+    measurement index that does not fit the window."""
+    window = problem.window
+    n, N = window.n, window.num_landmarks
     if len(problem.deltas) != n - 1:
         raise ValueError(f"problem has {len(problem.deltas)} deltas, expected {n - 1}")
-    for m in problem.measurements:
-        if not (1 <= m.frame_index <= n and 1 <= m.landmark_id <= N):
-            raise ValueError(
-                f"measurement (frame {m.frame_index}, landmark {m.landmark_id}) "
-                f"out of range for n={n}, N={N}"
-            )
+    frames = np.array([m.frame_index for m in problem.measurements], dtype=np.intp)
+    ids = np.array([m.landmark_id for m in problem.measurements], dtype=np.intp)
+    outside = (frames < 1) | (frames > n) | (ids < 1) | (ids > N)
+    if np.any(outside):
+        first = np.flatnonzero(outside)[0]
+        raise ValueError(
+            f"measurement (frame {frames[first]}, landmark {ids[first]}) "
+            f"out of range for n={n}, N={N}"
+        )
+    order = np.lexsort((ids, frames))
+    uv = np.array([m.uv for m in problem.measurements], dtype=float).reshape(-1, 2)
+    meas = PixelMeasurement(frames[order], ids[order], uv[order])
+
+    deltas = problem.deltas
+    stacked_deltas = PreintegratedDelta(
+        dR=np.array([d.dR for d in deltas], dtype=float),
+        dv=np.array([d.dv for d in deltas], dtype=float),
+        dp=np.array([d.dp for d in deltas], dtype=float),
+        dt_total=np.array([d.dt_total for d in deltas], dtype=float),
+    )
+    poses = _stack(window.poses)
+    return _FactorInputs(
+        deltas=stacked_deltas,
+        pose_i=_take(poses, slice(0, n - 1)),
+        pose_j=_take(poses, slice(1, n)),
+        meas=meas,
+        seen_from=_take(poses, meas.frame_index - 1),
+        landmarks=window.landmarks[meas.landmark_id - 1],
+    )
 
 
-def _ordered_measurements(problem: Problem) -> List[PixelMeasurement]:
-    return sorted(problem.measurements, key=lambda m: (m.frame_index, m.landmark_id))
+@contextmanager
+def _naming_measurement(meas: PixelMeasurement):
+    """Re-raise a degenerate depth in a measurement batch with its (frame, landmark)."""
+    try:
+        yield
+    except DegenerateDepthError as err:
+        raise DegenerateDepthError(
+            err.depth, int(meas.frame_index[err.index]), int(meas.landmark_id[err.index])
+        ) from None
 
 
 def stacked_residual(problem: Problem) -> np.ndarray:
     """Residual vector only (no Jacobian); used by finite-difference checks."""
-    _check_problem(problem)
-    window = problem.window
-    parts = []
-    for k, delta in enumerate(problem.deltas):
-        parts.append(imu_residual(delta, window.poses[k], window.poses[k + 1], problem.world))
-    for m in _ordered_measurements(problem):
-        pose = window.poses[m.frame_index - 1]
-        landmark = window.landmarks[m.landmark_id - 1]
-        try:
-            parts.append(photometric_residual(problem.cam, pose, landmark, m))
-        except DegenerateDepthError as err:
-            raise DegenerateDepthError(err.depth, m.frame_index, m.landmark_id) from None
-    return np.concatenate(parts)
+    f = _gather(problem)
+    imu = imu_residual(f.deltas, f.pose_i, f.pose_j, problem.world)
+    with _naming_measurement(f.meas):
+        pixel = photometric_residual(problem.cam, f.seen_from, f.landmarks, f.meas)
+    return np.concatenate([imu.reshape(-1), pixel.reshape(-1)])
 
 
-def weights_vector(problem: Problem) -> np.ndarray:
-    """Diagonal of the weight matrix W in residual row order."""
-    n = problem.window.n
-    return np.concatenate(
-        [
-            np.ones(9 * (n - 1)),
-            np.full(2 * len(problem.measurements), float(problem.photometric_weight)),
-        ]
-    )
+def _span(starts: np.ndarray, width: int) -> np.ndarray:
+    """(len(starts), width) indices start, start + 1, ..., start + width - 1."""
+    return starts[:, None] + np.arange(width)
 
 
 def assemble(problem: Problem):
     """Stacked residual, dense Jacobian in boxplus column order, and weight diagonal."""
-    _check_problem(problem)
-    window = problem.window
-    n = window.n
-    measurements = _ordered_measurements(problem)
-    rows = 9 * (n - 1) + 2 * len(measurements)
-    dim = window.dim
-    residual = np.zeros(rows)
-    jacobian = np.zeros((rows, dim))
+    f = _gather(problem)
+    frames, ids = f.meas.frame_index, f.meas.landmark_id
+    base = 9 * (problem.window.n - 1)  # photometric rows and landmark columns both start here
+    # allocated ahead of the factor temporaries, so the heap does not grow
+    # around it (this keeps peak RSS at the per-factor loop's level)
+    jacobian = np.zeros((base + 2 * len(frames), problem.window.dim))
+    imu_r = imu_residual(f.deltas, f.pose_i, f.pose_j, problem.world)
+    imu_J = imu_residual_jacobian(f.deltas, f.pose_i, f.pose_j, problem.world)
+    with _naming_measurement(f.meas):
+        pixel_r = photometric_residual(problem.cam, f.seen_from, f.landmarks, f.meas)
+        pixel_J = photometric_jacobian(problem.cam, f.seen_from, f.landmarks)
+    residual = np.concatenate([imu_r.reshape(-1), pixel_r.reshape(-1)])
 
-    for k, delta in enumerate(problem.deltas):
-        pose_i, pose_j = window.poses[k], window.poses[k + 1]
-        r = imu_residual(delta, pose_i, pose_j, problem.world)
-        J = imu_residual_jacobian(delta, pose_i, pose_j, problem.world)
-        row = 9 * k
-        residual[row : row + 9] = r
-        if k >= 1:  # pose i columns exist only when i is not the prior
-            col_i = 9 * (k - 1)
-            jacobian[row : row + 9, col_i : col_i + 9] = J[:, 0:9]
-        col_j = 9 * k
-        jacobian[row : row + 9, col_j : col_j + 9] = J[:, 9:18]
+    # IMU factor k spans rows 9k.. and the columns of poses k+1 (i) and k+2 (j);
+    # pose i columns exist only when i is not the prior
+    starts = 9 * np.arange(len(imu_r))
+    rows = _span(starts, 9)[:, :, None]
+    jacobian[rows, _span(starts, 9)[:, None, :]] = imu_J[:, :, 9:18]
+    jacobian[rows[1:], _span(starts[:-1], 9)[:, None, :]] = imu_J[1:, :, 0:9]
 
-    base = 9 * (n - 1)  # photometric rows and landmark columns both start here
-    for idx, m in enumerate(measurements):
-        pose = window.poses[m.frame_index - 1]
-        landmark = window.landmarks[m.landmark_id - 1]
-        try:
-            r = photometric_residual(problem.cam, pose, landmark, m)
-            J = photometric_jacobian(problem.cam, pose, landmark)
-        except DegenerateDepthError as err:
-            raise DegenerateDepthError(err.depth, m.frame_index, m.landmark_id) from None
-        row = base + 2 * idx
-        residual[row : row + 2] = r
-        if m.frame_index >= 2:
-            col = 9 * (m.frame_index - 2)
-            jacobian[row : row + 2, col : col + 9] = J[:, 0:9]
-        col_l = base + 3 * (m.landmark_id - 1)
-        jacobian[row : row + 2, col_l : col_l + 3] = J[:, 9:12]
+    # pixel factor m spans rows base + 2m.., the columns of its observing pose
+    # (none for frame 1) and of its landmark
+    rows = _span(base + 2 * np.arange(len(frames)), 2)[:, :, None]
+    posed = frames >= 2
+    jacobian[rows[posed], _span(9 * (frames[posed] - 2), 9)[:, None, :]] = pixel_J[posed, :, 0:9]
+    jacobian[rows, _span(base + 3 * (ids - 1), 3)[:, None, :]] = pixel_J[:, :, 9:12]
 
-    return residual, jacobian, weights_vector(problem)
-
-
-def cost(problem: Problem) -> float:
-    """Weighted squared residual e^T W e."""
-    r = stacked_residual(problem)
-    return float(r @ (weights_vector(problem) * r))
+    weights = np.concatenate([np.ones(base), np.full(2 * len(frames), float(problem.photometric_weight))])
+    return residual, jacobian, weights
 
 
 def altitude_constraint(problem: Problem):

@@ -152,22 +152,22 @@ def generate(
     gyro_noise = math.sqrt(noise.imu_noise_variance) * rng.standard_normal((num_steps, 3))
     accel_noise = math.sqrt(noise.imu_noise_variance) * rng.standard_normal((num_steps, 3))
 
-    pose = spec.initial_pose.copy()
-    keyframes = [pose.copy()]
-    samples: List[ImuSample] = []
     g = np.asarray(world.gravity, dtype=float)
     dt = spec.imu_dt
+    omegas = np.array([evaluate_profile(spec.angular_profile, step * dt) for step in range(num_steps)])
+    accels = np.array([evaluate_profile(spec.accel_profile, step * dt) for step in range(num_steps)])
+    step_rotations = exp_map(omegas * dt)
+    measured_omegas = omegas + gyro_noise
+    measured_accels = accels + accel_noise
+    samples = [ImuSample(measured_omegas[step], measured_accels[step], dt) for step in range(num_steps)]
+
+    pose = spec.initial_pose.copy()
+    keyframes = [pose.copy()]
     for step in range(num_steps):
-        t = step * dt
-        omega = evaluate_profile(spec.angular_profile, t)
-        accel = evaluate_profile(spec.accel_profile, t)
-        samples.append(
-            ImuSample(omega + gyro_noise[step], accel + accel_noise[step], dt)
-        )
-        world_accel = pose.R @ accel
+        world_accel = pose.R @ accels[step]
         p = pose.p + pose.v * dt + 0.5 * g * dt * dt + 0.5 * world_accel * dt * dt
         v = pose.v + g * dt + world_accel * dt
-        R = pose.R @ exp_map(omega * dt)
+        R = pose.R @ step_rotations[step]
         pose = PoseState(R, v, p)
         if (step + 1) % k == 0:
             keyframes.append(pose.copy())

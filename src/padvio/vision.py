@@ -3,6 +3,11 @@
 The camera frame coincides with the body frame: a landmark at world position
 p_l seen from pose (R, p) sits at q = R^T (p_l - p) in front of the camera,
 and projects to (f x/z + cx, f y/z + cy).
+
+Every function here broadcasts over leading axes: K observations given as
+pose R (K,3,3), p (K,3), landmarks (K,3) and measured uv (K,2) give (K,3)
+camera-frame points, (K,2) residuals, (K,2,3) projection differentials and
+(K,2,12) Jacobians. A single observation is the stack with no leading axes.
 """
 
 from __future__ import annotations
@@ -18,12 +23,22 @@ DEPTH_EPSILON = 1e-6
 
 
 class DegenerateDepthError(RuntimeError):
-    """Projection attempted at |z| <= DEPTH_EPSILON (behind or on the camera plane)."""
+    """Projection attempted at |z| <= DEPTH_EPSILON (behind or on the camera plane).
 
-    def __init__(self, depth: float, frame_index: int | None = None, landmark_id: int | None = None):
+    `index` is the position of the first such point in the flattened batch.
+    """
+
+    def __init__(
+        self,
+        depth: float,
+        frame_index: int | None = None,
+        landmark_id: int | None = None,
+        index: int | None = None,
+    ):
         self.depth = depth
         self.frame_index = frame_index
         self.landmark_id = landmark_id
+        self.index = index
         where = ""
         if frame_index is not None or landmark_id is not None:
             where = f" (frame {frame_index}, landmark {landmark_id})"
@@ -38,24 +53,34 @@ class CameraModel:
 
 @dataclass
 class PixelMeasurement:
-    """One detected landmark in one keyframe's image. Indices are 1-based."""
+    """One detected landmark in one keyframe's image. Indices are 1-based.
+
+    A batch holds (K,) index arrays and (K, 2) uv values."""
 
     frame_index: int
     landmark_id: int
     uv: np.ndarray  # pixels
 
 
+def _check_depth(z: np.ndarray) -> None:
+    degenerate = np.abs(z) <= DEPTH_EPSILON
+    if np.any(degenerate):
+        index = int(np.flatnonzero(degenerate)[0])
+        raise DegenerateDepthError(float(np.ravel(z)[index]), index=index)
+
+
 def landmark_in_body(pose, landmark: np.ndarray) -> np.ndarray:
     """Landmark position in the observing body/camera frame: R^T (p_l - p)."""
-    return pose.R.T @ (np.asarray(landmark, dtype=float) - pose.p)
+    offset = np.asarray(landmark, dtype=float) - pose.p
+    return (np.swapaxes(pose.R, -1, -2) @ offset[..., None])[..., 0]
 
 
 def project(cam: CameraModel, pt: np.ndarray) -> np.ndarray:
-    """Pinhole projection of a camera-frame point to pixel coordinates."""
-    x, y, z = pt
-    if abs(z) <= DEPTH_EPSILON:
-        raise DegenerateDepthError(z)
-    return np.asarray(cam.principal_point, dtype=float) + cam.focal * np.array([x / z, y / z])
+    """Pinhole projection of camera-frame points to pixel coordinates."""
+    pt = np.asarray(pt, dtype=float)
+    z = pt[..., 2]
+    _check_depth(z)
+    return np.asarray(cam.principal_point, dtype=float) + cam.focal * (pt[..., 0:2] / z[..., None])
 
 
 def photometric_residual(cam: CameraModel, pose, landmark: np.ndarray, meas: PixelMeasurement) -> np.ndarray:
@@ -64,15 +89,18 @@ def photometric_residual(cam: CameraModel, pose, landmark: np.ndarray, meas: Pix
 
 
 def projection_differential(cam: CameraModel, pt: np.ndarray) -> np.ndarray:
-    """2x3 derivative of the pinhole projection at a camera-frame point."""
-    x, y, z = pt
-    if abs(z) <= DEPTH_EPSILON:
-        raise DegenerateDepthError(z)
-    return (cam.focal / (z * z)) * np.array([[z, 0.0, -x], [0.0, z, -y]])
+    """(..., 2, 3) derivative of the pinhole projection at camera-frame points."""
+    pt = np.asarray(pt, dtype=float)
+    z = pt[..., 2]
+    _check_depth(z)
+    D = np.zeros(pt.shape[:-1] + (2, 3))
+    D[..., 0, 0] = D[..., 1, 1] = z
+    D[..., :, 2] = -pt[..., 0:2]
+    return (cam.focal / (z * z))[..., None, None] * D
 
 
 def photometric_jacobian(cam: CameraModel, pose, landmark: np.ndarray) -> np.ndarray:
-    """2x12 Jacobian of the photometric residual.
+    """(..., 2, 12) Jacobians of the photometric residual.
 
     Column blocks are [dR, dv, dp, dp_l]. The camera-frame point obeys
     q(dR) = Exp(-dR) R^T (p_l - p) to first order, so the inner 3x12 Jacobian
@@ -81,8 +109,8 @@ def photometric_jacobian(cam: CameraModel, pose, landmark: np.ndarray) -> np.nda
     """
     q = landmark_in_body(pose, landmark)
     P = projection_differential(cam, q)
-    J = np.zeros((2, 12))
-    J[:, 0:3] = P @ hat(q)
-    J[:, 6:9] = -P
-    J[:, 9:12] = P @ pose.R.T
+    J = np.zeros(q.shape[:-1] + (2, 12))
+    J[..., 0:3] = P @ hat(q)
+    J[..., 6:9] = -P
+    J[..., 9:12] = P @ np.swapaxes(pose.R, -1, -2)
     return J

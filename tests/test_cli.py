@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from padvio import checks, cli
 from padvio.dataset_io import read_dataset, write_dataset
@@ -69,6 +70,50 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, damping=-0.5)
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "damping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("seed", {"seed": "abc"}),
+        ("seed", {"seed": -1}),
+        ("iterations", {"iterations": True}),
+        ("constrain_altitude", {"constrain_altitude": "no"}),
+        ("angular_profile", {"angular_profile": {"name": "sinusoid", "amplitude": "x"}}),
+        ("accel_profile", {"accel_profile": {"name": "constant", "value": [1.0, 2.0]}}),
+        ("accel_profile", {"accel_profile": {"name": "spiral"}}),
+        ("accel_profile", {"accel_profile": {"name": "constant", "value": None}}),
+        ("damping", {"damping": True}),
+        ("landmarks", {"landmarks": [["a", 0.0, 0.0]]}),
+    ],
+)
+def test_config_value_rejected_exits_1(tmp_path, capsys, field, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"invalid config field {field}" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.txt").exists()
+
+
+def test_negative_seed_flag_exits_1(tmp_path, capsys):
+    assert cli.main(["simulate", "--seed", "-1", "--out", str(tmp_path)]) == 1
+    assert "invalid config field seed" in capsys.readouterr().err
+
+
+def test_estimate_rejects_boolean_iterations(tmp_path, capsys):
+    assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
+    cfg = _write_config(tmp_path, iterations=True)
+    assert cli.main(["estimate", str(tmp_path / "dataset.txt"), "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "invalid config field iterations" in capsys.readouterr().err
+
+
+def test_estimate_dataset_with_bad_record_id_exits_1(tmp_path, capsys):
+    assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "dataset.txt"
+    text = path.read_text()
+    first_pixel = text.index("\np 1 ") + 1
+    path.write_text(text[:first_pixel] + "p 8" + text[first_pixel + 3 :])  # frame 8 of 7
+    assert cli.main(["estimate", str(path), "--out", str(tmp_path)]) == 1
+    assert "bad dataset file" in capsys.readouterr().err
 
 
 def test_missing_dataset_exits_1(tmp_path, capsys):

@@ -94,3 +94,42 @@ def test_rejects_malformed_numbers():
     text = dumps(_dataset()).replace("camera focal 1.0", "camera focal one", 1)
     with pytest.raises(DatasetFormatError, match="malformed"):
         loads(text)
+
+
+def _replace_record(text, old_prefix, new_prefix):
+    assert ("\n" + old_prefix) in text
+    return text.replace("\n" + old_prefix, "\n" + new_prefix, 1)
+
+
+def test_rejects_landmark_id_zero():
+    # id 0 would otherwise wrap to the last landmark and leave landmark 1 at the origin
+    text = _replace_record(dumps(_dataset()), "l 1 ", "l 0 ")
+    with pytest.raises(DatasetFormatError, match="landmark id 0"):
+        loads(text)
+
+
+def test_rejects_landmark_id_above_count():
+    text = _replace_record(dumps(_dataset()), "l 3 ", "l 4 ")
+    with pytest.raises(DatasetFormatError, match="landmark id 4"):
+        loads(text)
+
+
+def test_rejects_repeated_keyframe_index():
+    text = _replace_record(dumps(_dataset()), "k 2 ", "k 1 ")
+    with pytest.raises(DatasetFormatError, match="repeated keyframe id 1"):
+        loads(text)
+
+
+def test_rejects_repeated_landmark_id():
+    text = _replace_record(dumps(_dataset()), "l 2 ", "l 3 ")
+    with pytest.raises(DatasetFormatError, match="repeated landmark id 3"):
+        loads(text)
+
+
+@pytest.mark.parametrize("record, what", [("p 5 1 ", "pixel keyframe id 5"), ("p 1 0 ", "pixel landmark id 0")])
+def test_rejects_pixel_record_out_of_range(record, what):
+    dataset = _dataset()
+    assert dataset.ground_truth.n == 4
+    text = _replace_record(dumps(dataset), "p 1 1 ", record)
+    with pytest.raises(DatasetFormatError, match=what):
+        loads(text)

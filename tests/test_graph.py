@@ -9,12 +9,10 @@ from padvio.graph import (
     altitude_constraint,
     assemble,
     boxplus,
-    cost,
     min_landmarks,
     stacked_residual,
-    weights_vector,
 )
-from padvio.imu import PreintegratedDelta, WorldParams
+from padvio.imu import PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
 from padvio.manifold import exp_map
 from padvio.sim import (
     CameraModel,
@@ -24,7 +22,12 @@ from padvio.sim import (
     generate,
     make_problem,
 )
-from padvio.vision import PixelMeasurement
+from padvio.vision import (
+    DegenerateDepthError,
+    PixelMeasurement,
+    photometric_jacobian,
+    photometric_residual,
+)
 
 
 def _window(n=2, N=1):
@@ -126,9 +129,14 @@ def test_assemble_row_and_column_counts():
     assert weights.shape == (96,)
 
 
+def _cost(problem):
+    r, _, w = assemble(problem)
+    return float(r @ (w * r))
+
+
 def test_weights_diagonal_values():
     _, problem = _reference_problem(n=7, N=3)
-    w = weights_vector(problem)
+    _, _, w = assemble(problem)
     np.testing.assert_array_equal(w[:54], np.ones(54))
     np.testing.assert_array_equal(w[54:], np.full(42, 1000.0))
 
@@ -140,7 +148,7 @@ def test_residual_small_at_noise_free_truth():
 
 def test_cost_zero_residual():
     _, problem = _reference_problem(imu_var=0.0, pixel_var=0.0)
-    assert cost(problem) < 1e-20
+    assert _cost(problem) < 1e-20
 
 
 def test_cost_single_photometric_residual():
@@ -154,7 +162,7 @@ def test_cost_single_photometric_residual():
         cam=CameraModel(1.0),
         world=WorldParams(np.zeros(3)),
     )
-    assert cost(problem) == 1000.0
+    assert _cost(problem) == 1000.0
 
 
 def test_residual_ordering_sorts_measurements():
@@ -254,3 +262,106 @@ def test_min_landmarks_matches_brute_force():
 def test_min_landmarks_rejects_short_window():
     with pytest.raises(ValueError):
         min_landmarks(1)
+
+
+def _assemble_per_factor(problem):
+    """Reference assembly: one factor call per factor, written into the dense system."""
+    window = problem.window
+    n = window.n
+    measurements = sorted(problem.measurements, key=lambda m: (m.frame_index, m.landmark_id))
+    rows = 9 * (n - 1) + 2 * len(measurements)
+    residual = np.zeros(rows)
+    jacobian = np.zeros((rows, window.dim))
+    for k, delta in enumerate(problem.deltas):
+        pose_i, pose_j = window.poses[k], window.poses[k + 1]
+        row = 9 * k
+        residual[row : row + 9] = imu_residual(delta, pose_i, pose_j, problem.world)
+        J = imu_residual_jacobian(delta, pose_i, pose_j, problem.world)
+        if k >= 1:
+            jacobian[row : row + 9, 9 * (k - 1) : 9 * k] = J[:, 0:9]
+        jacobian[row : row + 9, 9 * k : 9 * k + 9] = J[:, 9:18]
+    base = 9 * (n - 1)
+    for idx, m in enumerate(measurements):
+        pose = window.poses[m.frame_index - 1]
+        landmark = window.landmarks[m.landmark_id - 1]
+        row = base + 2 * idx
+        residual[row : row + 2] = photometric_residual(problem.cam, pose, landmark, m)
+        J = photometric_jacobian(problem.cam, pose, landmark)
+        if m.frame_index >= 2:
+            col = 9 * (m.frame_index - 2)
+            jacobian[row : row + 2, col : col + 9] = J[:, 0:9]
+        col_l = base + 3 * (m.landmark_id - 1)
+        jacobian[row : row + 2, col_l : col_l + 3] = J[:, 9:12]
+    weights = np.concatenate(
+        [np.ones(base), np.full(2 * len(measurements), float(problem.photometric_weight))]
+    )
+    return residual, jacobian, weights
+
+
+def _level_circle_problem(n, N, seed):
+    # a level circle 4 m above a ring of N markers: stays above the pad for any n
+    spec = TrajectorySpec(
+        duration=0.4 * (n - 1),
+        initial_pose=PoseState(np.eye(3), np.array([0.0, -0.025, 0.0]), np.array([0.0, 0.0, -4.0])),
+        angular_profile=Profile("constant", {"value": [0.0, 0.0, 0.05]}),
+        accel_profile=Profile("constant", {"value": [0.00125, 0.0, -9.81]}),
+    )
+    angles = 2.0 * np.pi * np.arange(N) / N
+    landmarks = np.column_stack([0.5 + 1.2 * np.cos(angles), 1.2 * np.sin(angles), np.zeros(N)])
+    dataset = generate(spec, landmarks, CameraModel(1.0), WorldParams(), NoiseSpec(1e-4, 1e-5, seed))
+    return make_problem(dataset, dataset.ground_truth.copy())
+
+
+def _oracle_case(name):
+    from dataclasses import replace
+
+    rng = np.random.default_rng(5)
+    if name == "n7_N3":
+        _, problem = _reference_problem(seed=3, n=7, N=3)
+    elif name == "n60_N10":
+        problem = _level_circle_problem(60, 10, seed=1)
+    else:  # shuffled, with detections dropped and frame-1 rows kept
+        _, problem = _reference_problem(seed=4, n=5, N=3)
+        kept = [m for i, m in enumerate(problem.measurements) if i % 4 != 1]
+        assert any(m.frame_index == 1 for m in kept)
+        order = rng.permutation(len(kept))
+        problem = replace(problem, measurements=[kept[i] for i in order])
+    # evaluate away from the truth so every block is generic
+    offset = rng.normal(0.0, 0.02, problem.window.dim)
+    return replace(problem, window=boxplus(problem.window, offset))
+
+
+@pytest.mark.parametrize("case", ["n7_N3", "n60_N10", "shuffled_dropped"])
+def test_batched_assembly_matches_per_factor_oracle(case):
+    problem = _oracle_case(case)
+    r, J, w = assemble(problem)
+    r_ref, J_ref, w_ref = _assemble_per_factor(problem)
+    assert J.shape == J_ref.shape
+    assert np.abs(r - r_ref).max() <= 1e-12 * max(1.0, np.abs(r_ref).max())
+    assert np.abs(J - J_ref).max() <= 1e-12 * max(1.0, np.abs(J_ref).max())
+    np.testing.assert_array_equal(J != 0.0, J_ref != 0.0)
+    np.testing.assert_array_equal(w, w_ref)
+    stacked = stacked_residual(problem)
+    assert np.abs(stacked - r_ref).max() <= 1e-12 * max(1.0, np.abs(r_ref).max())
+
+
+def test_degenerate_depth_names_first_bad_measurement_in_sorted_order():
+    # pose 2 sits on the plane z = 1 of landmarks 2 and 3, so both project at depth 0 from it
+    poses = [
+        PoseState(np.eye(3), np.zeros(3), np.zeros(3)),
+        PoseState(np.eye(3), np.zeros(3), np.array([0.0, 0.0, 1.0])),
+    ]
+    window = WindowState(poses, np.array([[0.0, 0.0, 2.0], [0.5, 0.0, 1.0], [0.0, 0.5, 1.0]]))
+    pairs = [(2, 3), (1, 1), (2, 1), (1, 3), (2, 2), (1, 2)]
+    problem = Problem(
+        window=window,
+        deltas=[PreintegratedDelta(dt_total=1.0)],
+        measurements=[PixelMeasurement(f, l, np.zeros(2)) for f, l in pairs],
+        cam=CameraModel(1.0),
+        world=WorldParams(np.zeros(3)),
+    )
+    for evaluate in (assemble, stacked_residual):
+        with pytest.raises(DegenerateDepthError) as info:
+            evaluate(problem)
+        assert (info.value.frame_index, info.value.landmark_id) == (2, 2)
+        assert info.value.depth == 0.0

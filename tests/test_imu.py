@@ -12,7 +12,7 @@ from padvio.imu import (
     integrate,
     preintegrate,
 )
-from padvio.manifold import exp_map
+from padvio.manifold import SMALL_ANGLE, exp_map
 
 from conftest import random_rotation
 
@@ -156,3 +156,43 @@ def test_delta_independent_of_states(rng):
     np.testing.assert_array_equal(first.dR, second.dR)
     np.testing.assert_array_equal(first.dv, second.dv)
     np.testing.assert_array_equal(first.dp, second.dp)
+
+
+def _stack_fields(items, names):
+    return {name: np.array([getattr(item, name) for item in items]) for name in names}
+
+
+def test_stack_matches_per_element_calls(rng):
+    world = WorldParams()
+    instances = [_random_instance(rng) for _ in range(5)]
+    # an exactly matched rotation (r_rot = 0) and one below SMALL_ANGLE
+    for k, angle in ((1, 0.0), (3, 0.3 * SMALL_ANGLE)):
+        delta, pose_i, _ = instances[k]
+        R_j = pose_i.R @ delta.dR @ exp_map(angle * np.array([0.0, 0.6, 0.8]))
+        instances[k] = (delta, pose_i, PoseState(R_j, rng.normal(0, 1, 3), rng.normal(0, 2, 3)))
+    deltas, poses_i, poses_j = zip(*instances)
+    delta = PreintegratedDelta(**_stack_fields(deltas, ("dR", "dv", "dp", "dt_total")))
+    pose_i = PoseState(**_stack_fields(poses_i, ("R", "v", "p")))
+    pose_j = PoseState(**_stack_fields(poses_j, ("R", "v", "p")))
+
+    r = imu_residual(delta, pose_i, pose_j, world)
+    J = imu_residual_jacobian(delta, pose_i, pose_j, world)
+    assert r.shape == (5, 9) and J.shape == (5, 9, 18)
+    np.testing.assert_allclose(
+        r, [imu_residual(*args, world) for args in instances], rtol=1e-15, atol=1e-15
+    )
+    np.testing.assert_allclose(
+        J, [imu_residual_jacobian(*args, world) for args in instances], rtol=1e-15, atol=1e-15
+    )
+    assert np.linalg.norm(r[3, 0:3]) < SMALL_ANGLE
+
+
+def test_stack_requires_every_dt_positive(rng):
+    instances = [_random_instance(rng) for _ in range(3)]
+    deltas, poses_i, poses_j = zip(*instances)
+    fields = _stack_fields(deltas, ("dR", "dv", "dp", "dt_total"))
+    fields["dt_total"][2] = 0.0
+    pose_i = PoseState(**_stack_fields(poses_i, ("R", "v", "p")))
+    pose_j = PoseState(**_stack_fields(poses_j, ("R", "v", "p")))
+    with pytest.raises(ValueError, match="dt_total"):
+        imu_residual(PreintegratedDelta(**fields), pose_i, pose_j, WorldParams())

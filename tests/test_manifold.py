@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from padvio.manifold import exp_map, hat, is_rotation, log_map, vee
+from padvio.manifold import SMALL_ANGLE, exp_map, hat, is_rotation, log_map, vee
 
 from conftest import random_rotation
 
@@ -126,3 +126,34 @@ def test_is_rotation_rejects_bad_input():
     assert not is_rotation(np.eye(3) * 1.001)
     assert not is_rotation(np.diag([1.0, 1.0, -1.0]))  # determinant -1
     assert is_rotation(np.eye(3))
+
+
+def _tangent_stack(rng):
+    # a zero vector, one below SMALL_ANGLE, and generic ones, shaped (2, 4, 3)
+    phi = rng.uniform(-1.5, 1.5, (8, 3))
+    phi[0] = 0.0
+    phi[3] = 0.3 * SMALL_ANGLE * np.array([0.6, -0.8, 0.0])
+    return phi.reshape(2, 4, 3)
+
+
+def test_stack_matches_per_element_calls(rng):
+    phi = _tangent_stack(rng)
+    flat = phi.reshape(-1, 3)
+    S, R = hat(phi), exp_map(phi)
+    assert S.shape == R.shape == (2, 4, 3, 3)
+    np.testing.assert_allclose(S.reshape(-1, 3, 3), [hat(v) for v in flat], rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(R.reshape(-1, 3, 3), [exp_map(v) for v in flat], rtol=1e-15, atol=1e-15)
+    logs = log_map(R)
+    assert logs.shape == (2, 4, 3)
+    singles = [log_map(M) for M in R.reshape(-1, 3, 3)]
+    np.testing.assert_allclose(logs.reshape(-1, 3), singles, rtol=1e-15, atol=1e-15)
+    np.testing.assert_array_equal(logs[0, 0], np.zeros(3))
+    np.testing.assert_allclose(logs[0, 3], phi[0, 3], rtol=1e-12, atol=0.0)  # Taylor branch
+
+
+def test_log_stack_rejects_one_element_near_pi(rng):
+    R = exp_map(rng.uniform(-0.5, 0.5, (5, 3)))
+    log_map(R)  # all well inside the domain
+    R[3] = exp_map([0.0, np.pi - 1e-7, 0.0])
+    with pytest.raises(ValueError, match="pi"):
+        log_map(R)

@@ -159,3 +159,43 @@ def test_jacobian_matches_finite_differences(rng):
         err = np.abs(analytic - numeric).max() / max(1.0, np.abs(numeric).max())
         worst = max(worst, err)
     assert worst < 1e-5
+
+
+def _observation_stack(rng, K):
+    cam = CameraModel(rng.uniform(100, 800), rng.normal(0, 5, 2))
+    poses = [_pose(R=random_rotation(rng, 0.8), p=rng.normal(0, 2, 3), v=rng.normal(0, 1, 3)) for _ in range(K)]
+    points = np.column_stack([rng.normal(size=(K, 2)), rng.uniform(1.0, 5.0, K)])
+    landmarks = np.array([pose.p + pose.R @ q for pose, q in zip(poses, points)])
+    uv = rng.normal(0, 50, (K, 2))
+    stacked = PoseState(*(np.array([getattr(pose, f) for pose in poses]) for f in ("R", "v", "p")))
+    return cam, poses, stacked, landmarks, uv
+
+
+def test_stack_matches_per_element_calls(rng):
+    cam, poses, stacked, landmarks, uv = _observation_stack(rng, 6)
+    meas = PixelMeasurement(np.ones(6, dtype=int), np.arange(1, 7), uv)
+    r = photometric_residual(cam, stacked, landmarks, meas)
+    J = photometric_jacobian(cam, stacked, landmarks)
+    assert r.shape == (6, 2) and J.shape == (6, 2, 12)
+    singles = [
+        photometric_residual(cam, pose, lm, PixelMeasurement(1, k + 1, uv[k]))
+        for k, (pose, lm) in enumerate(zip(poses, landmarks))
+    ]
+    np.testing.assert_allclose(r, singles, rtol=1e-15, atol=1e-15)
+    singles = [photometric_jacobian(cam, pose, lm) for pose, lm in zip(poses, landmarks)]
+    np.testing.assert_allclose(J, singles, rtol=1e-15, atol=1e-15)
+
+
+def test_stack_depth_check_covers_whole_batch(rng):
+    cam, poses, stacked, landmarks, uv = _observation_stack(rng, 5)
+    # move landmark 4 onto the camera plane of its pose: depth 0
+    pose = poses[3]
+    landmarks[3] = pose.p + pose.R @ np.array([0.3, -0.2, 0.0])
+    for call in (
+        lambda: photometric_residual(cam, stacked, landmarks, PixelMeasurement(1, 1, uv)),
+        lambda: photometric_jacobian(cam, stacked, landmarks),
+    ):
+        with pytest.raises(DegenerateDepthError) as info:
+            call()
+        assert info.value.index == 3
+        assert abs(info.value.depth) <= 1e-12
