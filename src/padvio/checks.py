@@ -192,7 +192,7 @@ def certify_stacked(rng: np.random.Generator, trials: int) -> Dict[str, float]:
             return stacked_residual(replace(problem, window=boxplus(problem.window, d)))
 
         numeric = central_difference(residual_at, problem.window.dim)
-        analytic = assemble(problem)[1]
+        analytic = assemble(problem)[1].toarray()
         key = f"n={n},N={N}"
         errors[key] = max(errors[key], _relative_error(analytic, numeric))
     return errors
@@ -200,6 +200,8 @@ def certify_stacked(rng: np.random.Generator, trials: int) -> Dict[str, float]:
 
 def run_certification(seed: int = 0, trials: int = 100) -> CertificationReport:
     """Run all three certifications with independent seeded streams."""
+    if trials < 1:
+        raise ValueError(f"invalid trials {trials}: must be an integer >= 1")
     report = CertificationReport(trials=trials, seed=seed)
     report.imu_block_errors = certify_imu(np.random.default_rng(seed), trials)
     vision_errors, vel_abs = certify_vision(np.random.default_rng(seed + 1), trials)

@@ -314,7 +314,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_check_jacobians(args) -> int:
-    report = run_certification(seed=args.seed if args.seed is not None else 0, trials=args.trials)
+    validate_config(ExperimentConfig(seed=args.seed))  # the seed rule of simulate
+    try:
+        report = run_certification(seed=args.seed, trials=args.trials)
+    except ValueError as err:  # trials < 1
+        raise ConfigError(str(err)) from None
     for line in report.lines():
         print(line)
     return 0 if report.passed else 3

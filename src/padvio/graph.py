@@ -16,7 +16,9 @@ With every landmark visible in every frame the stacked system therefore has
 dt_total (n-1,); K sorted measurements as (K,) frame and landmark index
 arrays with (K,2) uv values) and evaluate each factor type in one call:
 (n-1,9) IMU residuals with (n-1,9,18) Jacobians and (K,2) pixel residuals
-with (K,2,12) Jacobians. `assemble` scatters the blocks with index arrays.
+with (K,2,12) Jacobians. `assemble` returns the blocks with their column
+indices as a `BlockJacobian`; the dense (rows x dim) Jacobian is built only
+by its `toarray()`, for finite-difference certification and tests.
 `pose_boxplus` broadcasts too, so `boxplus` retracts poses 2..n in one call.
 """
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, NamedTuple
+from typing import ClassVar, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -208,14 +210,52 @@ def _span(starts: np.ndarray, width: int) -> np.ndarray:
     return starts[:, None] + np.arange(width)
 
 
+@dataclass(frozen=True)
+class BlockJacobian:
+    """The stacked Jacobian held as its factor blocks.
+
+    `factors` holds one (blocks, cols) pair per factor type in row order:
+    the (n-1, 9, 18) IMU blocks, then the (K, 2, 12) pixel blocks. Each
+    factor's rows follow the previous factor's; cols (K, width) gives the
+    column of every block column in a space of 9n + 3N columns that puts the
+    prior pose first (pose k at 9(k-1), landmark i at 9n + 3(i-1)), so the
+    first PRIOR columns are dropped from the dense (rows, dim) matrix.
+    """
+
+    factors: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    shape: Tuple[int, int]
+
+    PRIOR: ClassVar[int] = 9
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(blocks.nbytes for blocks, _ in self.factors)
+
+    def toarray(self) -> np.ndarray:
+        """The dense (rows, dim) Jacobian in boxplus column order."""
+        rows, dim = self.shape
+        dense = np.zeros((rows, self.PRIOR + dim))
+        start = 0
+        for blocks, cols in self.factors:
+            count, height, _ = blocks.shape
+            block_rows = np.arange(start, start + count * height).reshape(count, height)
+            dense[block_rows[:, :, None], cols[:, None, :]] = blocks
+            start += count * height
+        return dense[:, self.PRIOR :]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.toarray(), dtype=dtype)
+
+
 def assemble(problem: Problem):
-    """Stacked residual, dense Jacobian in boxplus column order, and weight diagonal."""
+    """Stacked residual, block Jacobian (see `BlockJacobian`) and weight diagonal."""
     f = _gather(problem)
+    n = problem.window.n
     frames, ids = f.meas.frame_index, f.meas.landmark_id
-    base = 9 * (problem.window.n - 1)  # photometric rows and landmark columns both start here
-    # allocated ahead of the factor temporaries, so the heap does not grow
-    # around it (this keeps peak RSS at the per-factor loop's level)
-    jacobian = np.zeros((base + 2 * len(frames), problem.window.dim))
     imu_r = imu_residual(f.deltas, f.pose_i, f.pose_j, problem.world)
     imu_J = imu_residual_jacobian(f.deltas, f.pose_i, f.pose_j, problem.world)
     with _naming_measurement(f.meas):
@@ -223,21 +263,14 @@ def assemble(problem: Problem):
         pixel_J = photometric_jacobian(problem.cam, f.seen_from, f.landmarks)
     residual = np.concatenate([imu_r.reshape(-1), pixel_r.reshape(-1)])
 
-    # IMU factor k spans rows 9k.. and the columns of poses k+1 (i) and k+2 (j);
-    # pose i columns exist only when i is not the prior
-    starts = 9 * np.arange(len(imu_r))
-    rows = _span(starts, 9)[:, :, None]
-    jacobian[rows, _span(starts, 9)[:, None, :]] = imu_J[:, :, 9:18]
-    jacobian[rows[1:], _span(starts[:-1], 9)[:, None, :]] = imu_J[1:, :, 0:9]
-
-    # pixel factor m spans rows base + 2m.., the columns of its observing pose
-    # (none for frame 1) and of its landmark
-    rows = _span(base + 2 * np.arange(len(frames)), 2)[:, :, None]
-    posed = frames >= 2
-    jacobian[rows[posed], _span(9 * (frames[posed] - 2), 9)[:, None, :]] = pixel_J[posed, :, 0:9]
-    jacobian[rows, _span(base + 3 * (ids - 1), 3)[:, None, :]] = pixel_J[:, :, 9:12]
-
-    weights = np.concatenate([np.ones(base), np.full(2 * len(frames), float(problem.photometric_weight))])
+    # IMU factor k joins poses k+1 and k+2: 18 adjacent columns from 9k; pixel
+    # factor m joins its observing pose and its landmark
+    imu_cols = _span(9 * np.arange(n - 1), 18)
+    pixel_cols = np.concatenate([_span(9 * (frames - 1), 9), _span(9 * n + 3 * (ids - 1), 3)], axis=1)
+    jacobian = BlockJacobian(
+        ((imu_J, imu_cols), (pixel_J, pixel_cols)), (residual.size, problem.window.dim)
+    )
+    weights = np.concatenate([np.ones(imu_r.size), np.full(pixel_r.size, float(problem.photometric_weight))])
     return residual, jacobian, weights
 
 

@@ -2,11 +2,14 @@
 
 Each iteration solves H delta = -g, with H = J^T W J + alpha I and
 g = J^T W e, subject to delta_z = -c for every landmark altitude z, then
-retracts delta through boxplus. The constraint fixes coordinates of a
-Euclidean block, so it is imposed by eliminating those entries (the
-null-space method) rather than through a saddle-point system; the retracted
-altitudes z + (-z) are exactly 0. Damping alpha is constant for the whole
-run; iteration count is fixed unless a convergence tolerance is set.
+retracts delta through boxplus. H and g are summed from each factor's
+B^T W B and B^T W e, the block structure of the normal equations (Triggs et
+al., "Bundle Adjustment - A Modern Synthesis", 2000); the dense J is never
+formed. The constraint fixes coordinates of a Euclidean block, so it is
+imposed by eliminating those entries (the null-space method) rather than
+through a saddle-point system; the retracted altitudes z + (-z) are exactly
+0. Damping alpha is constant for the whole run; iteration count is fixed
+unless a convergence tolerance is set.
 """
 
 from __future__ import annotations
@@ -63,9 +66,29 @@ def build_normal_system(problem: Problem, damping: float = 0.1):
 
 
 def _normal_system(residual, jacobian, weights, damping):
-    H = jacobian.T @ (weights[:, None] * jacobian) + damping * np.eye(jacobian.shape[1])
-    g = jacobian.T @ (weights * residual)
-    return H, g
+    """Sum each factor's B^T W B and B^T W e into the block column space, then
+    drop the prior's columns and add the damping. The sums run in a fixed
+    order, so identical inputs give bit-identical (H, g)."""
+    prior = jacobian.PRIOR
+    span = prior + jacobian.shape[1]
+    h_index, h_values, g_index, g_values = [], [], [], []
+    start = 0
+    for blocks, cols in jacobian.factors:
+        count, height, width = blocks.shape
+        stop = start + count * height
+        w = weights[start:stop].reshape(count, height, 1)
+        e = residual[start:stop].reshape(count, height, 1)
+        # one product gives [B^T W B | B^T W e]
+        products = blocks.transpose(0, 2, 1) @ (w * np.concatenate([blocks, e], axis=2))
+        h_values.append(products[:, :, :width])
+        g_values.append(products[:, :, width])
+        h_index.append(cols[:, :, None] * span + cols[:, None, :])
+        g_index.append(cols)
+        start = stop
+    H = np.bincount(np.concatenate(h_index, None), np.concatenate(h_values, None), span * span)
+    g = np.bincount(np.concatenate(g_index, None), np.concatenate(g_values, None), span)
+    H[prior * (span + 1) :: span + 1] += damping  # the diagonal of the kept block
+    return H.reshape(span, span)[prior:, prior:], g[prior:]
 
 
 def constrained_step(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, c: np.ndarray):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +100,19 @@ def test_negative_seed_flag_exits_1(tmp_path, capsys):
     assert "invalid config field seed" in capsys.readouterr().err
 
 
+def test_check_jacobians_negative_seed_exits_1(capsys):
+    assert cli.main(["check-jacobians", "--seed", "-1", "--trials", "1"]) == 1
+    assert "config error: invalid config field seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_jacobians_without_trials_exits_1(capsys, trials):
+    assert cli.main(["check-jacobians", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert "config error: invalid trials" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_estimate_rejects_boolean_iterations(tmp_path, capsys):
     assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
     cfg = _write_config(tmp_path, iterations=True)
@@ -119,6 +133,17 @@ def test_estimate_dataset_with_bad_record_id_exits_1(tmp_path, capsys):
 def test_missing_dataset_exits_1(tmp_path, capsys):
     assert cli.main(["estimate", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]) == 1
     assert "dataset" in capsys.readouterr().err
+
+
+def test_level_circle_config_keeps_every_measurement(tmp_path, capsys):
+    # the many-marker configuration the CI run estimates twice and compares
+    cfg = str(Path(__file__).parent / "data" / "level_circle_n12.json")
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "12 keyframes" in capsys.readouterr().out
+    dataset = read_dataset(tmp_path / "dataset.txt")
+    assert dataset.ground_truth.num_landmarks == 10
+    assert len(dataset.pixel_measurements) == 12 * 10
+    assert all(pose.p[2] < 0.0 for pose in dataset.ground_truth.poses)
 
 
 def test_estimate_writes_reports(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from padvio.solver import (
     solve,
 )
 from padvio.vision import DegenerateDepthError, PixelMeasurement
+from test_graph import _oracle_case
 
 
 def _reference_dataset(seed=0, imu_var=1e-4, pixel_var=1e-5, n=7):
@@ -38,9 +41,38 @@ def test_normal_system_matches_direct_computation():
     problem = make_problem(dataset, dataset.ground_truth.copy())
     H, g = build_normal_system(problem, damping=0.1)
     r, J, w = assemble(problem)
+    J = J.toarray()
     W = np.diag(w)
     np.testing.assert_allclose(H, J.T @ W @ J + 0.1 * np.eye(J.shape[1]), atol=1e-9)
     np.testing.assert_allclose(g, J.T @ W @ r, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["n7_N3", "n60_N10", "shuffled_dropped"])
+def test_block_normal_system_matches_dense_oracle(case):
+    # the cases of test_graph's per-factor assembly oracle
+    problem = _oracle_case(case)
+    H, g = build_normal_system(problem, damping=0.1)
+    r, J, w = assemble(problem)
+    J = J.toarray()
+    H_ref = J.T @ (w[:, None] * J) + 0.1 * np.eye(J.shape[1])
+    g_ref = J.T @ (w * r)
+    assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
+    assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+    H_again, g_again = build_normal_system(problem, damping=0.1)
+    assert H.tobytes() == H_again.tobytes()
+    assert g.tobytes() == g_again.tobytes()
+
+
+def test_normal_system_peak_memory_below_dense_jacobian():
+    problem = _oracle_case("n60_N10")
+    rows, dim = assemble(problem)[1].shape
+    tracemalloc.start()
+    try:
+        build_normal_system(problem, damping=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * dim * 8  # 7.8 MB at n = 60, N = 10
 
 
 def test_normal_system_symmetric():
