@@ -133,7 +133,7 @@ def certify_imu(rng: np.random.Generator, trials: int) -> Dict[str, float]:
             )
 
         numeric = central_difference(residual_at, 18)
-        analytic = imu_residual_jacobian(delta, pose_i, pose_j, world)
+        _, analytic = imu_residual_jacobian(delta, pose_i, pose_j, world)
         for rname, rows in _IMU_ROWS.items():
             for cname, cols in _POSE_COLS.items():
                 err = _relative_error(analytic[rows, cols], numeric[rows, cols])
@@ -157,7 +157,7 @@ def certify_vision(rng: np.random.Generator, trials: int) -> Tuple[Dict[str, flo
             return photometric_residual(cam, pose_boxplus(pose, d[:9]), landmark + d[9:12], meas)
 
         numeric = central_difference(residual_at, 12)
-        analytic = photometric_jacobian(cam, pose, landmark)
+        _, analytic = photometric_jacobian(cam, pose, landmark, meas)
         velocity_max_abs = max(velocity_max_abs, float(np.abs(analytic[:, 3:6]).max()))
         for name, cols in _VISION_COLS.items():
             errors[name] = max(errors[name], _relative_error(analytic[:, cols], numeric[:, cols]))

@@ -24,6 +24,7 @@ Every file padvio writes, this one and the CLI reports, goes through
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import List
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from .graph import PoseState, WindowState
 from .imu import ImuSample, WorldParams
+from .manifold import is_rotation
 from .sim import Dataset
 from .vision import CameraModel, PixelMeasurement
 
@@ -118,6 +120,40 @@ def _record_index(text: str, count: int, what: str, seen: set | None = None) -> 
     return record_id - 1
 
 
+def _numbers(fields: List[str], count: int, what: str) -> np.ndarray:
+    """Exactly `count` finite numbers."""
+    if len(fields) != count:
+        raise DatasetFormatError(f"{what} record has {len(fields)} values, expected {count}")
+    values = [float(x) for x in fields]
+    if not all(map(math.isfinite, values)):
+        raise DatasetFormatError(f"{what} record has a non-finite value: {' '.join(fields)}")
+    return np.array(values)
+
+
+def _keyed(reader: _Reader, record: str, key: str, count: int) -> np.ndarray:
+    """The values of a `<record> <key> ...` line, which must carry that key."""
+    fields = reader.next(record)
+    if fields[:1] != [key]:
+        raise DatasetFormatError(f"expected {record} {key}, found {' '.join([record] + fields[:1])!r}")
+    return _numbers(fields[1:], count, f"{record} {key}")
+
+
+def _positive(value: float, what: str) -> float:
+    if not value > 0.0:
+        raise DatasetFormatError(f"{what} must be positive, got {value!r}")
+    return float(value)
+
+
+def _count(reader: _Reader, record: str, least: int) -> int:
+    fields = reader.next(record)
+    if len(fields) != 1:
+        raise DatasetFormatError(f"{record} record has {len(fields)} values, expected 1")
+    count = int(fields[0])
+    if count < least:
+        raise DatasetFormatError(f"{record} count {count} is below {least}")
+    return count
+
+
 def loads(text: str) -> Dataset:
     try:
         return _parse(text)
@@ -133,50 +169,49 @@ def _parse(text: str) -> Dataset:
     if header != [VERSION]:
         raise DatasetFormatError(f"unsupported dataset version: {' '.join(header)!r}")
 
-    fields = reader.next("world")
-    if fields[0] != "gravity":
-        raise DatasetFormatError("world record must carry gravity")
-    world = WorldParams(np.array([float(x) for x in fields[1:4]]))
-    focal = float(reader.next("camera")[1])
-    pp = np.array([float(x) for x in reader.next("camera")[1:3]])
-    cam = CameraModel(focal, pp)
-    imu_dt = float(reader.next("timing")[1])
-    camera_dt = float(reader.next("timing")[1])
+    world = WorldParams(_keyed(reader, "world", "gravity", 3))
+    focal = _positive(_keyed(reader, "camera", "focal", 1)[0], "camera focal")
+    cam = CameraModel(focal, _keyed(reader, "camera", "principal_point", 2))
+    imu_dt = _positive(_keyed(reader, "timing", "imu_dt", 1)[0], "timing imu_dt")
+    camera_dt = _positive(_keyed(reader, "timing", "camera_dt", 1)[0], "timing camera_dt")
 
-    num_landmarks = int(reader.next("landmarks")[0])
+    num_landmarks = _count(reader, "landmarks", 1)
     landmarks = np.zeros((num_landmarks, 3))
     seen: set = set()
     for _ in range(num_landmarks):
         fields = reader.next("l")
-        landmarks[_record_index(fields[0], num_landmarks, "landmark", seen)] = [float(x) for x in fields[1:4]]
+        index = _record_index(fields[0], num_landmarks, "landmark", seen)
+        landmarks[index] = _numbers(fields[1:], 3, "l")
 
-    num_frames = int(reader.next("keyframes")[0])
+    num_frames = _count(reader, "keyframes", 2)
     poses: List[PoseState] = [None] * num_frames  # type: ignore[list-item]
     seen = set()
     for _ in range(num_frames):
         fields = reader.next("k")
-        values = [float(x) for x in fields[1:16]]
-        poses[_record_index(fields[0], num_frames, "keyframe", seen)] = PoseState(
-            R=np.array(values[0:9]).reshape(3, 3),
-            v=np.array(values[9:12]),
-            p=np.array(values[12:15]),
-        )
+        index = _record_index(fields[0], num_frames, "keyframe", seen)
+        values = _numbers(fields[1:], 15, "k")
+        R = values[0:9].reshape(3, 3)
+        if not is_rotation(R):
+            raise DatasetFormatError(f"keyframe {index + 1} attitude is not a rotation matrix")
+        poses[index] = PoseState(R=R, v=values[9:12], p=values[12:15])
 
-    num_samples = int(reader.next("imu")[0])
+    num_samples = _count(reader, "imu", num_frames - 1)
+    if num_samples % (num_frames - 1):
+        raise DatasetFormatError(
+            f"imu count {num_samples} is not a multiple of the {num_frames - 1} keyframe intervals"
+        )
     samples = []
     for _ in range(num_samples):
-        values = [float(x) for x in reader.next("i")]
-        samples.append(ImuSample(np.array(values[0:3]), np.array(values[3:6]), values[6]))
+        values = _numbers(reader.next("i"), 7, "i")
+        samples.append(ImuSample(values[0:3], values[3:6], _positive(values[6], "imu sample dt")))
 
-    num_pixels = int(reader.next("pixels")[0])
+    num_pixels = _count(reader, "pixels", 0)
     measurements = []
     for _ in range(num_pixels):
         fields = reader.next("p")
         frame = _record_index(fields[0], num_frames, "pixel keyframe") + 1
         landmark = _record_index(fields[1], num_landmarks, "pixel landmark") + 1
-        measurements.append(
-            PixelMeasurement(frame, landmark, np.array([float(fields[2]), float(fields[3])]))
-        )
+        measurements.append(PixelMeasurement(frame, landmark, _numbers(fields[2:], 2, "p")))
 
     return Dataset(
         ground_truth=WindowState(poses, landmarks),

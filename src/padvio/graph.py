@@ -14,17 +14,20 @@ With every landmark visible in every frame the stacked system therefore has
 `stacked_residual` and `assemble` gather the factor inputs once into stacks
 (poses R (n,3,3), v and p (n,3); deltas dR (n-1,3,3), dv and dp (n-1,3),
 dt_total (n-1,); K sorted measurements as (K,) frame and landmark index
-arrays with (K,2) uv values) and evaluate each factor type in one call:
-(n-1,9) IMU residuals with (n-1,9,18) Jacobians and (K,2) pixel residuals
-with (K,2,12) Jacobians. `assemble` returns the blocks with their column
-indices as a `BlockJacobian`; the dense (rows x dim) Jacobian is built only
-by its `toarray()`, for finite-difference certification and tests.
+arrays with (K,2) uv values) and make one call per factor type:
+`stacked_residual` calls the residual-only functions, and `assemble` the
+Jacobian calls, each of which returns the residuals with their Jacobians
+from one evaluation: (n-1,9) IMU residuals with (n-1,9,18) Jacobians and
+(K,2) pixel residuals with (K,2,12) Jacobians. A degenerate depth is raised
+by the pixel factor, naming the first such measurement in sorted order.
+`assemble` returns the blocks with their column indices as a
+`BlockJacobian`; the dense (rows x dim) Jacobian is built only by its
+`toarray()`, for finite-difference certification and tests.
 `pose_boxplus` broadcasts too, so `boxplus` retracts poses 2..n in one call.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar, List, NamedTuple, Tuple
 
@@ -32,13 +35,7 @@ import numpy as np
 
 from .imu import PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
 from .manifold import exp_map
-from .vision import (
-    CameraModel,
-    DegenerateDepthError,
-    PixelMeasurement,
-    photometric_jacobian,
-    photometric_residual,
-)
+from .vision import CameraModel, PixelMeasurement, photometric_jacobian, photometric_residual
 
 
 @dataclass
@@ -185,23 +182,11 @@ def _gather(problem: Problem) -> _FactorInputs:
     )
 
 
-@contextmanager
-def _naming_measurement(meas: PixelMeasurement):
-    """Re-raise a degenerate depth in a measurement batch with its (frame, landmark)."""
-    try:
-        yield
-    except DegenerateDepthError as err:
-        raise DegenerateDepthError(
-            err.depth, int(meas.frame_index[err.index]), int(meas.landmark_id[err.index])
-        ) from None
-
-
 def stacked_residual(problem: Problem) -> np.ndarray:
     """Residual vector only (no Jacobian); used by finite-difference checks."""
     f = _gather(problem)
     imu = imu_residual(f.deltas, f.pose_i, f.pose_j, problem.world)
-    with _naming_measurement(f.meas):
-        pixel = photometric_residual(problem.cam, f.seen_from, f.landmarks, f.meas)
+    pixel = photometric_residual(problem.cam, f.seen_from, f.landmarks, f.meas)
     return np.concatenate([imu.reshape(-1), pixel.reshape(-1)])
 
 
@@ -256,11 +241,8 @@ def assemble(problem: Problem):
     f = _gather(problem)
     n = problem.window.n
     frames, ids = f.meas.frame_index, f.meas.landmark_id
-    imu_r = imu_residual(f.deltas, f.pose_i, f.pose_j, problem.world)
-    imu_J = imu_residual_jacobian(f.deltas, f.pose_i, f.pose_j, problem.world)
-    with _naming_measurement(f.meas):
-        pixel_r = photometric_residual(problem.cam, f.seen_from, f.landmarks, f.meas)
-        pixel_J = photometric_jacobian(problem.cam, f.seen_from, f.landmarks)
+    imu_r, imu_J = imu_residual_jacobian(f.deltas, f.pose_i, f.pose_j, problem.world)
+    pixel_r, pixel_J = photometric_jacobian(problem.cam, f.seen_from, f.landmarks, f.meas)
     residual = np.concatenate([imu_r.reshape(-1), pixel_r.reshape(-1)])
 
     # IMU factor k joins poses k+1 and k+2: 18 adjacent columns from 9k; pixel

@@ -12,10 +12,13 @@ compares that measurement against the gravity-corrected relative state:
 No bias states and no covariance propagation; residual weights are handled
 by the problem assembly.
 
-The residual and its Jacobian broadcast over leading axes: given K factors'
-fields stacked as dR (K,3,3), dv and dp (K,3), dt_total (K,), pose R (K,3,3)
-and v, p (K,3), they return (K, 9) residuals and (K, 9, 18) Jacobians.
-A single factor is the stack with no leading axes.
+`imu_residual` returns the residuals alone, for finite-difference checks;
+`imu_residual_jacobian` returns the (residual, Jacobian) pair from one
+evaluation of the relative motion, for the Gauss-Newton assembly. Both
+broadcast over leading axes: given K factors' fields stacked as dR (K,3,3),
+dv and dp (K,3), dt_total (K,), pose R (K,3,3) and v, p (K,3), they give
+(K, 9) residuals and (K, 9, 18) Jacobians. A single factor is the stack with
+no leading axes.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ def preintegrate(samples: Iterable[ImuSample]) -> PreintegratedDelta:
 
 
 def _relative_motion(delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams):
-    """Terms shared by the residual and its Jacobian, over leading axes:
-    (dt, R_i^T, R_i^T R_j, r_rot, velocity term, position term)."""
+    """The (..., 9) residual and the terms its Jacobian reuses, over leading axes:
+    (residual, dt, R_i^T, R_i^T R_j, velocity term, position term)."""
     dt = np.asarray(delta.dt_total, dtype=float)
     if not np.all(dt > 0.0):
         raise ValueError("imu_residual: delta.dt_total must be positive")
@@ -97,14 +100,15 @@ def _relative_motion(delta: PreintegratedDelta, pose_i, pose_j, world: WorldPara
     vel = pose_j.v - pose_i.v - g * step
     pos = pose_j.p - pose_i.p - pose_i.v * step - 0.5 * g * step * step
     terms = Ri_T @ np.stack([vel, pos], axis=-1)
-    return dt, Ri_T, A, r_rot, terms[..., 0], terms[..., 1]
+    vel_term, pos_term = terms[..., 0], terms[..., 1]
+    residual = np.concatenate([r_rot, vel_term - delta.dv, pos_term - delta.dp], axis=-1)
+    return residual, dt, Ri_T, A, vel_term, pos_term
 
 
 def imu_residual(delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams) -> np.ndarray:
     """Stacked (..., 9) residuals [r_rot; r_vel; r_pos]; zero when the two
     states match the preintegrated measurement exactly."""
-    _, _, _, r_rot, vel_term, pos_term = _relative_motion(delta, pose_i, pose_j, world)
-    return np.concatenate([r_rot, vel_term - delta.dv, pos_term - delta.dp], axis=-1)
+    return _relative_motion(delta, pose_i, pose_j, world)[0]
 
 
 def _inv_right_jacobian(phi: np.ndarray) -> np.ndarray:
@@ -122,19 +126,18 @@ def _inv_right_jacobian(phi: np.ndarray) -> np.ndarray:
     return np.eye(3) + 0.5 * S + coef[..., None, None] * (S @ S)
 
 
-def imu_residual_jacobian(
-    delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams
-) -> np.ndarray:
-    """(..., 9, 18) Jacobians of imu_residual w.r.t. the boxplus increments of both poses.
+def imu_residual_jacobian(delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams):
+    """The (..., 9) residuals of imu_residual and their (..., 9, 18) Jacobians
+    w.r.t. the boxplus increments of both poses, from one evaluation.
 
     Column blocks are [dR_i, dv_i, dp_i, dR_j, dv_j, dp_j], each 3 wide,
     matching the retraction R <- R Exp(dR), v <- v + dv, p <- p + R dp
     (pre-update R). Certified against central finite differences.
     """
-    dt, Ri_T, A, r_rot, vel_term, pos_term = _relative_motion(delta, pose_i, pose_j, world)
-    Jr_inv = _inv_right_jacobian(r_rot)
+    residual, dt, Ri_T, A, vel_term, pos_term = _relative_motion(delta, pose_i, pose_j, world)
+    Jr_inv = _inv_right_jacobian(residual[..., 0:3])
 
-    J = np.zeros(r_rot.shape[:-1] + (9, 18))
+    J = np.zeros(residual.shape[:-1] + (9, 18))
     J[..., 0:3, 0:3] = -Jr_inv @ np.swapaxes(A, -1, -2)
     J[..., 0:3, 9:12] = Jr_inv
     J[..., 3:6, 0:3] = hat(vel_term)
@@ -144,4 +147,4 @@ def imu_residual_jacobian(
     J[..., 6:9, 3:6] = -Ri_T * dt[..., None, None]
     J[..., 6:9, 6:9] = -np.eye(3)
     J[..., 6:9, 15:18] = A
-    return J
+    return residual, J

@@ -173,23 +173,23 @@ def generate(
             keyframes.append(pose.copy())
 
     truth = WindowState(keyframes, landmarks.copy())
-    exact_uv = []
-    visible = []
-    for frame in range(1, num_frames + 1):
-        for lm in range(1, landmarks.shape[0] + 1):
-            q = landmark_in_body(truth.poses[frame - 1], landmarks[lm - 1])
-            if q[2] <= DEPTH_EPSILON:
-                logger.warning(
-                    "landmark %d behind camera at keyframe %d (depth %.3e), measurement dropped",
-                    lm, frame, q[2],
-                )
-                continue
-            exact_uv.append(project(cam, q))
-            visible.append((frame, lm))
-    pixel_noise = math.sqrt(noise.pixel_noise_variance) * rng.standard_normal((len(visible), 2))
+    # every landmark from every keyframe: poses (n, 1) against landmarks (N,)
+    observers = PoseState(
+        *(np.array([getattr(pose, f) for pose in keyframes])[:, None] for f in ("R", "v", "p"))
+    )
+    q = landmark_in_body(observers, landmarks)
+    visible = q[..., 2] > DEPTH_EPSILON
+    for frame, lm in np.argwhere(~visible):
+        logger.warning(
+            "landmark %d behind camera at keyframe %d (depth %.3e), measurement dropped",
+            lm + 1, frame + 1, q[frame, lm, 2],
+        )
+    exact_uv = project(cam, q[visible])
+    frames, ids = np.nonzero(visible)
+    pixel_noise = math.sqrt(noise.pixel_noise_variance) * rng.standard_normal((len(frames), 2))
     measurements = [
-        PixelMeasurement(frame, lm, exact_uv[i] + pixel_noise[i])
-        for i, (frame, lm) in enumerate(visible)
+        PixelMeasurement(int(frame) + 1, int(lm) + 1, exact_uv[i] + pixel_noise[i])
+        for i, (frame, lm) in enumerate(zip(frames, ids))
     ]
     return Dataset(truth, samples, measurements, cam, world, spec.imu_dt, spec.camera_dt)
 

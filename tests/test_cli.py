@@ -130,6 +130,18 @@ def test_estimate_dataset_with_bad_record_id_exits_1(tmp_path, capsys):
     assert "bad dataset file" in capsys.readouterr().err
 
 
+def test_estimate_dataset_with_nan_pixel_exits_1(tmp_path, capsys):
+    assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "dataset.txt"
+    text = path.read_text()
+    start = text.index("\np 1 1 ") + len("\np 1 1 ")
+    end = text.index(" ", start)
+    path.write_text(text[:start] + "nan" + text[end:])  # pixel u of frame 1, landmark 1
+    assert cli.main(["estimate", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "bad dataset file" in err and "non-finite" in err
+
+
 def test_missing_dataset_exits_1(tmp_path, capsys):
     assert cli.main(["estimate", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]) == 1
     assert "dataset" in capsys.readouterr().err
@@ -269,9 +281,9 @@ def test_check_jacobians_corrupt_hook_fails(capsys, monkeypatch):
     original = checks.imu_residual_jacobian
 
     def wrong_jacobian(*args):
-        J = original(*args)
+        r, J = original(*args)
         J[0, 0] += 1e-3
-        return J
+        return r, J
 
     monkeypatch.setattr(checks, "imu_residual_jacobian", wrong_jacobian)
     assert cli.main(["check-jacobians", "--trials", "3"]) == 3

@@ -90,10 +90,67 @@ def test_rejects_truncated_file():
         loads(truncated)
 
 
-def test_rejects_malformed_numbers():
-    text = dumps(_dataset()).replace("camera focal 1.0", "camera focal one", 1)
-    with pytest.raises(DatasetFormatError, match="malformed"):
-        loads(text)
+def _edit_line(text, prefix, edit):
+    """Apply `edit` to the fields of the first line that starts with `prefix`."""
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[k] = " ".join(edit(lines[k].split()))
+    return "\n".join(lines) + "\n"
+
+
+def _swap_lines(text, first, second):
+    lines = text.splitlines()
+    i, j = lines.index(first), lines.index(second)
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def _drop_one_sample(text):
+    # 59 samples cannot split into the 3 keyframe intervals of a 4-frame dataset
+    text = _edit_line(text, "imu ", lambda f: ["imu", str(int(f[1]) - 1)])
+    return _edit_line(text, "i ", lambda f: [])
+
+
+def _set(index, value):
+    return lambda fields: fields[:index] + [value] + fields[index + 1 :]
+
+
+MALFORMED = {
+    "focal-not-a-number": (lambda t: _edit_line(t, "camera focal", _set(2, "one")), "malformed"),
+    "nan-pixel-u": (lambda t: _edit_line(t, "p ", _set(3, "nan")), "p record has a non-finite value"),
+    "inf-landmark": (lambda t: _edit_line(t, "l 1 ", _set(2, "inf")), "l record has a non-finite value"),
+    "nan-imu-value": (lambda t: _edit_line(t, "i ", _set(4, "nan")), "i record has a non-finite value"),
+    "zero-focal": (lambda t: _edit_line(t, "camera focal", _set(2, "0.0")), "camera focal must be positive"),
+    "negative-camera-dt": (
+        lambda t: _edit_line(t, "timing camera_dt", _set(2, "-0.4")),
+        "timing camera_dt must be positive",
+    ),
+    "negative-sample-dt": (lambda t: _edit_line(t, "i ", _set(7, "-0.02")), "imu sample dt must be positive"),
+    "swapped-camera-lines": (
+        lambda t: _swap_lines(t, "camera focal 1.0", "camera principal_point 0.0 0.0"),
+        "expected camera focal",
+    ),
+    "swapped-timing-lines": (
+        lambda t: _swap_lines(t, "timing imu_dt 0.02", "timing camera_dt 0.4"),
+        "expected timing imu_dt",
+    ),
+    "extra-landmark-field": (lambda t: _edit_line(t, "l 1 ", lambda f: f + ["0.0"]), "4 values, expected 3"),
+    "keyframe-not-a-rotation": (
+        lambda t: _edit_line(t, "k 2 ", _set(2, "2.0")),
+        "keyframe 2 attitude is not a rotation",
+    ),
+    "imu-count-not-a-multiple": (_drop_one_sample, "not a multiple of the 3 keyframe intervals"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_rejects_malformed_numbers(case):
+    corrupt, message = MALFORMED[case]
+    text = dumps(_dataset())
+    corrupted = corrupt(text)
+    assert corrupted != text
+    with pytest.raises(DatasetFormatError, match=message):
+        loads(corrupted)
 
 
 def _replace_record(text, old_prefix, new_prefix):

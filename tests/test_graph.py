@@ -276,7 +276,7 @@ def _assemble_per_factor(problem):
         pose_i, pose_j = window.poses[k], window.poses[k + 1]
         row = 9 * k
         residual[row : row + 9] = imu_residual(delta, pose_i, pose_j, problem.world)
-        J = imu_residual_jacobian(delta, pose_i, pose_j, problem.world)
+        _, J = imu_residual_jacobian(delta, pose_i, pose_j, problem.world)
         if k >= 1:
             jacobian[row : row + 9, 9 * (k - 1) : 9 * k] = J[:, 0:9]
         jacobian[row : row + 9, 9 * k : 9 * k + 9] = J[:, 9:18]
@@ -286,7 +286,7 @@ def _assemble_per_factor(problem):
         landmark = window.landmarks[m.landmark_id - 1]
         row = base + 2 * idx
         residual[row : row + 2] = photometric_residual(problem.cam, pose, landmark, m)
-        J = photometric_jacobian(problem.cam, pose, landmark)
+        _, J = photometric_jacobian(problem.cam, pose, landmark, m)
         if m.frame_index >= 2:
             col = 9 * (m.frame_index - 2)
             jacobian[row : row + 2, col : col + 9] = J[:, 0:9]
@@ -344,6 +344,8 @@ def test_batched_assembly_matches_per_factor_oracle(case):
     np.testing.assert_array_equal(w, w_ref)
     stacked = stacked_residual(problem)
     assert np.abs(stacked - r_ref).max() <= 1e-12 * max(1.0, np.abs(r_ref).max())
+    # the cost cannot depend on which path computed the residual
+    np.testing.assert_array_equal(r, stacked)
 
 
 def test_degenerate_depth_names_first_bad_measurement_in_sorted_order():

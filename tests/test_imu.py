@@ -114,14 +114,14 @@ def test_jacobian_velocity_block_is_rotation_transpose(rng):
     world = WorldParams()
     for _ in range(10):
         delta, pose_i, pose_j = _random_instance(rng)
-        J = imu_residual_jacobian(delta, pose_i, pose_j, world)
+        _, J = imu_residual_jacobian(delta, pose_i, pose_j, world)
         np.testing.assert_array_equal(J[3:6, 12:15], pose_i.R.T)
 
 
 def test_jacobian_zero_blocks(rng):
     world = WorldParams()
     delta, pose_i, pose_j = _random_instance(rng)
-    J = imu_residual_jacobian(delta, pose_i, pose_j, world)
+    _, J = imu_residual_jacobian(delta, pose_i, pose_j, world)
     # rotation residual never touches velocities or positions
     np.testing.assert_array_equal(J[0:3, 3:9], np.zeros((3, 6)))
     np.testing.assert_array_equal(J[0:3, 12:18], np.zeros((3, 6)))
@@ -142,7 +142,7 @@ def test_jacobian_matches_finite_differences(rng):
             )
 
         numeric = central_difference(residual_at, 18)
-        analytic = imu_residual_jacobian(delta, pose_i, pose_j, world)
+        _, analytic = imu_residual_jacobian(delta, pose_i, pose_j, world)
         err = np.abs(analytic - numeric).max() / max(1.0, np.abs(numeric).max())
         worst = max(worst, err)
     assert worst < 1e-5
@@ -176,13 +176,16 @@ def test_stack_matches_per_element_calls(rng):
     pose_j = PoseState(**_stack_fields(poses_j, ("R", "v", "p")))
 
     r = imu_residual(delta, pose_i, pose_j, world)
-    J = imu_residual_jacobian(delta, pose_i, pose_j, world)
+    fused_r, J = imu_residual_jacobian(delta, pose_i, pose_j, world)
     assert r.shape == (5, 9) and J.shape == (5, 9, 18)
+    # the fused call's residual is the residual-only call's, bit for bit, the
+    # zero-angle and below-SMALL_ANGLE elements included
+    np.testing.assert_array_equal(fused_r, r)
     np.testing.assert_allclose(
         r, [imu_residual(*args, world) for args in instances], rtol=1e-15, atol=1e-15
     )
     np.testing.assert_allclose(
-        J, [imu_residual_jacobian(*args, world) for args in instances], rtol=1e-15, atol=1e-15
+        J, [imu_residual_jacobian(*args, world)[1] for args in instances], rtol=1e-15, atol=1e-15
     )
     assert np.linalg.norm(r[3, 0:3]) < SMALL_ANGLE
 

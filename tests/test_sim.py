@@ -16,6 +16,7 @@ from padvio.sim import (
     perturb_initialization,
     triangle_landmarks,
 )
+from padvio.vision import DEPTH_EPSILON, landmark_in_body, project
 
 PAD = triangle_landmarks(1.0)
 CAM = CameraModel(1.0)
@@ -136,6 +137,31 @@ def test_behind_camera_measurements_dropped(caplog):
         dataset = generate(spec, PAD, CAM, WorldParams(), NoiseSpec(0.0, 0.0, 0))
     assert dataset.pixel_measurements == []
     assert any("behind camera" in rec.message for rec in caplog.records)
+
+
+def test_visibility_matches_per_observation_loop(caplog):
+    # the aircraft falls through the pad part way, so later keyframes lose markers
+    spec = TrajectorySpec(
+        duration=4.0,
+        initial_pose=PoseState(np.eye(3), np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -2.0])),
+        angular_profile=Profile("constant", {"value": [0.05, -0.1, 0.2]}),
+    )
+    cam = CameraModel(300.0, np.array([1.0, 2.0]))
+    with caplog.at_level(logging.WARNING):
+        dataset = generate(spec, PAD, cam, WorldParams(), NoiseSpec(0.0, 0.0, 0))
+    # reference: one landmark_in_body and one project call per (keyframe, landmark)
+    expected = []
+    for frame, pose in enumerate(dataset.ground_truth.poses, start=1):
+        for lm, landmark in enumerate(PAD, start=1):
+            q = landmark_in_body(pose, landmark)
+            if q[2] > DEPTH_EPSILON:
+                expected.append((frame, lm, project(cam, q)))
+    dropped = dataset.ground_truth.n * len(PAD) - len(expected)
+    assert dropped > 0 and len(expected) > 0
+    got = dataset.pixel_measurements
+    assert [(m.frame_index, m.landmark_id) for m in got] == [e[:2] for e in expected]
+    np.testing.assert_array_equal([m.uv for m in got], [e[2] for e in expected])
+    assert sum("behind camera" in rec.message for rec in caplog.records) == dropped
 
 
 def test_perturb_truth_returns_copy():

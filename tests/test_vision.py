@@ -96,7 +96,8 @@ def test_jacobian_velocity_block_identically_zero(rng):
     for _ in range(20):
         pose = _pose(R=random_rotation(rng), p=rng.normal(0, 1, 3))
         q = np.array([rng.normal(), rng.normal(), rng.uniform(1.0, 5.0)])
-        J = photometric_jacobian(CameraModel(400.0), pose, pose.p + pose.R @ q)
+        meas = PixelMeasurement(1, 1, np.zeros(2))
+        _, J = photometric_jacobian(CameraModel(400.0), pose, pose.p + pose.R @ q, meas)
         np.testing.assert_array_equal(J[:, 3:6], np.zeros((2, 3)))
 
 
@@ -139,7 +140,8 @@ def test_chain_rule_factorization(rng):
         inner[:, 6:9] = -np.eye(3)
         inner[:, 9:12] = pose.R.T
         expected = projection_differential(cam, landmark_in_body(pose, landmark)) @ inner
-        np.testing.assert_allclose(photometric_jacobian(cam, pose, landmark), expected, atol=1e-12)
+        _, J = photometric_jacobian(cam, pose, landmark, PixelMeasurement(1, 1, np.zeros(2)))
+        np.testing.assert_allclose(J, expected, atol=1e-12)
 
 
 def test_jacobian_matches_finite_differences(rng):
@@ -155,7 +157,7 @@ def test_jacobian_matches_finite_differences(rng):
             return photometric_residual(cam, pose_boxplus(pose, d[:9]), landmark + d[9:], meas)
 
         numeric = central_difference(residual_at, 12)
-        analytic = photometric_jacobian(cam, pose, landmark)
+        _, analytic = photometric_jacobian(cam, pose, landmark, meas)
         err = np.abs(analytic - numeric).max() / max(1.0, np.abs(numeric).max())
         worst = max(worst, err)
     assert worst < 1e-5
@@ -175,27 +177,29 @@ def test_stack_matches_per_element_calls(rng):
     cam, poses, stacked, landmarks, uv = _observation_stack(rng, 6)
     meas = PixelMeasurement(np.ones(6, dtype=int), np.arange(1, 7), uv)
     r = photometric_residual(cam, stacked, landmarks, meas)
-    J = photometric_jacobian(cam, stacked, landmarks)
+    fused_r, J = photometric_jacobian(cam, stacked, landmarks, meas)
     assert r.shape == (6, 2) and J.shape == (6, 2, 12)
+    # the fused call's residual is the residual-only call's, bit for bit
+    np.testing.assert_array_equal(fused_r, r)
+    single_meas = [PixelMeasurement(1, k + 1, uv[k]) for k in range(6)]
     singles = [
-        photometric_residual(cam, pose, lm, PixelMeasurement(1, k + 1, uv[k]))
-        for k, (pose, lm) in enumerate(zip(poses, landmarks))
+        photometric_residual(cam, pose, lm, m) for pose, lm, m in zip(poses, landmarks, single_meas)
     ]
     np.testing.assert_allclose(r, singles, rtol=1e-15, atol=1e-15)
-    singles = [photometric_jacobian(cam, pose, lm) for pose, lm in zip(poses, landmarks)]
+    singles = [
+        photometric_jacobian(cam, pose, lm, m)[1] for pose, lm, m in zip(poses, landmarks, single_meas)
+    ]
     np.testing.assert_allclose(J, singles, rtol=1e-15, atol=1e-15)
 
 
 def test_stack_depth_check_covers_whole_batch(rng):
     cam, poses, stacked, landmarks, uv = _observation_stack(rng, 5)
-    # move landmark 4 onto the camera plane of its pose: depth 0
-    pose = poses[3]
-    landmarks[3] = pose.p + pose.R @ np.array([0.3, -0.2, 0.0])
-    for call in (
-        lambda: photometric_residual(cam, stacked, landmarks, PixelMeasurement(1, 1, uv)),
-        lambda: photometric_jacobian(cam, stacked, landmarks),
-    ):
-        with pytest.raises(DegenerateDepthError) as info:
-            call()
-        assert info.value.index == 3
+    # move the 4th and 5th points onto the camera planes of their poses: depth 0
+    for k in (3, 4):
+        landmarks[k] = poses[k].p + poses[k].R @ np.array([0.3, -0.2, 0.0])
+    meas = PixelMeasurement(np.array([1, 1, 2, 2, 3]), np.array([1, 3, 2, 4, 1]), uv)
+    for call in (photometric_residual, photometric_jacobian):
+        with pytest.raises(DegenerateDepthError, match=r"\(frame 2, landmark 4\)") as info:
+            call(cam, stacked, landmarks, meas)
+        assert (info.value.frame_index, info.value.landmark_id) == (2, 4)
         assert abs(info.value.depth) <= 1e-12
