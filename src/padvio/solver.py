@@ -8,8 +8,13 @@ al., "Bundle Adjustment - A Modern Synthesis", 2000); the dense J is never
 formed. The constraint fixes coordinates of a Euclidean block, so it is
 imposed by eliminating those entries (the null-space method) rather than
 through a saddle-point system; the retracted altitudes z + (-z) are exactly
-0. Damping alpha is constant for the whole run; iteration count is fixed
-unless a convergence tolerance is set.
+0. The free block is not factored whole: IMU factors join only neighbouring
+keyframes, so the keyframe part of H is block-tridiagonal (Triggs et al.
+§6). The keyframe chain is eliminated in tiles of TILE keyframes into a
+small dense tail (the last keyframes and the free landmark x/y entries),
+which is solved once; windows of up to TILE + 1 keyframes have no tile and
+take one dense solve of the free block. Damping alpha is constant for the
+whole run; iteration count is fixed unless a convergence tolerance is set.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import numpy as np
 
 from .graph import Problem, WindowState, altitude_constraint, assemble, boxplus
 from .vision import DegenerateDepthError
+
+TILE = 8  # keyframes per tile of the chain elimination (timings in CHANGES.md)
 
 
 @dataclass
@@ -91,13 +98,23 @@ def _normal_system(residual, jacobian, weights, damping):
     return H.reshape(span, span)[prior:, prior:], g[prior:]
 
 
-def constrained_step(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, c: np.ndarray):
+def constrained_step(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, c: np.ndarray, poses: int):
     """Minimise the quadratic model with the increment entries `fixed` set to -c.
 
     The free entries solve H_ff delta_f = -(g_f + H_fc delta_c); the returned
     multipliers lambda = -(H[fixed] @ delta + g[fixed]) are those of the
     equivalent saddle-point system. With no fixed entries this is the plain
     solve H delta = -g. Returns (delta, lambda).
+
+    The first `poses` 9-column blocks of H are keyframe blocks that couple
+    only to their neighbours and to the entries after them (the IMU chain).
+    The first (poses - 1) // TILE tiles of TILE keyframes, whose entries must
+    all be free, are eliminated in order: each tile couples only to the next
+    tile and to the tail (the remaining keyframes and the free entries after
+    them), so one solve per tile updates the next tile and the tail's Schur
+    complement. The tail is solved densely and the tiles back-substituted.
+    With no tile (poses <= TILE + 1) the tail is the whole free block and the
+    step is one dense solve.
     """
     fixed = np.asarray(fixed, dtype=np.intp)
     dim = H.shape[0]
@@ -106,15 +123,58 @@ def constrained_step(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, c: np.ndar
     m = dim - int(np.count_nonzero(free))
     if m != fixed.size:  # a repeated index: duplicate constraint rows
         raise RankDeficientError(dim + fixed.size, dim + m)
+    split = 9 * TILE * (max(poses - 1, 0) // TILE)  # entries eliminated tile by tile
+    if split and (9 * poses > dim or not free[:split].all()):
+        raise ValueError("the tiled keyframe blocks must be free entries of H")
     delta = np.zeros(dim)
     delta[fixed] = -np.asarray(c, dtype=float)
-    H_free = H[free]
-    H_ff = H_free[:, free]
+    tail = free.copy()
+    tail[:split] = False
+    H_tail = H[tail]
+    S = H_tail[:, tail]
+    r = -(g[tail] + H_tail @ delta)
     try:
-        delta[free] = np.linalg.solve(H_ff, -(g[free] + H_free @ delta))
+        tiles = _eliminate_tiles(H, g, delta, tail, split, S, r) if split else []
+        delta[tail] = y_tail = np.linalg.solve(S, r)
     except np.linalg.LinAlgError:
+        H_ff = H[free][:, free]
         raise RankDeficientError(dim - m, int(np.linalg.matrix_rank(H_ff))) from None
+    y_next = np.zeros(0)
+    for start, X in reversed(tiles):
+        # X = D^-1 [U | C | r], so the tile's entries are D^-1 (r - U y_next - C y_tail)
+        y_next = X @ np.concatenate([-y_next[:9], -y_tail, [1.0]])
+        delta[start : start + 9 * TILE] = y_next
     return delta, -(H[fixed] @ delta + g[fixed])
+
+
+def _eliminate_tiles(H, g, delta, tail, split, S, r):
+    """Eliminate the keyframe tiles before entry `split` from H delta = -g.
+
+    Tile by tile, the tile block D is solved against its coupling U to the
+    next keyframe, its coupling C to the `tail` entries and its right-hand
+    side; the result updates the next tile and, in place, the tail system
+    S y = r. Returns each tile's (start, D^-1 [U | C | r]) for the
+    back-substitution.
+    """
+    width = 9 * TILE
+    # each tile's coupling to the tail and its right-hand side, [C | r]
+    coupling = np.column_stack([H[:split, tail], -(g[:split] + H[:split] @ delta)])
+    block = H[:width, :width]
+    tiles = []
+    for start in range(0, split, width):
+        stop = start + width
+        U = H[start:stop, stop : min(stop + 9, split)]  # empty for the last tile
+        X = np.linalg.solve(block, np.column_stack([U, coupling[start:stop]]))
+        X_U, X_C = X[:, : U.shape[1]], X[:, U.shape[1] :]  # D^-1 U and D^-1 [C | r]
+        update = coupling[start:stop, :-1].T @ X_C
+        S -= update[:, :-1]
+        r -= update[:, -1]
+        if U.size:
+            block = H[stop : stop + width, stop : stop + width].copy()
+            block[:9, :9] -= U.T @ X_U
+            coupling[stop : stop + 9] -= U.T @ X_C
+        tiles.append((start, X))
+    return tiles
 
 
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
@@ -144,7 +204,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
                 fixed, c = altitude_constraint(current)
             else:
                 fixed, c = np.zeros(0, dtype=np.intp), np.zeros(0)
-            delta, _ = constrained_step(H, g, fixed, c)
+            delta, _ = constrained_step(H, g, fixed, c, window.n - 1)
         except (DegenerateDepthError, RankDeficientError, ValueError) as err:
             # ValueError covers the log map degenerating when a diverging
             # iterate pushes a relative rotation to pi

@@ -23,7 +23,7 @@ from padvio.solver import (
     solve,
 )
 from padvio.vision import DegenerateDepthError, PixelMeasurement
-from test_graph import _oracle_case
+from test_graph import _level_circle_problem, _oracle_case
 
 
 def _reference_dataset(seed=0, imu_var=1e-4, pixel_var=1e-5, n=7):
@@ -95,14 +95,14 @@ def test_zero_residual_gives_zero_step():
     dataset = _reference_dataset(imu_var=0.0, pixel_var=0.0)
     problem = make_problem(dataset, dataset.ground_truth.copy())
     H, g = build_normal_system(problem, damping=0.1)
-    delta, lam = constrained_step(H, g, *altitude_constraint(problem))
+    delta, lam = constrained_step(H, g, *altitude_constraint(problem), problem.window.n - 1)
     assert np.linalg.norm(delta) < 1e-9
     assert np.linalg.norm(lam) < 1e-9
 
 
 def test_constrained_step_trivial_case():
     H = np.eye(4)
-    delta, lam = constrained_step(H, np.zeros(4), np.array([0]), np.zeros(1))
+    delta, lam = constrained_step(H, np.zeros(4), np.array([0]), np.zeros(1), 0)
     np.testing.assert_array_equal(delta, np.zeros(4))
     np.testing.assert_array_equal(lam, np.zeros(1))
 
@@ -111,7 +111,7 @@ def test_unconstrained_step_reduces_to_plain_solve(rng):
     A = rng.standard_normal((6, 6))
     H = A @ A.T + 6 * np.eye(6)
     g = rng.standard_normal(6)
-    delta, lam = constrained_step(H, g, np.zeros(0, dtype=int), np.zeros(0))
+    delta, lam = constrained_step(H, g, np.zeros(0, dtype=int), np.zeros(0), 0)
     np.testing.assert_allclose(delta, np.linalg.solve(H, -g), atol=1e-12)
     assert lam.size == 0
 
@@ -139,20 +139,85 @@ def _level_circle_dataset(n):
     return generate(spec, landmarks, CameraModel(1.0), WorldParams(), NoiseSpec(1e-4, 1e-5, 7))
 
 
-@pytest.mark.parametrize(
-    "make_dataset", [lambda: _reference_dataset(seed=2), lambda: _level_circle_dataset(30)], ids=["n7", "n30"]
-)
-def test_constrained_step_matches_saddle_point_oracle(make_dataset):
-    dataset = make_dataset()
-    window = dataset.ground_truth.copy()
-    window.landmarks[:, 2] = 0.5
-    problem = make_problem(dataset, window)
-    H, g = build_normal_system(problem, damping=0.1)
+def _oracle_window(name):
+    """A problem with every landmark 0.5 m off the plane, and its normal system."""
+    if name == "n7":
+        dataset = _reference_dataset(seed=2)
+        problem = make_problem(dataset, dataset.ground_truth.copy())
+    elif name == "n30":  # three full tiles and a five-keyframe tail
+        dataset = _level_circle_dataset(30)
+        problem = make_problem(dataset, dataset.ground_truth.copy())
+    else:  # the long_window geometry: n = 60 over a ring of ten markers
+        problem = _level_circle_problem(60, 10, seed=1)
+    problem.window.landmarks[:, 2] = 0.5
+    return problem, *build_normal_system(problem, damping=0.1)
+
+
+@pytest.mark.parametrize("name", ["n7", "n30", "n60_N10"])
+def test_constrained_step_matches_saddle_point_oracle(name):
+    problem, H, g = _oracle_window(name)
+    poses = problem.window.n - 1
     fixed, c = altitude_constraint(problem)
-    delta, lam = constrained_step(H, g, fixed, c)
+    delta, lam = constrained_step(H, g, fixed, c, poses)
     ref_delta, ref_lam = _saddle_point_step(H, g, fixed, c)
     assert np.abs(delta - ref_delta).max() <= 1e-9 * np.abs(ref_delta).max()
     assert np.abs(lam - ref_lam).max() <= 1e-9 * np.abs(ref_lam).max()
+    # unconstrained, the tiles and the tail solve H delta = -g
+    delta, lam = constrained_step(H, g, np.zeros(0, dtype=np.intp), np.zeros(0), poses)
+    ref_delta = np.linalg.solve(H, -g)
+    assert np.abs(delta - ref_delta).max() <= 1e-9 * np.abs(ref_delta).max()
+    assert lam.size == 0
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_constrained_step_without_tiles_is_the_dense_solve(n):
+    # up to TILE + 1 keyframes there is no tile: one solve of the free block
+    problem = _level_circle_problem(n, 3, seed=2)
+    problem.window.landmarks[:, 2] = 0.5
+    H, g = build_normal_system(problem, damping=0.1)
+    fixed, c = altitude_constraint(problem)
+    free = np.ones(H.shape[0], dtype=bool)
+    free[fixed] = False
+    ref_delta = np.zeros(H.shape[0])
+    ref_delta[fixed] = -c
+    H_free = H[free]
+    ref_delta[free] = np.linalg.solve(H_free[:, free], -(g[free] + H_free @ ref_delta))
+    delta, lam = constrained_step(H, g, fixed, c, n - 1)
+    assert delta.tobytes() == ref_delta.tobytes()
+    assert lam.tobytes() == (-(H[fixed] @ ref_delta + g[fixed])).tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 30])
+def test_normal_matrix_couples_only_neighbouring_keyframes(n):
+    # the tile elimination in constrained_step relies on this chain structure
+    problem = _level_circle_problem(n, 3, seed=3)
+    H, _ = build_normal_system(problem, damping=0.1)
+    for i in range(n - 1):
+        for j in range(n - 1):
+            block = H[9 * i : 9 * i + 9, 9 * j : 9 * j + 9]
+            if abs(i - j) > 1:
+                assert np.all(block == 0.0), (i, j)
+            else:
+                assert np.any(block != 0.0), (i, j)
+
+
+def test_constrained_step_reports_rank_deficiency_inside_a_tile():
+    problem = _level_circle_problem(30, 3, seed=4)
+    H, g = build_normal_system(problem, damping=0.0)
+    fixed, c = altitude_constraint(problem)
+    block = slice(9 * 12, 9 * 13)  # keyframe block 12 lies in the second tile
+    H[block, :] = 0.0
+    H[:, block] = 0.0
+    with pytest.raises(RankDeficientError) as excinfo:
+        constrained_step(H, g, fixed, c, problem.window.n - 1)
+    assert excinfo.value.deficiency == 9
+
+
+def test_constrained_step_rejects_fixed_keyframe_entries():
+    problem = _level_circle_problem(12, 3, seed=4)
+    H, g = build_normal_system(problem, damping=0.1)
+    with pytest.raises(ValueError):
+        constrained_step(H, g, np.array([5]), np.zeros(1), problem.window.n - 1)
 
 
 def test_constrained_step_lands_on_plane():
@@ -162,7 +227,7 @@ def test_constrained_step_lands_on_plane():
     problem = make_problem(dataset, window)
     H, g = build_normal_system(problem, damping=0.1)
     fixed, c = altitude_constraint(problem)
-    delta, _ = constrained_step(H, g, fixed, c)
+    delta, _ = constrained_step(H, g, fixed, c, problem.window.n - 1)
     np.testing.assert_array_equal(delta[fixed], -c)
     updated = boxplus(window, delta)
     assert np.all(updated.landmarks[:, 2] == 0.0)
@@ -171,12 +236,12 @@ def test_constrained_step_lands_on_plane():
 def test_constrained_step_reports_rank_deficiency():
     # a repeated fixed index is a duplicated constraint row
     with pytest.raises(RankDeficientError) as excinfo:
-        constrained_step(np.eye(3), np.zeros(3), np.array([2, 2]), np.zeros(2))
+        constrained_step(np.eye(3), np.zeros(3), np.array([2, 2]), np.zeros(2), 0)
     assert excinfo.value.deficiency >= 1
     assert "rank deficient" in str(excinfo.value)
     # a singular block on the free entries
     with pytest.raises(RankDeficientError) as excinfo:
-        constrained_step(np.diag([1.0, 0.0, 1.0]), np.ones(3), np.array([2]), np.zeros(1))
+        constrained_step(np.diag([1.0, 0.0, 1.0]), np.ones(3), np.array([2]), np.zeros(1), 0)
     assert excinfo.value.deficiency == 1
 
 
