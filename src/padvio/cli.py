@@ -108,6 +108,10 @@ def validate_config(config: ExperimentConfig) -> None:
         value = getattr(config, name)
         if not _is_number(value) or not value > 0:
             raise bad(name, "must be a positive number")
+    try:
+        sim.steps_per_frame(config.camera_dt, config.imu_dt)
+    except ValueError as err:
+        raise bad("imu_dt", str(err)) from None
     for name in ("imu_noise_variance", "pixel_noise_variance", "damping", "convergence_tol"):
         value = getattr(config, name)
         if not _is_number(value) or value < 0:

@@ -46,7 +46,7 @@ def fmt(x: float) -> str:
 
 
 def _fmt_vec(v) -> str:
-    return " ".join(fmt(x) for x in np.asarray(v, dtype=float).reshape(-1))
+    return " ".join(map(repr, np.asarray(v, dtype=float).reshape(-1).tolist()))
 
 
 def dumps(dataset: Dataset) -> str:

@@ -12,6 +12,14 @@ compares that measurement against the gravity-corrected relative state:
 No bias states and no covariance propagation; residual weights are handled
 by the problem assembly.
 
+`integrate` absorbs samples stacked field by field: omega and accel
+(..., m, 3) and dt (..., m), whose leading axes run over keyframe intervals.
+One `exp_map` call gives every step rotation, the running product of dR is
+the one loop (over the m samples, batched across intervals), and dv, dp and
+dt_total are in-order cumulative sums, so the result has the bits of
+absorbing the samples one at a time. `preintegrate` stacks a sample list
+and folds it from the fresh delta.
+
 `imu_residual` returns the residuals alone, for finite-difference checks;
 `imu_residual_jacobian` returns the (residual, Jacobian) pair from one
 evaluation of the relative motion, for the Gauss-Newton assembly. Both
@@ -33,7 +41,9 @@ from .manifold import SMALL_ANGLE, exp_map, hat, log_map
 
 @dataclass
 class ImuSample:
-    """One gyro + accelerometer reading held constant over dt seconds."""
+    """One gyro + accelerometer reading held constant over dt seconds.
+
+    `integrate` takes m readings stacked field by field (see stack_samples)."""
 
     omega: np.ndarray  # rad/s, body frame
     accel: np.ndarray  # m/s^2 specific force, body frame
@@ -60,30 +70,66 @@ class WorldParams:
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 9.81]))
 
 
-def integrate(delta: PreintegratedDelta, sample: ImuSample) -> PreintegratedDelta:
-    """Absorb one sample. Position updates before velocity before rotation,
-    using the pre-step dR and dv, so the sums over samples k run exclusive of
-    the step being applied."""
-    dt = float(sample.dt)
-    if not (dt > 0.0) or not np.isfinite(dt):
-        raise ValueError(f"integrate: sample dt must be positive, got {sample.dt}")
-    omega = np.asarray(sample.omega, dtype=float)
-    accel = np.asarray(sample.accel, dtype=float)
+def stack_samples(samples: Iterable[ImuSample]) -> ImuSample:
+    """One ImuSample holding m samples stacked field by field: omega and
+    accel (m, 3), dt (m,)."""
+    samples = list(samples)
+    m = len(samples)
+    return ImuSample(
+        np.array([s.omega for s in samples], dtype=float).reshape(m, 3),
+        np.array([s.accel for s in samples], dtype=float).reshape(m, 3),
+        np.array([s.dt for s in samples], dtype=float).reshape(m),
+    )
+
+
+def _running_sum(start, terms):
+    """Partial sums over axis -2 of (..., k, d) terms, from start (..., d):
+    k + 1 rows, each sum added in order from start, as a loop would."""
+    start = np.broadcast_to(start, terms.shape[:-2] + terms.shape[-1:])
+    return np.cumsum(np.concatenate([start[..., None, :], terms], axis=-2), axis=-2)
+
+
+def integrate(delta: PreintegratedDelta, samples: ImuSample) -> PreintegratedDelta:
+    """Absorb m stacked samples in order: omega and accel (..., m, 3), dt (..., m).
+
+    Leading axes run over keyframe intervals and broadcast against the
+    delta's. Sample k adds dv_k dt_k + R_k a_k dt_k^2 / 2 to dp, R_k a_k dt_k
+    to dv and the factor Exp(w_k dt_k) to dR, where R_k and dv_k are the
+    values before step k. Every sum runs in sample order, so each field has
+    the bits of absorbing one sample at a time.
+    """
+    dt = np.asarray(samples.dt, dtype=float)
+    valid = (dt > 0.0) & np.isfinite(dt)
+    if not np.all(valid):
+        raise ValueError(f"integrate: sample dt must be positive, got {dt[~valid].flat[0]}")
+    omega = np.asarray(samples.omega, dtype=float)
+    accel = np.asarray(samples.accel, dtype=float)
     if not (np.isfinite(omega).all() and np.isfinite(accel).all()):
         raise ValueError("integrate: sample entries must be finite")
-    rotated_accel = delta.dR @ accel
-    dp = delta.dp + delta.dv * dt + 0.5 * rotated_accel * dt * dt
-    dv = delta.dv + rotated_accel * dt
-    dR = delta.dR @ exp_map(omega * dt)
-    return PreintegratedDelta(dR, dv, dp, delta.dt_total + dt, delta.sample_count + 1)
+    m = dt.shape[-1]
+    step = dt[..., None]
+    lead = np.broadcast_shapes(np.shape(delta.dR)[:-2], dt.shape[:-1])
+    step_rotations = exp_map(omega * step)
+    # running product dR_k, the attitude each sample's specific force is rotated by
+    dR = np.array(np.broadcast_to(delta.dR, lead + (3, 3)))
+    before = np.empty(lead + (m, 3, 3))
+    for k in range(m):
+        before[..., k, :, :] = dR
+        dR = dR @ step_rotations[..., k, :, :]
+    rotated_accel = (before @ accel[..., None])[..., 0]
+    dv = _running_sum(delta.dv, rotated_accel * step)
+    # dp's terms interleaved per sample: dv_k dt_k, then R_k a_k dt_k^2 / 2
+    dp_terms = np.stack([dv[..., :-1, :] * step, 0.5 * rotated_accel * step * step], axis=-2)
+    dp = _running_sum(delta.dp, dp_terms.reshape(lead + (2 * m, 3)))
+    dt_total = _running_sum(np.asarray(delta.dt_total)[..., None], dt[..., None])
+    return PreintegratedDelta(
+        dR, dv[..., -1, :], dp[..., -1, :], dt_total[..., -1, 0], delta.sample_count + m
+    )
 
 
 def preintegrate(samples: Iterable[ImuSample]) -> PreintegratedDelta:
     """Fold a sample sequence into one delta, starting from the fresh value."""
-    delta = PreintegratedDelta()
-    for sample in samples:
-        delta = integrate(delta, sample)
-    return delta
+    return integrate(PreintegratedDelta(), stack_samples(samples))
 
 
 def _relative_motion(delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams):

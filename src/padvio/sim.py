@@ -33,7 +33,7 @@ from typing import Dict, List
 import numpy as np
 
 from .graph import PoseState, Problem, WindowState
-from .imu import ImuSample, PreintegratedDelta, WorldParams, preintegrate
+from .imu import ImuSample, PreintegratedDelta, WorldParams, integrate, stack_samples
 from .manifold import exp_map
 from .vision import DEPTH_EPSILON, CameraModel, PixelMeasurement, landmark_in_body, project
 
@@ -57,9 +57,12 @@ def _as3(value, what: str) -> np.ndarray:
     return arr
 
 
-def evaluate_profile(profile: Profile, t: float) -> np.ndarray:
+def evaluate_profile(profile: Profile, t) -> np.ndarray:
+    """The profile at time t (s): a 3-vector, or (..., 3) for an array of times."""
+    t = np.asarray(t, dtype=float)[..., None]
     if profile.name == "constant":
-        return _as3(profile.params.get("value", np.zeros(3)), "value")
+        value = _as3(profile.params.get("value", np.zeros(3)), "value")
+        return np.broadcast_to(value, t.shape[:-1] + (3,)).copy()
     if profile.name == "sinusoid":
         base = _as3(profile.params.get("base", np.zeros(3)), "base")
         amp = _as3(profile.params.get("amplitude", np.zeros(3)), "amplitude")
@@ -114,13 +117,12 @@ class Dataset:
     camera_dt: float
 
 
-def _steps_per_frame(spec: TrajectorySpec) -> int:
-    ratio = spec.camera_dt / spec.imu_dt
+def steps_per_frame(camera_dt: float, imu_dt: float) -> int:
+    """IMU samples per camera interval; camera_dt must be an integer multiple of imu_dt."""
+    ratio = camera_dt / imu_dt
     k = round(ratio)
     if k < 1 or abs(ratio - k) > 1e-9:
-        raise ValueError(
-            f"camera_dt {spec.camera_dt} must be an integer multiple of imu_dt {spec.imu_dt}"
-        )
+        raise ValueError(f"camera_dt {camera_dt} must be an integer multiple of imu_dt {imu_dt}")
     return int(k)
 
 
@@ -142,7 +144,7 @@ def generate(
         raise ValueError("all landmarks must lie on the ground plane z = 0")
     if noise.imu_noise_variance < 0 or noise.pixel_noise_variance < 0:
         raise ValueError("noise variances must be >= 0")
-    k = _steps_per_frame(spec)
+    k = steps_per_frame(spec.camera_dt, spec.imu_dt)
     num_frames = int(math.floor(spec.duration / spec.camera_dt + 1e-9)) + 1
     if num_frames < 2:
         raise ValueError("duration must cover at least one camera interval")
@@ -154,8 +156,9 @@ def generate(
 
     g = np.asarray(world.gravity, dtype=float)
     dt = spec.imu_dt
-    omegas = np.array([evaluate_profile(spec.angular_profile, step * dt) for step in range(num_steps)])
-    accels = np.array([evaluate_profile(spec.accel_profile, step * dt) for step in range(num_steps)])
+    times = np.arange(num_steps) * dt
+    omegas = evaluate_profile(spec.angular_profile, times)
+    accels = evaluate_profile(spec.accel_profile, times)
     step_rotations = exp_map(omegas * dt)
     measured_omegas = omegas + gyro_noise
     measured_accels = accels + accel_noise
@@ -239,20 +242,36 @@ def perturb_initialization(dataset: Dataset, mode: str) -> WindowState:
     return WindowState(poses, landmarks)
 
 
-def intervals(dataset: Dataset) -> List[List[ImuSample]]:
-    """Split the flat sample list into the n-1 keyframe intervals."""
+def _samples_per_interval(dataset: Dataset) -> int:
     n = dataset.ground_truth.n
     per = len(dataset.imu_samples) // (n - 1)
-    if per * (n - 1) != len(dataset.imu_samples):
-        raise ValueError("IMU sample count is not a multiple of the keyframe interval count")
-    return [dataset.imu_samples[i * per : (i + 1) * per] for i in range(n - 1)]
+    if per < 1 or per * (n - 1) != len(dataset.imu_samples):
+        raise ValueError("IMU sample count is not a positive multiple of the keyframe interval count")
+    return per
+
+
+def intervals(dataset: Dataset) -> List[List[ImuSample]]:
+    """Split the flat sample list into the n-1 keyframe intervals."""
+    per = _samples_per_interval(dataset)
+    return [dataset.imu_samples[i * per : (i + 1) * per] for i in range(dataset.ground_truth.n - 1)]
 
 
 def make_problem(
     dataset: Dataset, window: WindowState, photometric_weight: float = 1000.0
 ) -> Problem:
-    """Bundle a dataset and an initial window into an optimization problem."""
-    deltas: List[PreintegratedDelta] = [preintegrate(chunk) for chunk in intervals(dataset)]
+    """Bundle a dataset and an initial window into an optimization problem.
+
+    All n-1 intervals are preintegrated in one integrate call."""
+    per = _samples_per_interval(dataset)
+    flat = stack_samples(dataset.imu_samples)
+    by_interval = ImuSample(
+        flat.omega.reshape(-1, per, 3), flat.accel.reshape(-1, per, 3), flat.dt.reshape(-1, per)
+    )
+    stacked = integrate(PreintegratedDelta(), by_interval)
+    deltas = [
+        PreintegratedDelta(stacked.dR[i], stacked.dv[i], stacked.dp[i], stacked.dt_total[i], per)
+        for i in range(dataset.ground_truth.n - 1)
+    ]
     return Problem(
         window=window,
         deltas=deltas,

@@ -86,6 +86,8 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
         ("accel_profile", {"accel_profile": {"name": "constant", "value": None}}),
         ("damping", {"damping": True}),
         ("landmarks", {"landmarks": [["a", 0.0, 0.0]]}),
+        ("imu_dt", {"imu_dt": 0.03}),
+        ("imu_dt", {"imu_dt": 0.5}),
     ],
 )
 def test_config_value_rejected_exits_1(tmp_path, capsys, field, overrides):
@@ -156,6 +158,17 @@ def test_level_circle_config_keeps_every_measurement(tmp_path, capsys):
     assert dataset.ground_truth.num_landmarks == 10
     assert len(dataset.pixel_measurements) == 12 * 10
     assert all(pose.p[2] < 0.0 for pose in dataset.ground_truth.poses)
+
+
+def test_high_rate_imu_config_simulates_every_sample(tmp_path, capsys):
+    # the 1 kHz IMU configuration the CI run estimates twice and compares
+    cfg = str(Path(__file__).parent / "data" / "high_rate_imu.json")
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "7 keyframes, 2400 imu samples, 42 measurements" in capsys.readouterr().out
+    dataset = read_dataset(tmp_path / "dataset.txt")
+    assert dataset.imu_dt == 0.001
+    assert len(dataset.imu_samples) == 2400
+    assert len(dataset.pixel_measurements) == 7 * 3
 
 
 def test_estimate_writes_reports(tmp_path):

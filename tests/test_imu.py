@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from padvio import cli, sim
 from padvio.checks import central_difference
 from padvio.graph import PoseState, pose_boxplus
 from padvio.imu import (
@@ -11,14 +12,45 @@ from padvio.imu import (
     imu_residual_jacobian,
     integrate,
     preintegrate,
+    stack_samples,
 )
 from padvio.manifold import SMALL_ANGLE, exp_map
 
 from conftest import random_rotation
 
 
+def _integrate_one(delta, sample):
+    # the per-sample recursion integrate replaced, kept as its oracle
+    dt = float(sample.dt)
+    rotated_accel = delta.dR @ sample.accel
+    dp = delta.dp + delta.dv * dt + 0.5 * rotated_accel * dt * dt
+    dv = delta.dv + rotated_accel * dt
+    dR = delta.dR @ exp_map(sample.omega * dt)
+    return PreintegratedDelta(dR, dv, dp, delta.dt_total + dt, delta.sample_count + 1)
+
+
+def _oracle(samples, delta=None):
+    delta = PreintegratedDelta() if delta is None else delta
+    for sample in samples:
+        delta = _integrate_one(delta, sample)
+    return delta
+
+
+def _assert_same_delta(delta, expected):
+    # every sum runs in sample order, so the bits match the oracle's
+    np.testing.assert_array_equal(delta.dR, expected.dR)
+    np.testing.assert_array_equal(delta.dv, expected.dv)
+    np.testing.assert_array_equal(delta.dp, expected.dp)
+    assert delta.dt_total == expected.dt_total
+    assert delta.sample_count == expected.sample_count
+
+
+def _one(omega, accel, dt):
+    return ImuSample(np.array([omega], dtype=float), np.array([accel], dtype=float), np.array([dt]))
+
+
 def test_integrate_stationary_sample():
-    delta = integrate(PreintegratedDelta(), ImuSample(np.zeros(3), np.zeros(3), 0.02))
+    delta = integrate(PreintegratedDelta(), _one(np.zeros(3), np.zeros(3), 0.02))
     np.testing.assert_array_equal(delta.dR, np.eye(3))
     np.testing.assert_array_equal(delta.dv, np.zeros(3))
     np.testing.assert_array_equal(delta.dp, np.zeros(3))
@@ -28,7 +60,7 @@ def test_integrate_stationary_sample():
 
 def test_integrate_single_accel_step():
     # one step: dp picks up the half accel term, dv the full one
-    delta = integrate(PreintegratedDelta(), ImuSample(np.zeros(3), np.array([1.0, 0, 0]), 0.02))
+    delta = integrate(PreintegratedDelta(), _one(np.zeros(3), [1.0, 0, 0], 0.02))
     np.testing.assert_allclose(delta.dv, [0.02, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(delta.dp, [0.0002, 0.0, 0.0], atol=1e-15)
 
@@ -42,7 +74,74 @@ def test_integrate_twenty_samples_per_interval():
 
 def test_integrate_rejects_bad_dt():
     with pytest.raises(ValueError, match="dt"):
-        integrate(PreintegratedDelta(), ImuSample(np.zeros(3), np.zeros(3), 0.0))
+        integrate(PreintegratedDelta(), _one(np.zeros(3), np.zeros(3), 0.0))
+
+
+def _random_samples(rng, count):
+    # per-sample dt varies, as the oracle allows
+    return [
+        ImuSample(rng.normal(0, 0.3, 3), rng.normal(0, 2, 3), rng.uniform(0.001, 0.03))
+        for _ in range(count)
+    ]
+
+
+def test_integrate_matches_per_sample_oracle(rng):
+    samples = _random_samples(rng, 30)
+    samples[4].omega = np.zeros(3)  # a zero step rotation
+    samples[9].omega = 0.3 * SMALL_ANGLE / samples[9].dt * np.array([0.0, 0.6, 0.8])
+    delta = integrate(PreintegratedDelta(), stack_samples(samples))
+    _assert_same_delta(delta, _oracle(samples))
+    _assert_same_delta(preintegrate(samples), _oracle(samples))
+
+
+def _stack_intervals(chunks):
+    stacks = [stack_samples(chunk) for chunk in chunks]
+    return ImuSample(*(np.array([getattr(s, f) for s in stacks]) for f in ("omega", "accel", "dt")))
+
+
+def test_integrate_stacked_intervals_match_oracle(rng):
+    chunks = [_random_samples(rng, 25) for _ in range(4)]
+    chunks[2][0].omega = np.zeros(3)
+    delta = integrate(PreintegratedDelta(), _stack_intervals(chunks))
+    assert delta.dR.shape == (4, 3, 3) and delta.dt_total.shape == (4,)
+    for i, chunk in enumerate(chunks):
+        part = PreintegratedDelta(delta.dR[i], delta.dv[i], delta.dp[i], delta.dt_total[i], 25)
+        _assert_same_delta(part, _oracle(chunk))
+
+
+def test_integrate_continues_from_a_delta(rng):
+    samples = _random_samples(rng, 12)
+    first = integrate(PreintegratedDelta(), stack_samples(samples[:5]))
+    _assert_same_delta(integrate(first, stack_samples(samples[5:])), _oracle(samples))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("dt", 0.0), ("dt", -0.01), ("dt", np.nan), ("dt", np.inf), ("omega", np.nan), ("accel", np.inf)],
+)
+def test_integrate_rejects_one_bad_entry_inside_a_stack(rng, field, value):
+    stacked = _stack_intervals([_random_samples(rng, 10) for _ in range(3)])
+    if field == "dt":
+        stacked.dt[1, 5] = value
+        message = f"dt must be positive, got {value}"
+    else:
+        getattr(stacked, field)[1, 5, 2] = value
+        message = "entries must be finite"
+    with pytest.raises(ValueError, match=message):
+        integrate(PreintegratedDelta(), stacked)
+
+
+def test_preintegrate_empty_gives_fresh_delta():
+    _assert_same_delta(preintegrate([]), PreintegratedDelta())
+
+
+def test_make_problem_matches_oracle_at_high_imu_rate():
+    dataset = cli.dataset_from_config(cli.ExperimentConfig(imu_dt=0.001))
+    problem = sim.make_problem(dataset, dataset.ground_truth)
+    assert len(problem.deltas) == 6
+    for delta, chunk in zip(problem.deltas, sim.intervals(dataset)):
+        assert len(chunk) == 400
+        _assert_same_delta(delta, _oracle(chunk))
 
 
 def _forward_integrate(pose, samples, gravity):

@@ -13,6 +13,7 @@ from padvio.sim import (
     evaluate_profile,
     generate,
     intervals,
+    make_problem,
     perturb_initialization,
     triangle_landmarks,
 )
@@ -38,6 +39,25 @@ def test_profile_constant_and_sinusoid():
     np.testing.assert_allclose(evaluate_profile(p, 1.0), np.full(3, 3.0), atol=1e-12)
     with pytest.raises(ValueError, match="unknown profile"):
         evaluate_profile(Profile("spline"), 0.0)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        Profile("constant", {"value": [0.05, -0.04, 0.12]}),
+        Profile(
+            "sinusoid",
+            {"base": [0.1, 0.0, -9.81], "amplitude": [0.5, 0.2, 0.3],
+             "frequency": [0.7, 1.3, 0.25], "phase": [0.0, 1.0, -2.0]},
+        ),
+    ],
+)
+def test_profile_over_times_matches_per_time_calls(profile):
+    times = np.arange(2400) * 0.001
+    values = evaluate_profile(profile, times)
+    assert values.shape == (2400, 3)
+    np.testing.assert_array_equal(values, [evaluate_profile(profile, t) for t in times])
+    np.testing.assert_array_equal(evaluate_profile(profile, times.reshape(40, 60)), values.reshape(40, 60, 3))
 
 
 def test_triangle_landmarks_side_length():
@@ -89,6 +109,14 @@ def test_reference_scenario_counts():
     assert len(dataset.pixel_measurements) == 21  # 42 scalar pixel values
     assert len(intervals(dataset)) == 6
     assert all(len(chunk) == 20 for chunk in intervals(dataset))
+
+
+@pytest.mark.parametrize("count", [0, 7])
+def test_make_problem_rejects_uneven_sample_count(count):
+    dataset = generate(_reference_spec(), PAD, CAM, WorldParams(), NoiseSpec(seed=0))
+    dataset.imu_samples = dataset.imu_samples[:count]
+    with pytest.raises(ValueError, match="positive multiple"):
+        make_problem(dataset, dataset.ground_truth)
 
 
 def test_minimal_window_counts():
