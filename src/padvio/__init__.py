@@ -27,7 +27,6 @@ from .imu import (
     imu_residual_jacobian,
     integrate,
     preintegrate,
-    stack_samples,
 )
 from .manifold import exp_map, hat, is_rotation, log_map, vee
 from .sim import (
@@ -102,7 +101,6 @@ __all__ = [
     "project",
     "read_dataset",
     "solve",
-    "stack_samples",
     "stacked_residual",
     "triangle_landmarks",
     "vee",

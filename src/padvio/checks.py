@@ -117,7 +117,6 @@ def certify_imu(rng: np.random.Generator, trials: int) -> Dict[str, float]:
             dv=rng.normal(0.0, 1.0, 3),
             dp=rng.normal(0.0, 1.0, 3),
             dt_total=rng.uniform(0.1, 1.0),
-            sample_count=1,
         )
         pose_i = _random_pose(rng)
         # keep the relative-rotation residual well inside the log map's domain

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -93,7 +94,10 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float; JSON's NaN and Infinity are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -126,17 +130,17 @@ def validate_config(config: ExperimentConfig) -> None:
         value = getattr(config, name)
         try:
             arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            raise bad(name, f"must be a {size}-vector") from None
-        if arr.shape != (size,):
-            raise bad(name, f"must be a {size}-vector")
+        except (TypeError, ValueError, OverflowError):
+            raise bad(name, f"must be a {size}-vector of finite numbers") from None
+        if arr.shape != (size,) or not np.isfinite(arr).all():
+            raise bad(name, f"must be a {size}-vector of finite numbers")
     if config.landmarks is not None:
         try:
             arr = np.asarray(config.landmarks, dtype=float)
-        except (TypeError, ValueError):
-            raise bad("landmarks", "must be a list of [x, y, z] triples") from None
-        if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
-            raise bad("landmarks", "must be a list of [x, y, z] triples")
+        except (TypeError, ValueError, OverflowError):
+            raise bad("landmarks", "must be a list of finite [x, y, z] triples") from None
+        if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1 or not np.isfinite(arr).all():
+            raise bad("landmarks", "must be a list of finite [x, y, z] triples")
         if np.any(arr[:, 2] != 0.0):
             raise bad("landmarks", "all landmarks must sit on the ground plane z = 0")
     for name in ("angular_profile", "accel_profile"):
@@ -209,9 +213,15 @@ def write_convergence(path: Path, cost_history, step_norms) -> None:
     _write_csv(path, "iteration,cost,step_norm", rows)
 
 
-def _rotation_angle(Ra: np.ndarray, Rb: np.ndarray) -> float:
+def _rotation_angles(Ra: np.ndarray, Rb: np.ndarray) -> np.ndarray:
     # trace form stays defined at pi, unlike the full log map
-    return float(np.arccos(np.clip((np.trace(Ra.T @ Rb) - 1.0) / 2.0, -1.0, 1.0)))
+    traces = np.trace(np.swapaxes(Ra, -1, -2) @ Rb, axis1=-2, axis2=-1)
+    return np.arccos(np.clip((traces - 1.0) / 2.0, -1.0, 1.0))
+
+
+def _numbered(table: np.ndarray):
+    """CSV rows of a (count, width) float table, each led by its 1-based number."""
+    return [(i, *map(fmt, row)) for i, row in enumerate(table.tolist(), start=1)]
 
 
 def write_reports(out: Path, dataset: Dataset, report: SolveReport, wall_clock: float) -> None:
@@ -220,18 +230,11 @@ def write_reports(out: Path, dataset: Dataset, report: SolveReport, wall_clock: 
 
     write_convergence(out / "convergence.csv", report.cost_history, report.step_norms)
 
-    pose_rows = []
-    for i, (est, ref) in enumerate(zip(final.poses, truth.poses), start=1):
-        dp = est.p - ref.p
-        angle = _rotation_angle(ref.R, est.R)
-        pose_rows.append((i, fmt(dp[0]), fmt(dp[1]), fmt(dp[2]), fmt(angle)))
-    _write_csv(out / "pose_errors.csv", "frame,dx,dy,dz,rot_angle_error_rad", pose_rows)
-
-    lm_rows = []
-    for i in range(truth.num_landmarks):
-        d = final.landmarks[i] - truth.landmarks[i]
-        lm_rows.append((i + 1, fmt(d[0]), fmt(d[1]), fmt(d[2])))
-    _write_csv(out / "landmark_errors.csv", "id,dx,dy,dz", lm_rows)
+    pose_errors = np.column_stack(
+        [final.poses.p - truth.poses.p, _rotation_angles(truth.poses.R, final.poses.R)]
+    )
+    _write_csv(out / "pose_errors.csv", "frame,dx,dy,dz,rot_angle_error_rad", _numbered(pose_errors))
+    _write_csv(out / "landmark_errors.csv", "id,dx,dy,dz", _numbered(final.landmarks - truth.landmarks))
 
     _write_csv(
         out / "summary.csv",
@@ -240,7 +243,7 @@ def write_reports(out: Path, dataset: Dataset, report: SolveReport, wall_clock: 
             (
                 truth.n,
                 truth.num_landmarks,
-                len(dataset.imu_samples),
+                len(dataset.imu_samples.dt),
                 2 * len(dataset.pixel_measurements),
                 report.iterations_run,
                 fmt(report.cost_history[0]),
@@ -270,7 +273,7 @@ def cmd_simulate(args) -> int:
     path = out / "dataset.txt"
     dataset_io.write_dataset(dataset, path)
     print(
-        f"{dataset.ground_truth.n} keyframes, {len(dataset.imu_samples)} imu samples, "
+        f"{dataset.ground_truth.n} keyframes, {len(dataset.imu_samples.dt)} imu samples, "
         f"{2 * len(dataset.pixel_measurements)} measurements"
     )
     print(f"wrote {path}")

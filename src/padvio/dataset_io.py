@@ -18,13 +18,19 @@ round-trip precision so files are byte-reproducible):
     pixels <count>
     p <frame> <landmark> <u> <v>            ... count lines, ids in 1..n and 1..N
 
+Each section is read and written as one table: the reader makes one
+`np.array` of the section's split lines, checks their keys and value
+counts, and converts the table to numbers in one call (str to float as
+Python's `float`). Record ids place the rows, so `l`, `k` and `p` lines may
+come in any order. The dataset holds the sections as stacked records (see
+`sim.Dataset`).
+
 Every file padvio writes, this one and the CLI reports, goes through
 `write_text`, which replaces the file instead of rewriting it in place.
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import List
 
@@ -49,8 +55,19 @@ def _fmt_vec(v) -> str:
     return " ".join(map(repr, np.asarray(v, dtype=float).reshape(-1).tolist()))
 
 
+def _records(key: str, values: np.ndarray, *ids) -> List[str]:
+    """One line `key <ids> <values>` per row of the (count, width) values,
+    ids taken from the (count,) integer columns `ids`."""
+    rows = np.asarray(values, dtype=float).tolist()
+    return [
+        " ".join([key, *map(str, head), *map(repr, row)])
+        for *head, row in zip(*(np.asarray(column).tolist() for column in ids), rows)
+    ]
+
+
 def dumps(dataset: Dataset) -> str:
     truth = dataset.ground_truth
+    poses, samples, meas = truth.poses, dataset.imu_samples, dataset.pixel_measurements
     lines = [f"{MAGIC} {VERSION}"]
     lines.append(f"world gravity {_fmt_vec(dataset.world.gravity)}")
     lines.append(f"camera focal {fmt(dataset.cam.focal)}")
@@ -58,17 +75,14 @@ def dumps(dataset: Dataset) -> str:
     lines.append(f"timing imu_dt {fmt(dataset.imu_dt)}")
     lines.append(f"timing camera_dt {fmt(dataset.camera_dt)}")
     lines.append(f"landmarks {truth.num_landmarks}")
-    for i, lm in enumerate(truth.landmarks, start=1):
-        lines.append(f"l {i} {_fmt_vec(lm)}")
+    lines += _records("l", truth.landmarks, np.arange(1, truth.num_landmarks + 1))
     lines.append(f"keyframes {truth.n}")
-    for i, pose in enumerate(truth.poses, start=1):
-        lines.append(f"k {i} {_fmt_vec(pose.R)} {_fmt_vec(pose.v)} {_fmt_vec(pose.p)}")
-    lines.append(f"imu {len(dataset.imu_samples)}")
-    for s in dataset.imu_samples:
-        lines.append(f"i {_fmt_vec(s.omega)} {_fmt_vec(s.accel)} {fmt(s.dt)}")
-    lines.append(f"pixels {len(dataset.pixel_measurements)}")
-    for m in dataset.pixel_measurements:
-        lines.append(f"p {m.frame_index} {m.landmark_id} {_fmt_vec(m.uv)}")
+    keyframes = np.column_stack([poses.R.reshape(truth.n, 9), poses.v, poses.p])
+    lines += _records("k", keyframes, np.arange(1, truth.n + 1))
+    lines.append(f"imu {len(samples.dt)}")
+    lines += _records("i", np.column_stack([samples.omega, samples.accel, samples.dt]))
+    lines.append(f"pixels {len(meas)}")
+    lines += _records("p", meas.uv, meas.frame_index, meas.landmark_id)
     return "\n".join(lines) + "\n"
 
 
@@ -106,28 +120,43 @@ class _Reader:
             raise DatasetFormatError(f"expected {expect!r} record, found {fields[0]!r}")
         return fields[1:]
 
+    def section(self, expect: str, count: int, ids: int, width: int) -> np.ndarray:
+        """The next `count` lines, each an `expect` record of `ids` ids and
+        `width` values, as a (count, ids + width) table of their fields."""
+        rows = [line.split() for line in self.lines[self.pos : self.pos + count]]
+        table = np.array(rows, dtype=object) if rows else np.empty((0, 1 + ids + width), dtype=object)
+        if table.shape != (count, 1 + ids + width) or np.any(table[:, 0] != expect):
+            for _ in range(count):  # name the first bad line
+                fields = self.next(expect)
+                if len(fields) != ids + width:
+                    raise DatasetFormatError(f"{expect} record has {len(fields[ids:])} values, expected {width}")
+        self.pos += count
+        return table[:, 1:]
 
-def _record_index(text: str, count: int, what: str, seen: set | None = None) -> int:
-    """0-based index of a 1-based record id; rejects ids outside 1..count and,
-    when `seen` is given, ids already read."""
-    record_id = int(text)
-    if not 1 <= record_id <= count:
-        raise DatasetFormatError(f"{what} id {record_id} outside 1..{count}")
-    if seen is not None:
-        if record_id in seen:
-            raise DatasetFormatError(f"repeated {what} id {record_id}")
-        seen.add(record_id)
-    return record_id - 1
+
+def _indices(column: np.ndarray, count: int, what: str, unique: bool = False) -> np.ndarray:
+    """0-based indices of a column of 1-based record ids; rejects ids outside
+    1..count and, if `unique`, an id given twice."""
+    ids = column.astype(np.intp)
+    outside = (ids < 1) | (ids > count)
+    if np.any(outside):
+        raise DatasetFormatError(f"{what} id {ids[outside][0]} outside 1..{count}")
+    if unique:
+        first = np.zeros(len(ids), dtype=bool)
+        first[np.unique(ids, return_index=True)[1]] = True
+        if not first.all():
+            raise DatasetFormatError(f"repeated {what} id {ids[~first][0]}")
+    return ids - 1
 
 
-def _numbers(fields: List[str], count: int, what: str) -> np.ndarray:
-    """Exactly `count` finite numbers."""
-    if len(fields) != count:
-        raise DatasetFormatError(f"{what} record has {len(fields)} values, expected {count}")
-    values = [float(x) for x in fields]
-    if not all(map(math.isfinite, values)):
+def _finite(table: np.ndarray, what: str) -> np.ndarray:
+    """A (count, width) table of number fields as floats, all finite."""
+    values = table.astype(float)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        fields = table[~finite][0]
         raise DatasetFormatError(f"{what} record has a non-finite value: {' '.join(fields)}")
-    return np.array(values)
+    return values
 
 
 def _keyed(reader: _Reader, record: str, key: str, count: int) -> np.ndarray:
@@ -135,13 +164,17 @@ def _keyed(reader: _Reader, record: str, key: str, count: int) -> np.ndarray:
     fields = reader.next(record)
     if fields[:1] != [key]:
         raise DatasetFormatError(f"expected {record} {key}, found {' '.join([record] + fields[:1])!r}")
-    return _numbers(fields[1:], count, f"{record} {key}")
+    if len(fields) != count + 1:
+        raise DatasetFormatError(f"{record} {key} record has {len(fields) - 1} values, expected {count}")
+    return _finite(np.array([fields[1:]], dtype=object), f"{record} {key}")[0]
 
 
-def _positive(value: float, what: str) -> float:
-    if not value > 0.0:
-        raise DatasetFormatError(f"{what} must be positive, got {value!r}")
-    return float(value)
+def _positive(values: np.ndarray, what: str) -> np.ndarray:
+    """The values, which must all be > 0."""
+    bad = ~(values > 0.0)
+    if np.any(bad):
+        raise DatasetFormatError(f"{what} must be positive, got {values[bad][0]!r}")
+    return values
 
 
 def _count(reader: _Reader, record: str, least: int) -> int:
@@ -159,7 +192,7 @@ def loads(text: str) -> Dataset:
         return _parse(text)
     except DatasetFormatError:
         raise
-    except (ValueError, IndexError) as err:
+    except (ValueError, IndexError, OverflowError) as err:
         raise DatasetFormatError(f"malformed dataset record: {err}") from None
 
 
@@ -170,48 +203,43 @@ def _parse(text: str) -> Dataset:
         raise DatasetFormatError(f"unsupported dataset version: {' '.join(header)!r}")
 
     world = WorldParams(_keyed(reader, "world", "gravity", 3))
-    focal = _positive(_keyed(reader, "camera", "focal", 1)[0], "camera focal")
+    focal = float(_positive(_keyed(reader, "camera", "focal", 1), "camera focal")[0])
     cam = CameraModel(focal, _keyed(reader, "camera", "principal_point", 2))
-    imu_dt = _positive(_keyed(reader, "timing", "imu_dt", 1)[0], "timing imu_dt")
-    camera_dt = _positive(_keyed(reader, "timing", "camera_dt", 1)[0], "timing camera_dt")
+    imu_dt = float(_positive(_keyed(reader, "timing", "imu_dt", 1), "timing imu_dt")[0])
+    camera_dt = float(_positive(_keyed(reader, "timing", "camera_dt", 1), "timing camera_dt")[0])
 
     num_landmarks = _count(reader, "landmarks", 1)
-    landmarks = np.zeros((num_landmarks, 3))
-    seen: set = set()
-    for _ in range(num_landmarks):
-        fields = reader.next("l")
-        index = _record_index(fields[0], num_landmarks, "landmark", seen)
-        landmarks[index] = _numbers(fields[1:], 3, "l")
+    table = reader.section("l", num_landmarks, 1, 3)
+    landmarks = np.empty((num_landmarks, 3))
+    landmarks[_indices(table[:, 0], num_landmarks, "landmark", unique=True)] = _finite(table[:, 1:], "l")
 
     num_frames = _count(reader, "keyframes", 2)
-    poses: List[PoseState] = [None] * num_frames  # type: ignore[list-item]
-    seen = set()
-    for _ in range(num_frames):
-        fields = reader.next("k")
-        index = _record_index(fields[0], num_frames, "keyframe", seen)
-        values = _numbers(fields[1:], 15, "k")
-        R = values[0:9].reshape(3, 3)
-        if not is_rotation(R):
-            raise DatasetFormatError(f"keyframe {index + 1} attitude is not a rotation matrix")
-        poses[index] = PoseState(R=R, v=values[9:12], p=values[12:15])
+    table = reader.section("k", num_frames, 1, 15)
+    keyframes = np.empty((num_frames, 15))
+    keyframes[_indices(table[:, 0], num_frames, "keyframe", unique=True)] = _finite(table[:, 1:], "k")
+    R, v, p = np.split(keyframes, [9, 12], axis=1)
+    # contiguous fields, as `sim.generate` makes them
+    poses = PoseState(R.reshape(num_frames, 3, 3).copy(), v.copy(), p.copy())
+    for frame, rotation in enumerate(poses.R, start=1):
+        if not is_rotation(rotation):
+            raise DatasetFormatError(f"keyframe {frame} attitude is not a rotation matrix")
 
     num_samples = _count(reader, "imu", num_frames - 1)
     if num_samples % (num_frames - 1):
         raise DatasetFormatError(
             f"imu count {num_samples} is not a multiple of the {num_frames - 1} keyframe intervals"
         )
-    samples = []
-    for _ in range(num_samples):
-        values = _numbers(reader.next("i"), 7, "i")
-        samples.append(ImuSample(values[0:3], values[3:6], _positive(values[6], "imu sample dt")))
+    omega, accel, dt = np.split(_finite(reader.section("i", num_samples, 0, 7), "i"), [3, 6], axis=1)
+    samples = ImuSample(omega.copy(), accel.copy(), dt[:, 0].copy())
+    _positive(samples.dt, "imu sample dt")
 
     num_pixels = _count(reader, "pixels", 0)
-    measurements = []
-    for _ in range(num_pixels):
-        fields = reader.next("p")
-        frame = _record_index(fields[0], num_frames, "pixel keyframe") + 1
-        landmark = _record_index(fields[1], num_landmarks, "pixel landmark") + 1
-        measurements.append(PixelMeasurement(frame, landmark, _numbers(fields[2:], 2, "p")))
+    table = reader.section("p", num_pixels, 2, 2)
+    measurements = PixelMeasurement(
+        _indices(table[:, 0], num_frames, "pixel keyframe") + 1,
+        _indices(table[:, 1], num_landmarks, "pixel landmark") + 1,
+        _finite(table[:, 2:], "p"),
+    )
 
     return Dataset(
         ground_truth=WindowState(poses, landmarks),

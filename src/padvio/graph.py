@@ -11,10 +11,14 @@ State ordering conventions (fixed so outputs are bit-reproducible):
 With every landmark visible in every frame the stacked system therefore has
 (n-1)*9 + n*N*2 rows and (n-1)*9 + N*3 columns.
 
-`stacked_residual` and `assemble` gather the factor inputs once into stacks
-(poses R (n,3,3), v and p (n,3); deltas dR (n-1,3,3), dv and dp (n-1,3),
-dt_total (n-1,); K sorted measurements as (K,) frame and landmark index
-arrays with (K,2) uv values) and make one call per factor type:
+The data is held as stacked records: the window's poses are one `PoseState`
+with R (n,3,3), v and p (n,3), the problem's deltas one `PreintegratedDelta`
+with dR (n-1,3,3), dv and dp (n-1,3) and dt_total (n-1,), and its K
+detections one `PixelMeasurement` with (K,) frame and landmark index arrays
+and (K,2) uv values. A `Problem` checks the delta count and the measurement
+indices against its window and sorts the measurements by (frame, landmark)
+when it is built. `stacked_residual` and `assemble` then only index these
+records to give each factor its inputs and make one call per factor type:
 `stacked_residual` calls the residual-only functions, and `assemble` the
 Jacobian calls, each of which returns the residuals with their Jacobians
 from one evaluation: (n-1,9) IMU residuals with (n-1,9,18) Jacobians and
@@ -29,7 +33,7 @@ by the pixel factor, naming the first such measurement in sorted order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, List, NamedTuple, Tuple
+from typing import ClassVar, NamedTuple, Tuple
 
 import numpy as np
 
@@ -40,13 +44,23 @@ from .vision import CameraModel, PixelMeasurement, photometric_jacobian, photome
 
 @dataclass
 class PoseState:
-    """One keyframe state: attitude (body to world), velocity and position in world frame.
+    """Keyframe states: attitude (body to world), velocity and position in world frame.
 
-    Factor functions also take a stack of poses: R (K,3,3), v and p (K,3)."""
+    One keyframe has R (3,3), v and p (3,); a stack of n has R (n,3,3), v and
+    p (n,3), and `poses[k]` picks keyframe k (an index array or slice picks
+    a sub-stack). Factor functions take stacks with any leading axes."""
 
     R: np.ndarray
     v: np.ndarray
     p: np.ndarray
+
+    def __len__(self) -> int:
+        if np.ndim(self.R) != 3:
+            raise TypeError("len() of a PoseState needs a stack of poses, R (n,3,3)")
+        return len(self.R)
+
+    def __getitem__(self, index) -> "PoseState":
+        return PoseState(self.R[index], self.v[index], self.p[index])
 
     def copy(self) -> "PoseState":
         return PoseState(self.R.copy(), self.v.copy(), self.p.copy())
@@ -54,9 +68,9 @@ class PoseState:
 
 @dataclass
 class WindowState:
-    """n keyframe poses plus N landmark positions; pose 1 is the fixed prior."""
+    """n keyframe poses, stacked, plus N landmark positions; pose 1 is the fixed prior."""
 
-    poses: List[PoseState]
+    poses: PoseState  # R (n,3,3), v and p (n,3)
     landmarks: np.ndarray  # (N, 3) world positions
 
     def __post_init__(self):
@@ -80,20 +94,37 @@ class WindowState:
         return 9 * (self.n - 1) + 3 * self.num_landmarks
 
     def copy(self) -> "WindowState":
-        return WindowState([pose.copy() for pose in self.poses], self.landmarks.copy())
+        return WindowState(self.poses.copy(), self.landmarks.copy())
 
 
 @dataclass
 class Problem:
-    """A window plus its measurements: one preintegrated delta per keyframe
-    interval and a sparse list of pixel detections."""
+    """A window plus its measurements: the n-1 keyframe-interval deltas as one
+    stacked delta and the K pixel detections as one stacked record.
+
+    Construction rejects a delta count or a measurement index that does not
+    fit the window and sorts the measurements by (frame, landmark)."""
 
     window: WindowState
-    deltas: List[PreintegratedDelta]
-    measurements: List[PixelMeasurement]
+    deltas: PreintegratedDelta
+    measurements: PixelMeasurement
     cam: CameraModel
     world: WorldParams
     photometric_weight: float = 1000.0
+
+    def __post_init__(self):
+        n, N = self.window.n, self.window.num_landmarks
+        if np.shape(self.deltas.dt_total) != (n - 1,):
+            raise ValueError(f"problem has {np.size(self.deltas.dt_total)} deltas, expected {n - 1}")
+        frames, ids = self.measurements.frame_index, self.measurements.landmark_id
+        outside = (frames < 1) | (frames > n) | (ids < 1) | (ids > N)
+        if np.any(outside):
+            first = np.flatnonzero(outside)[0]
+            raise ValueError(
+                f"measurement (frame {frames[first]}, landmark {ids[first]}) "
+                f"out of range for n={n}, N={N}"
+            )
+        self.measurements = self.measurements[np.lexsort((ids, frames))]
 
 
 def pose_boxplus(pose: PoseState, delta: np.ndarray) -> PoseState:
@@ -108,27 +139,15 @@ def pose_boxplus(pose: PoseState, delta: np.ndarray) -> PoseState:
     )
 
 
-def _stack(poses: List[PoseState]) -> PoseState:
-    """One PoseState whose fields carry a leading axis over `poses`."""
-    return PoseState(
-        R=np.array([pose.R for pose in poses], dtype=float),
-        v=np.array([pose.v for pose in poses], dtype=float),
-        p=np.array([pose.p for pose in poses], dtype=float),
-    )
-
-
-def _take(poses: PoseState, index) -> PoseState:
-    return PoseState(poses.R[index], poses.v[index], poses.p[index])
-
-
 def boxplus(window: WindowState, delta: np.ndarray) -> WindowState:
     """Retract a full increment vector onto the window. Pose 1 is untouched."""
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (window.dim,):
         raise ValueError(f"boxplus: increment has length {delta.size}, expected {window.dim}")
     n = window.n
-    moved = pose_boxplus(_stack(window.poses[1:]), delta[: 9 * (n - 1)].reshape(n - 1, 9))
-    poses = [window.poses[0]] + [_take(moved, t) for t in range(n - 1)]
+    moved = pose_boxplus(window.poses[1:], delta[: 9 * (n - 1)].reshape(n - 1, 9))
+    poses = window.poses.copy()
+    poses.R[1:], poses.v[1:], poses.p[1:] = moved.R, moved.v, moved.p
     landmarks = window.landmarks + delta[9 * (n - 1) :].reshape(-1, 3)
     return WindowState(poses, landmarks)
 
@@ -145,40 +164,15 @@ class _FactorInputs(NamedTuple):
 
 
 def _gather(problem: Problem) -> _FactorInputs:
-    """Stack the inputs of every factor; rejects a delta count or a
-    measurement index that does not fit the window."""
-    window = problem.window
-    n, N = window.n, window.num_landmarks
-    if len(problem.deltas) != n - 1:
-        raise ValueError(f"problem has {len(problem.deltas)} deltas, expected {n - 1}")
-    frames = np.array([m.frame_index for m in problem.measurements], dtype=np.intp)
-    ids = np.array([m.landmark_id for m in problem.measurements], dtype=np.intp)
-    outside = (frames < 1) | (frames > n) | (ids < 1) | (ids > N)
-    if np.any(outside):
-        first = np.flatnonzero(outside)[0]
-        raise ValueError(
-            f"measurement (frame {frames[first]}, landmark {ids[first]}) "
-            f"out of range for n={n}, N={N}"
-        )
-    order = np.lexsort((ids, frames))
-    uv = np.array([m.uv for m in problem.measurements], dtype=float).reshape(-1, 2)
-    meas = PixelMeasurement(frames[order], ids[order], uv[order])
-
-    deltas = problem.deltas
-    stacked_deltas = PreintegratedDelta(
-        dR=np.array([d.dR for d in deltas], dtype=float),
-        dv=np.array([d.dv for d in deltas], dtype=float),
-        dp=np.array([d.dp for d in deltas], dtype=float),
-        dt_total=np.array([d.dt_total for d in deltas], dtype=float),
-    )
-    poses = _stack(window.poses)
+    """Index the inputs of every factor out of the problem's stacked records."""
+    poses, meas = problem.window.poses, problem.measurements
     return _FactorInputs(
-        deltas=stacked_deltas,
-        pose_i=_take(poses, slice(0, n - 1)),
-        pose_j=_take(poses, slice(1, n)),
+        deltas=problem.deltas,
+        pose_i=poses[:-1],
+        pose_j=poses[1:],
         meas=meas,
-        seen_from=_take(poses, meas.frame_index - 1),
-        landmarks=window.landmarks[meas.landmark_id - 1],
+        seen_from=poses[meas.frame_index - 1],
+        landmarks=problem.window.landmarks[meas.landmark_id - 1],
     )
 
 

@@ -12,13 +12,16 @@ compares that measurement against the gravity-corrected relative state:
 No bias states and no covariance propagation; residual weights are handled
 by the problem assembly.
 
-`integrate` absorbs samples stacked field by field: omega and accel
-(..., m, 3) and dt (..., m), whose leading axes run over keyframe intervals.
-One `exp_map` call gives every step rotation, the running product of dR is
-the one loop (over the m samples, batched across intervals), and dv, dp and
-dt_total are in-order cumulative sums, so the result has the bits of
-absorbing the samples one at a time. `preintegrate` stacks a sample list
-and folds it from the fresh delta.
+Samples and deltas are stacked records. An `ImuSample` holds m readings
+field by field, omega and accel (..., m, 3) and dt (..., m), whose leading
+axes run over keyframe intervals; a `PreintegratedDelta` holds one delta
+per leading index, so the n-1 deltas of a window are one record with dR
+(n-1,3,3), dv and dp (n-1,3) and dt_total (n-1,). `integrate` absorbs the
+samples: one `exp_map` call gives every step rotation, the running product
+of dR is the one loop (over the m samples, batched across intervals), and
+dv, dp and dt_total are in-order cumulative sums, so the result has the
+bits of absorbing the samples one at a time. `preintegrate` folds the
+samples from the fresh delta.
 
 `imu_residual` returns the residuals alone, for finite-difference checks;
 `imu_residual_jacobian` returns the (residual, Jacobian) pair from one
@@ -32,7 +35,6 @@ no leading axes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -41,26 +43,24 @@ from .manifold import SMALL_ANGLE, exp_map, hat, log_map
 
 @dataclass
 class ImuSample:
-    """One gyro + accelerometer reading held constant over dt seconds.
-
-    `integrate` takes m readings stacked field by field (see stack_samples)."""
+    """Gyro + accelerometer readings, each held constant over its dt seconds:
+    omega and accel (..., m, 3), dt (..., m), in sample order."""
 
     omega: np.ndarray  # rad/s, body frame
     accel: np.ndarray  # m/s^2 specific force, body frame
-    dt: float
+    dt: np.ndarray  # s
 
 
 @dataclass
 class PreintegratedDelta:
-    """Accumulated relative motion between two keyframes. Fresh value is (I, 0, 0, 0, 0).
+    """Accumulated relative motion between keyframes. Fresh value is (I, 0, 0, 0).
 
-    The factor functions also take K deltas stacked field by field."""
+    The fields may carry leading axes, one index per keyframe interval."""
 
     dR: np.ndarray = field(default_factory=lambda: np.eye(3))
     dv: np.ndarray = field(default_factory=lambda: np.zeros(3))
     dp: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    dt_total: float = 0.0
-    sample_count: int = 0
+    dt_total: np.ndarray | float = 0.0
 
 
 @dataclass
@@ -68,18 +68,6 @@ class WorldParams:
     """World-frame constants. Default frame has z down, so gravity is +9.81 on z."""
 
     gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 9.81]))
-
-
-def stack_samples(samples: Iterable[ImuSample]) -> ImuSample:
-    """One ImuSample holding m samples stacked field by field: omega and
-    accel (m, 3), dt (m,)."""
-    samples = list(samples)
-    m = len(samples)
-    return ImuSample(
-        np.array([s.omega for s in samples], dtype=float).reshape(m, 3),
-        np.array([s.accel for s in samples], dtype=float).reshape(m, 3),
-        np.array([s.dt for s in samples], dtype=float).reshape(m),
-    )
 
 
 def _running_sum(start, terms):
@@ -122,14 +110,12 @@ def integrate(delta: PreintegratedDelta, samples: ImuSample) -> PreintegratedDel
     dp_terms = np.stack([dv[..., :-1, :] * step, 0.5 * rotated_accel * step * step], axis=-2)
     dp = _running_sum(delta.dp, dp_terms.reshape(lead + (2 * m, 3)))
     dt_total = _running_sum(np.asarray(delta.dt_total)[..., None], dt[..., None])
-    return PreintegratedDelta(
-        dR, dv[..., -1, :], dp[..., -1, :], dt_total[..., -1, 0], delta.sample_count + m
-    )
+    return PreintegratedDelta(dR, dv[..., -1, :], dp[..., -1, :], dt_total[..., -1, 0])
 
 
-def preintegrate(samples: Iterable[ImuSample]) -> PreintegratedDelta:
-    """Fold a sample sequence into one delta, starting from the fresh value."""
-    return integrate(PreintegratedDelta(), stack_samples(samples))
+def preintegrate(samples: ImuSample) -> PreintegratedDelta:
+    """Fold stacked samples into deltas, one per leading index, from the fresh value."""
+    return integrate(PreintegratedDelta(), samples)
 
 
 def _relative_motion(delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams):

@@ -15,6 +15,13 @@ The world frame has z pointing down: gravity defaults to (0, 0, +9.81), and
 an aircraft at 4 m altitude sits at p_z = -4. The camera looks along body +z,
 i.e. straight at the ground under level flight.
 
+A `Dataset` holds stacked records: the S IMU samples are one `ImuSample`
+with omega and accel (S,3) and dt (S,), the K pixel detections one
+`PixelMeasurement` with (K,) frame and landmark ids and (K,2) uv values,
+and the ground-truth keyframes one `PoseState` stack. `make_problem`
+reshapes the samples to (n-1, S/(n-1), ...) and preintegrates every
+keyframe interval in one call.
+
 Motion profiles are declarative (a profile name plus parameters) so a whole
 scenario fits in a config file. Known profile names:
 
@@ -28,12 +35,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from .graph import PoseState, Problem, WindowState
-from .imu import ImuSample, PreintegratedDelta, WorldParams, integrate, stack_samples
+from .imu import ImuSample, WorldParams, preintegrate
 from .manifold import exp_map
 from .vision import DEPTH_EPSILON, CameraModel, PixelMeasurement, landmark_in_body, project
 
@@ -109,8 +116,8 @@ class NoiseSpec:
 @dataclass
 class Dataset:
     ground_truth: WindowState
-    imu_samples: List[ImuSample]
-    pixel_measurements: List[PixelMeasurement]
+    imu_samples: ImuSample  # omega and accel (S,3), dt (S,)
+    pixel_measurements: PixelMeasurement  # (K,) ids, (K,2) uv
     cam: CameraModel
     world: WorldParams
     imu_dt: float
@@ -160,27 +167,23 @@ def generate(
     omegas = evaluate_profile(spec.angular_profile, times)
     accels = evaluate_profile(spec.accel_profile, times)
     step_rotations = exp_map(omegas * dt)
-    measured_omegas = omegas + gyro_noise
-    measured_accels = accels + accel_noise
-    samples = [ImuSample(measured_omegas[step], measured_accels[step], dt) for step in range(num_steps)]
+    samples = ImuSample(omegas + gyro_noise, accels + accel_noise, np.full(num_steps, dt))
 
-    pose = spec.initial_pose.copy()
-    keyframes = [pose.copy()]
+    R, v, p = spec.initial_pose.R, spec.initial_pose.v, spec.initial_pose.p
+    keyframes = PoseState(np.empty((num_frames, 3, 3)), np.empty((num_frames, 3)), np.empty((num_frames, 3)))
+    keyframes.R[0], keyframes.v[0], keyframes.p[0] = R, v, p
     for step in range(num_steps):
-        world_accel = pose.R @ accels[step]
-        p = pose.p + pose.v * dt + 0.5 * g * dt * dt + 0.5 * world_accel * dt * dt
-        v = pose.v + g * dt + world_accel * dt
-        R = pose.R @ step_rotations[step]
-        pose = PoseState(R, v, p)
+        world_accel = R @ accels[step]
+        p = p + v * dt + 0.5 * g * dt * dt + 0.5 * world_accel * dt * dt
+        v = v + g * dt + world_accel * dt
+        R = R @ step_rotations[step]
         if (step + 1) % k == 0:
-            keyframes.append(pose.copy())
+            frame = (step + 1) // k
+            keyframes.R[frame], keyframes.v[frame], keyframes.p[frame] = R, v, p
 
     truth = WindowState(keyframes, landmarks.copy())
     # every landmark from every keyframe: poses (n, 1) against landmarks (N,)
-    observers = PoseState(
-        *(np.array([getattr(pose, f) for pose in keyframes])[:, None] for f in ("R", "v", "p"))
-    )
-    q = landmark_in_body(observers, landmarks)
+    q = landmark_in_body(keyframes[:, None], landmarks)
     visible = q[..., 2] > DEPTH_EPSILON
     for frame, lm in np.argwhere(~visible):
         logger.warning(
@@ -190,10 +193,7 @@ def generate(
     exact_uv = project(cam, q[visible])
     frames, ids = np.nonzero(visible)
     pixel_noise = math.sqrt(noise.pixel_noise_variance) * rng.standard_normal((len(frames), 2))
-    measurements = [
-        PixelMeasurement(int(frame) + 1, int(lm) + 1, exact_uv[i] + pixel_noise[i])
-        for i, (frame, lm) in enumerate(zip(frames, ids))
-    ]
+    measurements = PixelMeasurement(frames + 1, ids + 1, exact_uv + pixel_noise)
     return Dataset(truth, samples, measurements, cam, world, spec.imu_dt, spec.camera_dt)
 
 
@@ -213,47 +213,22 @@ def perturb_initialization(dataset: Dataset, mode: str) -> WindowState:
     if mode != "cold":
         raise ValueError(f"unknown initialization preset: {mode!r}")
 
-    n = truth.n
     cold_p = np.array([0.0, 0.0, -4.0])
-    poses = [truth.poses[0].copy()]
-    poses += [PoseState(np.eye(3), np.zeros(3), cold_p.copy()) for _ in range(n - 1)]
+    poses = truth.poses.copy()
+    poses.R[1:], poses.v[1:], poses.p[1:] = np.eye(3), 0.0, cold_p
     cam = dataset.cam
+    meas = dataset.pixel_measurements
+    # each landmark's earliest detection: the first of its group, by frame
+    by_landmark = np.lexsort((meas.frame_index, meas.landmark_id))
+    ids, first = np.unique(meas.landmark_id[by_landmark], return_index=True)
+    for lm in sorted(set(range(1, truth.num_landmarks + 1)) - set(ids.tolist())):
+        logger.warning("landmark %d never measured; cold start leaves it at the origin", lm)
+    # the cold attitude is I, so the body-frame pixel ray (x, y, 1) is the
+    # world-frame ray; from the cold position it meets z = 0 at scale -p_z
+    ray = (meas.uv[by_landmark[first]] - cam.principal_point) / cam.focal
     landmarks = np.zeros_like(truth.landmarks)
-    for lm in range(1, truth.num_landmarks + 1):
-        obs = [m for m in dataset.pixel_measurements if m.landmark_id == lm]
-        if not obs:
-            logger.warning("landmark %d never measured; cold start leaves it at the origin", lm)
-            continue
-        first = min(obs, key=lambda m: m.frame_index)
-        direction = np.array(
-            [
-                (first.uv[0] - cam.principal_point[0]) / cam.focal,
-                (first.uv[1] - cam.principal_point[1]) / cam.focal,
-                1.0,
-            ]
-        )
-        # cold pose attitude is I, so the body-frame ray is the world-frame ray
-        scale = -cold_p[2] / direction[2]
-        landmarks[lm - 1] = [
-            cold_p[0] + scale * direction[0],
-            cold_p[1] + scale * direction[1],
-            0.0,
-        ]
+    landmarks[ids - 1, :2] = cold_p[:2] - cold_p[2] * ray
     return WindowState(poses, landmarks)
-
-
-def _samples_per_interval(dataset: Dataset) -> int:
-    n = dataset.ground_truth.n
-    per = len(dataset.imu_samples) // (n - 1)
-    if per < 1 or per * (n - 1) != len(dataset.imu_samples):
-        raise ValueError("IMU sample count is not a positive multiple of the keyframe interval count")
-    return per
-
-
-def intervals(dataset: Dataset) -> List[List[ImuSample]]:
-    """Split the flat sample list into the n-1 keyframe intervals."""
-    per = _samples_per_interval(dataset)
-    return [dataset.imu_samples[i * per : (i + 1) * per] for i in range(dataset.ground_truth.n - 1)]
 
 
 def make_problem(
@@ -261,21 +236,22 @@ def make_problem(
 ) -> Problem:
     """Bundle a dataset and an initial window into an optimization problem.
 
-    All n-1 intervals are preintegrated in one integrate call."""
-    per = _samples_per_interval(dataset)
-    flat = stack_samples(dataset.imu_samples)
+    The S samples are reshaped to (n-1, S/(n-1), ...) and all n-1 keyframe
+    intervals are preintegrated in one call."""
+    n = dataset.ground_truth.n
+    samples = dataset.imu_samples
+    per = len(samples.dt) // (n - 1)
+    if per < 1 or per * (n - 1) != len(samples.dt):
+        raise ValueError("IMU sample count is not a positive multiple of the keyframe interval count")
     by_interval = ImuSample(
-        flat.omega.reshape(-1, per, 3), flat.accel.reshape(-1, per, 3), flat.dt.reshape(-1, per)
+        samples.omega.reshape(n - 1, per, 3),
+        samples.accel.reshape(n - 1, per, 3),
+        samples.dt.reshape(n - 1, per),
     )
-    stacked = integrate(PreintegratedDelta(), by_interval)
-    deltas = [
-        PreintegratedDelta(stacked.dR[i], stacked.dv[i], stacked.dp[i], stacked.dt_total[i], per)
-        for i in range(dataset.ground_truth.n - 1)
-    ]
     return Problem(
         window=window,
-        deltas=deltas,
-        measurements=list(dataset.pixel_measurements),
+        deltas=preintegrate(by_interval),
+        measurements=dataset.pixel_measurements,
         cam=dataset.cam,
         world=dataset.world,
         photometric_weight=photometric_weight,

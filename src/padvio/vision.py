@@ -50,13 +50,20 @@ class CameraModel:
 
 @dataclass
 class PixelMeasurement:
-    """One detected landmark in one keyframe's image. Indices are 1-based.
+    """Landmark detections in keyframe images, 1-based indices: K detections
+    as (K,) frame_index and landmark_id arrays and (K, 2) uv values. One
+    detection is the record with no leading axis; `meas[k]` picks detection k
+    and an index array or slice picks a sub-batch."""
 
-    A batch holds (K,) index arrays and (K, 2) uv values."""
-
-    frame_index: int
-    landmark_id: int
+    frame_index: np.ndarray
+    landmark_id: np.ndarray
     uv: np.ndarray  # pixels
+
+    def __len__(self) -> int:
+        return len(self.frame_index)
+
+    def __getitem__(self, index) -> "PixelMeasurement":
+        return PixelMeasurement(self.frame_index[index], self.landmark_id[index], self.uv[index])
 
 
 def _check_depth(z: np.ndarray, meas: PixelMeasurement | None = None) -> None:

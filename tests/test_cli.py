@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ def test_simulate_default_config_counts(tmp_path, capsys):
     assert "7 keyframes, 120 imu samples, 42 measurements" in out
     dataset = read_dataset(tmp_path / "dataset.txt")
     assert dataset.ground_truth.n == 7
-    assert len(dataset.imu_samples) == 120
+    assert len(dataset.imu_samples.dt) == 120
     assert 2 * len(dataset.pixel_measurements) == 42
 
 
@@ -40,7 +41,7 @@ def test_simulate_minimal_window(tmp_path):
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
     dataset = read_dataset(tmp_path / "dataset.txt")
     assert dataset.ground_truth.n == 2
-    assert len(dataset.imu_samples) == 20
+    assert len(dataset.imu_samples.dt) == 20
 
 
 def test_simulate_same_seed_byte_identical(tmp_path):
@@ -88,6 +89,17 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
         ("landmarks", {"landmarks": [["a", 0.0, 0.0]]}),
         ("imu_dt", {"imu_dt": 0.03}),
         ("imu_dt", {"imu_dt": 0.5}),
+        ("initial_position", {"initial_position": [math.nan, 0.0, -4.0]}),
+        ("initial_velocity", {"initial_velocity": [0.0, math.inf, 0.0]}),
+        ("gravity", {"gravity": [0.0, 0.0, math.inf]}),
+        ("principal_point", {"principal_point": [-math.inf, 0.0]}),
+        ("landmarks", {"landmarks": [[0.5, 0.0, 0.0], [math.inf, 0.0, 0.0]]}),
+        ("damping", {"damping": math.nan}),
+        ("imu_noise_variance", {"imu_noise_variance": math.nan}),
+        ("pixel_noise_variance", {"pixel_noise_variance": math.inf}),
+        ("convergence_tol", {"convergence_tol": math.nan}),
+        ("focal", {"focal": math.inf}),
+        ("photometric_weight", {"photometric_weight": math.inf}),
     ],
 )
 def test_config_value_rejected_exits_1(tmp_path, capsys, field, overrides):
@@ -167,7 +179,7 @@ def test_high_rate_imu_config_simulates_every_sample(tmp_path, capsys):
     assert "7 keyframes, 2400 imu samples, 42 measurements" in capsys.readouterr().out
     dataset = read_dataset(tmp_path / "dataset.txt")
     assert dataset.imu_dt == 0.001
-    assert len(dataset.imu_samples) == 2400
+    assert len(dataset.imu_samples.dt) == 2400
     assert len(dataset.pixel_measurements) == 7 * 3
 
 
@@ -193,6 +205,23 @@ def test_estimate_writes_reports(tmp_path):
     assert header[:5] == ["keyframes", "landmarks", "imu_samples", "measurements", "iterations"]
     assert rows[0][:5] == ["7", "3", "120", "42", "50"]
     assert float(rows[0][7]) > 0.0  # wall clock
+
+
+def test_estimate_reads_records_in_any_id_order(tmp_path):
+    # the format allows l, k and p records in any order; ids place them
+    assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "dataset.txt").read_text().splitlines()
+    for key in ("l", "k", "p"):
+        rows = [k for k, line in enumerate(lines) if line.split()[0] == key]
+        section = slice(rows[0], rows[-1] + 1)
+        lines[section] = lines[section][::-1]
+    reversed_path = tmp_path / "reversed.txt"
+    reversed_path.write_text("\n".join(lines) + "\n")
+    assert reversed_path.read_bytes() != (tmp_path / "dataset.txt").read_bytes()
+    assert cli.main(["estimate", str(tmp_path / "dataset.txt"), "--out", str(tmp_path / "in_order")]) == 0
+    assert cli.main(["estimate", str(reversed_path), "--out", str(tmp_path / "reversed")]) == 0
+    for name in ("convergence.csv", "pose_errors.csv", "landmark_errors.csv"):
+        assert (tmp_path / "reversed" / name).read_bytes() == (tmp_path / "in_order" / name).read_bytes()
 
 
 def test_estimate_truth_init_noise_free_has_zero_errors(tmp_path):
@@ -244,11 +273,11 @@ def test_estimate_rerun_replaces_longer_reports(tmp_path):
 
 def _degenerate_dataset(tmp_path):
     # camera center on the ground plane: the only landmark projects at depth 0
-    poses = [PoseState(np.eye(3), np.zeros(3), np.zeros(3)) for _ in range(2)]
+    poses = PoseState(np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3)), np.zeros((2, 3)))
     dataset = Dataset(
         ground_truth=WindowState(poses, np.array([[1.0, 0.0, 0.0]])),
-        imu_samples=[ImuSample(np.zeros(3), np.zeros(3), 0.02) for _ in range(20)],
-        pixel_measurements=[PixelMeasurement(1, 1, np.zeros(2))],
+        imu_samples=ImuSample(np.zeros((20, 3)), np.zeros((20, 3)), np.full(20, 0.02)),
+        pixel_measurements=PixelMeasurement(np.array([1]), np.array([1]), np.zeros((1, 2))),
         cam=CameraModel(1.0),
         world=WorldParams(np.zeros(3)),
         imu_dt=0.02,

@@ -25,17 +25,16 @@ def test_round_trip_is_exact():
     assert restored.cam.focal == original.cam.focal
     np.testing.assert_array_equal(restored.world.gravity, original.world.gravity)
     np.testing.assert_array_equal(restored.ground_truth.landmarks, original.ground_truth.landmarks)
-    for a, b in zip(restored.ground_truth.poses, original.ground_truth.poses):
-        np.testing.assert_array_equal(a.R, b.R)
-        np.testing.assert_array_equal(a.v, b.v)
-        np.testing.assert_array_equal(a.p, b.p)
-    for a, b in zip(restored.imu_samples, original.imu_samples):
-        np.testing.assert_array_equal(a.omega, b.omega)
-        np.testing.assert_array_equal(a.accel, b.accel)
-        assert a.dt == b.dt
-    for a, b in zip(restored.pixel_measurements, original.pixel_measurements):
-        assert (a.frame_index, a.landmark_id) == (b.frame_index, b.landmark_id)
-        np.testing.assert_array_equal(a.uv, b.uv)
+    for field in ("R", "v", "p"):
+        np.testing.assert_array_equal(
+            getattr(restored.ground_truth.poses, field), getattr(original.ground_truth.poses, field)
+        )
+    for field in ("omega", "accel", "dt"):
+        np.testing.assert_array_equal(getattr(restored.imu_samples, field), getattr(original.imu_samples, field))
+    for field in ("frame_index", "landmark_id", "uv"):
+        np.testing.assert_array_equal(
+            getattr(restored.pixel_measurements, field), getattr(original.pixel_measurements, field)
+        )
 
 
 def test_file_round_trip(tmp_path):
@@ -43,7 +42,7 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "dataset.txt"
     write_dataset(original, path)
     restored = read_dataset(path)
-    assert len(restored.imu_samples) == len(original.imu_samples)
+    assert len(restored.imu_samples.dt) == len(original.imu_samples.dt)
     assert dumps(restored) == dumps(original)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,10 +32,29 @@ from padvio.vision import (
 )
 
 
+def _poses(n, p=None):
+    """n keyframes at attitude I and at rest, at positions p (n, 3) or the origin."""
+    p = np.zeros((n, 3)) if p is None else np.array(p, dtype=float)
+    return PoseState(np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)), p)
+
+
+def _deltas(count):
+    """count deltas of 1 s with no motion."""
+    return PreintegratedDelta(
+        np.tile(np.eye(3), (count, 1, 1)), np.zeros((count, 3)), np.zeros((count, 3)), np.ones(count)
+    )
+
+
+def _measurements(pairs, uv=None):
+    """Detections of the (frame, landmark) pairs at uv (K, 2), or at pixel 0."""
+    frames, ids = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    uv = np.zeros((len(frames), 2)) if uv is None else np.array(uv, dtype=float)
+    return PixelMeasurement(frames, ids, uv)
+
+
 def _window(n=2, N=1):
-    poses = [PoseState(np.eye(3), np.zeros(3), np.zeros(3)) for _ in range(n)]
     landmarks = np.column_stack([np.arange(N, dtype=float), np.zeros(N), np.ones(N)])
-    return WindowState(poses, landmarks)
+    return WindowState(_poses(n), landmarks)
 
 
 def _reference_problem(seed=0, n=7, N=3, imu_var=1e-4, pixel_var=1e-5):
@@ -72,7 +93,7 @@ def test_boxplus_position_increment_identity_attitude():
 def test_boxplus_position_increment_rotated_attitude():
     window = _window(2, 1)
     R = exp_map([0.0, 0.0, np.pi / 2.0])
-    window.poses[1] = PoseState(R, np.zeros(3), np.zeros(3))
+    window.poses.R[1] = R
     delta = np.zeros(window.dim)
     delta[6:9] = [1.0, 0.0, 0.0]
     out = boxplus(window, delta)
@@ -117,7 +138,7 @@ def test_boxplus_injective_for_small_increments():
 
 def test_window_rejects_too_few_poses():
     with pytest.raises(ValueError, match="poses"):
-        WindowState([PoseState(np.eye(3), np.zeros(3), np.zeros(3))], np.zeros((1, 3)))
+        WindowState(_poses(1), np.zeros((1, 3)))
 
 
 def test_assemble_row_and_column_counts():
@@ -153,12 +174,11 @@ def test_cost_zero_residual():
 
 def test_cost_single_photometric_residual():
     # imu residual exactly zero; one pixel residual of (1, 0) weighted by 1000
-    poses = [PoseState(np.eye(3), np.zeros(3), np.zeros(3)) for _ in range(2)]
-    window = WindowState(poses, np.array([[0.0, 0.0, 1.0]]))
+    window = WindowState(_poses(2), np.array([[0.0, 0.0, 1.0]]))
     problem = Problem(
         window=window,
-        deltas=[PreintegratedDelta(dt_total=1.0)],
-        measurements=[PixelMeasurement(1, 1, np.array([-1.0, 0.0]))],
+        deltas=_deltas(1),
+        measurements=_measurements([(1, 1)], [[-1.0, 0.0]]),
         cam=CameraModel(1.0),
         world=WorldParams(np.zeros(3)),
     )
@@ -166,29 +186,28 @@ def test_cost_single_photometric_residual():
 
 
 def test_residual_ordering_sorts_measurements():
-    poses = [PoseState(np.eye(3), np.zeros(3), np.zeros(3)) for _ in range(2)]
-    window = WindowState(poses, np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 1.0]]))
+    window = WindowState(_poses(2), np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 1.0]]))
     kwargs = dict(
         window=window,
-        deltas=[PreintegratedDelta(dt_total=1.0)],
+        deltas=_deltas(1),
         cam=CameraModel(1.0),
         world=WorldParams(np.zeros(3)),
     )
-    meas = [
-        PixelMeasurement(2, 2, np.array([9.0, 9.0])),
-        PixelMeasurement(1, 2, np.array([7.0, 7.0])),
-        PixelMeasurement(1, 1, np.array([5.0, 5.0])),
-    ]
+    meas = _measurements([(2, 2), (1, 2), (1, 1)], [[9.0, 9.0], [7.0, 7.0], [5.0, 5.0]])
     shuffled = Problem(measurements=meas, **kwargs)
-    sorted_problem = Problem(measurements=sorted(meas, key=lambda m: (m.frame_index, m.landmark_id)), **kwargs)
+    np.testing.assert_array_equal(shuffled.measurements.uv, [[5.0, 5.0], [7.0, 7.0], [9.0, 9.0]])
+    sorted_problem = Problem(measurements=meas[[2, 1, 0]], **kwargs)
     np.testing.assert_array_equal(stacked_residual(shuffled), stacked_residual(sorted_problem))
 
 
 def test_assemble_rejects_bad_measurement_indices():
     _, problem = _reference_problem(n=2, N=1)
-    problem.measurements.append(PixelMeasurement(5, 1, np.zeros(2)))
+    meas = problem.measurements
+    with_frame_5 = PixelMeasurement(
+        np.append(meas.frame_index, 5), np.append(meas.landmark_id, 1), np.vstack([meas.uv, np.zeros(2)])
+    )
     with pytest.raises(ValueError, match="out of range"):
-        assemble(problem)
+        replace(problem, measurements=with_frame_5)
 
 
 def test_jacobian_sparsity_pattern():
@@ -218,8 +237,6 @@ def test_jacobian_sparsity_pattern():
 
 @pytest.mark.parametrize("n,N", [(2, 1), (3, 3), (7, 3)])
 def test_stacked_jacobian_matches_finite_differences(n, N):
-    from dataclasses import replace
-
     _, problem = _reference_problem(seed=n * 10 + N, n=n, N=N)
 
     def residual_at(d):
@@ -233,7 +250,7 @@ def test_stacked_jacobian_matches_finite_differences(n, N):
 
 def test_altitude_constraint_row_pattern():
     window = _window(2, 1)
-    problem = Problem(window, [PreintegratedDelta(dt_total=1.0)], [], CameraModel(1.0), WorldParams())
+    problem = Problem(window, _deltas(1), _measurements([]), CameraModel(1.0), WorldParams())
     fixed, c = altitude_constraint(problem)
     np.testing.assert_array_equal(fixed, [11])  # z entry of the only landmark: 9(n-1) + 2
     np.testing.assert_array_equal(c, [1.0])  # window landmark sits at z = 1
@@ -242,7 +259,7 @@ def test_altitude_constraint_row_pattern():
 def test_altitude_constraint_zero_for_grounded_landmarks():
     window = _window(3, 2)
     window.landmarks[:, 2] = 0.0
-    problem = Problem(window, [PreintegratedDelta(dt_total=1.0)] * 2, [], CameraModel(1.0), WorldParams())
+    problem = Problem(window, _deltas(2), _measurements([]), CameraModel(1.0), WorldParams())
     _, c = altitude_constraint(problem)
     np.testing.assert_array_equal(c, np.zeros(2))
 
@@ -272,7 +289,9 @@ def _assemble_per_factor(problem):
     rows = 9 * (n - 1) + 2 * len(measurements)
     residual = np.zeros(rows)
     jacobian = np.zeros((rows, window.dim))
-    for k, delta in enumerate(problem.deltas):
+    deltas = problem.deltas
+    for k in range(n - 1):
+        delta = PreintegratedDelta(deltas.dR[k], deltas.dv[k], deltas.dp[k], deltas.dt_total[k])
         pose_i, pose_j = window.poses[k], window.poses[k + 1]
         row = 9 * k
         residual[row : row + 9] = imu_residual(delta, pose_i, pose_j, problem.world)
@@ -313,8 +332,6 @@ def _level_circle_problem(n, N, seed):
 
 
 def _oracle_case(name):
-    from dataclasses import replace
-
     rng = np.random.default_rng(5)
     if name == "n7_N3":
         _, problem = _reference_problem(seed=3, n=7, N=3)
@@ -322,10 +339,10 @@ def _oracle_case(name):
         problem = _level_circle_problem(60, 10, seed=1)
     else:  # shuffled, with detections dropped and frame-1 rows kept
         _, problem = _reference_problem(seed=4, n=5, N=3)
-        kept = [m for i, m in enumerate(problem.measurements) if i % 4 != 1]
-        assert any(m.frame_index == 1 for m in kept)
-        order = rng.permutation(len(kept))
-        problem = replace(problem, measurements=[kept[i] for i in order])
+        meas = problem.measurements
+        kept = meas[np.arange(len(meas)) % 4 != 1]
+        assert np.any(kept.frame_index == 1)
+        problem = replace(problem, measurements=kept[rng.permutation(len(kept))])
     # evaluate away from the truth so every block is generic
     offset = rng.normal(0.0, 0.02, problem.window.dim)
     return replace(problem, window=boxplus(problem.window, offset))
@@ -350,16 +367,13 @@ def test_batched_assembly_matches_per_factor_oracle(case):
 
 def test_degenerate_depth_names_first_bad_measurement_in_sorted_order():
     # pose 2 sits on the plane z = 1 of landmarks 2 and 3, so both project at depth 0 from it
-    poses = [
-        PoseState(np.eye(3), np.zeros(3), np.zeros(3)),
-        PoseState(np.eye(3), np.zeros(3), np.array([0.0, 0.0, 1.0])),
-    ]
+    poses = _poses(2, [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     window = WindowState(poses, np.array([[0.0, 0.0, 2.0], [0.5, 0.0, 1.0], [0.0, 0.5, 1.0]]))
     pairs = [(2, 3), (1, 1), (2, 1), (1, 3), (2, 2), (1, 2)]
     problem = Problem(
         window=window,
-        deltas=[PreintegratedDelta(dt_total=1.0)],
-        measurements=[PixelMeasurement(f, l, np.zeros(2)) for f, l in pairs],
+        deltas=_deltas(1),
+        measurements=_measurements(pairs),
         cam=CameraModel(1.0),
         world=WorldParams(np.zeros(3)),
     )

@@ -12,27 +12,40 @@ from padvio.imu import (
     imu_residual_jacobian,
     integrate,
     preintegrate,
-    stack_samples,
 )
 from padvio.manifold import SMALL_ANGLE, exp_map
 
 from conftest import random_rotation
 
 
-def _integrate_one(delta, sample):
+def _samples(rows):
+    """Stacked samples from (omega, accel, dt) rows."""
+    omega, accel, dt = zip(*rows) if rows else ((), (), ())
+    return ImuSample(
+        np.array(omega, dtype=float).reshape(-1, 3),
+        np.array(accel, dtype=float).reshape(-1, 3),
+        np.array(dt, dtype=float),
+    )
+
+
+def _part(samples, index):
+    return ImuSample(samples.omega[index], samples.accel[index], samples.dt[index])
+
+
+def _integrate_one(delta, omega, accel, dt):
     # the per-sample recursion integrate replaced, kept as its oracle
-    dt = float(sample.dt)
-    rotated_accel = delta.dR @ sample.accel
+    dt = float(dt)
+    rotated_accel = delta.dR @ accel
     dp = delta.dp + delta.dv * dt + 0.5 * rotated_accel * dt * dt
     dv = delta.dv + rotated_accel * dt
-    dR = delta.dR @ exp_map(sample.omega * dt)
-    return PreintegratedDelta(dR, dv, dp, delta.dt_total + dt, delta.sample_count + 1)
+    dR = delta.dR @ exp_map(omega * dt)
+    return PreintegratedDelta(dR, dv, dp, delta.dt_total + dt)
 
 
 def _oracle(samples, delta=None):
     delta = PreintegratedDelta() if delta is None else delta
-    for sample in samples:
-        delta = _integrate_one(delta, sample)
+    for omega, accel, dt in zip(samples.omega, samples.accel, samples.dt):
+        delta = _integrate_one(delta, omega, accel, dt)
     return delta
 
 
@@ -42,11 +55,10 @@ def _assert_same_delta(delta, expected):
     np.testing.assert_array_equal(delta.dv, expected.dv)
     np.testing.assert_array_equal(delta.dp, expected.dp)
     assert delta.dt_total == expected.dt_total
-    assert delta.sample_count == expected.sample_count
 
 
 def _one(omega, accel, dt):
-    return ImuSample(np.array([omega], dtype=float), np.array([accel], dtype=float), np.array([dt]))
+    return _samples([(omega, accel, dt)])
 
 
 def test_integrate_stationary_sample():
@@ -55,7 +67,6 @@ def test_integrate_stationary_sample():
     np.testing.assert_array_equal(delta.dv, np.zeros(3))
     np.testing.assert_array_equal(delta.dp, np.zeros(3))
     assert delta.dt_total == 0.02
-    assert delta.sample_count == 1
 
 
 def test_integrate_single_accel_step():
@@ -66,9 +77,7 @@ def test_integrate_single_accel_step():
 
 
 def test_integrate_twenty_samples_per_interval():
-    samples = [ImuSample(np.zeros(3), np.zeros(3), 0.02) for _ in range(20)]
-    delta = preintegrate(samples)
-    assert delta.sample_count == 20
+    delta = preintegrate(_samples([(np.zeros(3), np.zeros(3), 0.02)] * 20))
     assert abs(delta.dt_total - 0.4) < 1e-12
 
 
@@ -79,40 +88,38 @@ def test_integrate_rejects_bad_dt():
 
 def _random_samples(rng, count):
     # per-sample dt varies, as the oracle allows
-    return [
-        ImuSample(rng.normal(0, 0.3, 3), rng.normal(0, 2, 3), rng.uniform(0.001, 0.03))
-        for _ in range(count)
-    ]
+    return _samples(
+        [(rng.normal(0, 0.3, 3), rng.normal(0, 2, 3), rng.uniform(0.001, 0.03)) for _ in range(count)]
+    )
 
 
 def test_integrate_matches_per_sample_oracle(rng):
     samples = _random_samples(rng, 30)
-    samples[4].omega = np.zeros(3)  # a zero step rotation
-    samples[9].omega = 0.3 * SMALL_ANGLE / samples[9].dt * np.array([0.0, 0.6, 0.8])
-    delta = integrate(PreintegratedDelta(), stack_samples(samples))
+    samples.omega[4] = 0.0  # a zero step rotation
+    samples.omega[9] = 0.3 * SMALL_ANGLE / samples.dt[9] * np.array([0.0, 0.6, 0.8])
+    delta = integrate(PreintegratedDelta(), samples)
     _assert_same_delta(delta, _oracle(samples))
     _assert_same_delta(preintegrate(samples), _oracle(samples))
 
 
 def _stack_intervals(chunks):
-    stacks = [stack_samples(chunk) for chunk in chunks]
-    return ImuSample(*(np.array([getattr(s, f) for s in stacks]) for f in ("omega", "accel", "dt")))
+    return ImuSample(*(np.array([getattr(c, f) for c in chunks]) for f in ("omega", "accel", "dt")))
 
 
 def test_integrate_stacked_intervals_match_oracle(rng):
     chunks = [_random_samples(rng, 25) for _ in range(4)]
-    chunks[2][0].omega = np.zeros(3)
+    chunks[2].omega[0] = 0.0
     delta = integrate(PreintegratedDelta(), _stack_intervals(chunks))
     assert delta.dR.shape == (4, 3, 3) and delta.dt_total.shape == (4,)
     for i, chunk in enumerate(chunks):
-        part = PreintegratedDelta(delta.dR[i], delta.dv[i], delta.dp[i], delta.dt_total[i], 25)
+        part = PreintegratedDelta(delta.dR[i], delta.dv[i], delta.dp[i], delta.dt_total[i])
         _assert_same_delta(part, _oracle(chunk))
 
 
 def test_integrate_continues_from_a_delta(rng):
     samples = _random_samples(rng, 12)
-    first = integrate(PreintegratedDelta(), stack_samples(samples[:5]))
-    _assert_same_delta(integrate(first, stack_samples(samples[5:])), _oracle(samples))
+    first = integrate(PreintegratedDelta(), _part(samples, slice(0, 5)))
+    _assert_same_delta(integrate(first, _part(samples, slice(5, None))), _oracle(samples))
 
 
 @pytest.mark.parametrize(
@@ -132,26 +139,28 @@ def test_integrate_rejects_one_bad_entry_inside_a_stack(rng, field, value):
 
 
 def test_preintegrate_empty_gives_fresh_delta():
-    _assert_same_delta(preintegrate([]), PreintegratedDelta())
+    _assert_same_delta(preintegrate(_samples([])), PreintegratedDelta())
 
 
 def test_make_problem_matches_oracle_at_high_imu_rate():
     dataset = cli.dataset_from_config(cli.ExperimentConfig(imu_dt=0.001))
     problem = sim.make_problem(dataset, dataset.ground_truth)
-    assert len(problem.deltas) == 6
-    for delta, chunk in zip(problem.deltas, sim.intervals(dataset)):
-        assert len(chunk) == 400
-        _assert_same_delta(delta, _oracle(chunk))
+    deltas = problem.deltas
+    assert deltas.dt_total.shape == (6,)
+    assert len(dataset.imu_samples.dt) == 6 * 400
+    for i in range(6):
+        delta = PreintegratedDelta(deltas.dR[i], deltas.dv[i], deltas.dp[i], deltas.dt_total[i])
+        _assert_same_delta(delta, _oracle(_part(dataset.imu_samples, slice(400 * i, 400 * (i + 1)))))
 
 
 def _forward_integrate(pose, samples, gravity):
     # independent restatement of the discrete motion model
     R, v, p = pose.R.copy(), pose.v.copy(), pose.p.copy()
-    for s in samples:
-        a_world = R @ s.accel
-        p = p + v * s.dt + 0.5 * gravity * s.dt**2 + 0.5 * a_world * s.dt**2
-        v = v + gravity * s.dt + a_world * s.dt
-        R = R @ exp_map(s.omega * s.dt)
+    for omega, accel, dt in zip(samples.omega, samples.accel, samples.dt):
+        a_world = R @ accel
+        p = p + v * dt + 0.5 * gravity * dt**2 + 0.5 * a_world * dt**2
+        v = v + gravity * dt + a_world * dt
+        R = R @ exp_map(omega * dt)
     return PoseState(R, v, p)
 
 
@@ -159,9 +168,7 @@ def test_residual_vanishes_on_forward_integrated_states(rng):
     world = WorldParams()
     for _ in range(10):
         pose_i = PoseState(random_rotation(rng, 0.8), rng.normal(0, 1, 3), rng.normal(0, 2, 3))
-        samples = [
-            ImuSample(rng.normal(0, 0.3, 3), rng.normal(0, 2, 3), 0.02) for _ in range(20)
-        ]
+        samples = _samples([(rng.normal(0, 0.3, 3), rng.normal(0, 2, 3), 0.02) for _ in range(20)])
         pose_j = _forward_integrate(pose_i, samples, world.gravity)
         delta = preintegrate(samples)
         residual = imu_residual(delta, pose_i, pose_j, world)
@@ -198,7 +205,6 @@ def _random_instance(rng):
         dv=rng.normal(0, 1, 3),
         dp=rng.normal(0, 1, 3),
         dt_total=rng.uniform(0.1, 1.0),
-        sample_count=1,
     )
     pose_i = PoseState(random_rotation(rng, 0.8), rng.normal(0, 1, 3), rng.normal(0, 2, 3))
     pose_j = PoseState(
@@ -249,7 +255,7 @@ def test_jacobian_matches_finite_differences(rng):
 
 def test_delta_independent_of_states(rng):
     # same samples always give the same delta, whatever the poses are
-    samples = [ImuSample(rng.normal(0, 0.2, 3), rng.normal(0, 1, 3), 0.02) for _ in range(5)]
+    samples = _samples([(rng.normal(0, 0.2, 3), rng.normal(0, 1, 3), 0.02) for _ in range(5)])
     first = preintegrate(samples)
     second = preintegrate(samples)
     np.testing.assert_array_equal(first.dR, second.dR)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from padvio.graph import PoseState
-from padvio.imu import WorldParams, preintegrate
+from padvio.imu import ImuSample, WorldParams, preintegrate
 from padvio.sim import (
     CameraModel,
     NoiseSpec,
@@ -12,7 +12,6 @@ from padvio.sim import (
     TrajectorySpec,
     evaluate_profile,
     generate,
-    intervals,
     make_problem,
     perturb_initialization,
     triangle_landmarks,
@@ -79,18 +78,18 @@ def test_hover_is_stationary():
         np.testing.assert_allclose(pose.p, [0.0, 0.0, -4.0], atol=1e-12)
         np.testing.assert_allclose(pose.v, np.zeros(3), atol=1e-12)
         np.testing.assert_array_equal(pose.R, np.eye(3))
-    first = dataset.imu_samples[0]
-    for s in dataset.imu_samples:
-        np.testing.assert_array_equal(s.omega, first.omega)
-        np.testing.assert_array_equal(s.accel, first.accel)
+    samples = dataset.imu_samples
+    np.testing.assert_array_equal(samples.omega, np.broadcast_to(samples.omega[0], samples.omega.shape))
+    np.testing.assert_array_equal(samples.accel, np.broadcast_to(samples.accel[0], samples.accel.shape))
 
 
 def test_zero_noise_preintegration_reproduces_relative_states():
     dataset = generate(_reference_spec(), PAD, CAM, WorldParams(), NoiseSpec(0.0, 0.0, 1))
     g = dataset.world.gravity
-    poses = dataset.ground_truth.poses
-    for k, chunk in enumerate(intervals(dataset)):
-        delta = preintegrate(chunk)
+    poses, samples = dataset.ground_truth.poses, dataset.imu_samples
+    for k in range(dataset.ground_truth.n - 1):
+        chunk = slice(20 * k, 20 * (k + 1))
+        delta = preintegrate(ImuSample(samples.omega[chunk], samples.accel[chunk], samples.dt[chunk]))
         pose_i, pose_j = poses[k], poses[k + 1]
         dt = delta.dt_total
         np.testing.assert_allclose(pose_i.R @ delta.dR, pose_j.R, atol=1e-12)
@@ -105,16 +104,18 @@ def test_zero_noise_preintegration_reproduces_relative_states():
 def test_reference_scenario_counts():
     dataset = generate(_reference_spec(), PAD, CAM, WorldParams(), NoiseSpec(seed=0))
     assert dataset.ground_truth.n == 7
-    assert len(dataset.imu_samples) == 120  # 6 intervals of 20 samples
+    samples = dataset.imu_samples
+    assert samples.omega.shape == samples.accel.shape == (120, 3)  # 6 intervals of 20 samples
+    np.testing.assert_array_equal(samples.dt, np.full(120, 0.02))
     assert len(dataset.pixel_measurements) == 21  # 42 scalar pixel values
-    assert len(intervals(dataset)) == 6
-    assert all(len(chunk) == 20 for chunk in intervals(dataset))
+    assert make_problem(dataset, dataset.ground_truth).deltas.dt_total.shape == (6,)
 
 
 @pytest.mark.parametrize("count", [0, 7])
 def test_make_problem_rejects_uneven_sample_count(count):
     dataset = generate(_reference_spec(), PAD, CAM, WorldParams(), NoiseSpec(seed=0))
-    dataset.imu_samples = dataset.imu_samples[:count]
+    samples = dataset.imu_samples
+    dataset.imu_samples = ImuSample(samples.omega[:count], samples.accel[:count], samples.dt[:count])
     with pytest.raises(ValueError, match="positive multiple"):
         make_problem(dataset, dataset.ground_truth)
 
@@ -122,23 +123,18 @@ def test_make_problem_rejects_uneven_sample_count(count):
 def test_minimal_window_counts():
     dataset = generate(_reference_spec(n=2), PAD, CAM, WorldParams(), NoiseSpec(seed=0))
     assert dataset.ground_truth.n == 2
-    assert len(dataset.imu_samples) == 20
-    assert len(intervals(dataset)) == 1
+    assert len(dataset.imu_samples.dt) == 20
+    assert make_problem(dataset, dataset.ground_truth).deltas.dt_total.shape == (1,)
 
 
 def test_generate_is_reproducible():
     a = generate(_reference_spec(), PAD, CAM, WorldParams(), NoiseSpec(seed=9))
     b = generate(_reference_spec(), PAD, CAM, WorldParams(), NoiseSpec(seed=9))
-    for sa, sb in zip(a.imu_samples, b.imu_samples):
-        np.testing.assert_array_equal(sa.omega, sb.omega)
-        np.testing.assert_array_equal(sa.accel, sb.accel)
-    for ma, mb in zip(a.pixel_measurements, b.pixel_measurements):
-        np.testing.assert_array_equal(ma.uv, mb.uv)
+    np.testing.assert_array_equal(a.imu_samples.omega, b.imu_samples.omega)
+    np.testing.assert_array_equal(a.imu_samples.accel, b.imu_samples.accel)
+    np.testing.assert_array_equal(a.pixel_measurements.uv, b.pixel_measurements.uv)
     c = generate(_reference_spec(), PAD, CAM, WorldParams(), NoiseSpec(seed=10))
-    assert any(
-        not np.array_equal(ma.uv, mc.uv)
-        for ma, mc in zip(a.pixel_measurements, c.pixel_measurements)
-    )
+    assert not np.array_equal(a.pixel_measurements.uv, c.pixel_measurements.uv)
 
 
 def test_generate_rejects_offplane_landmarks():
@@ -163,7 +159,8 @@ def test_behind_camera_measurements_dropped(caplog):
     spec.accel_profile = Profile("constant", {"value": [0.0, 0.0, -9.81]})
     with caplog.at_level(logging.WARNING):
         dataset = generate(spec, PAD, CAM, WorldParams(), NoiseSpec(0.0, 0.0, 0))
-    assert dataset.pixel_measurements == []
+    assert len(dataset.pixel_measurements) == 0
+    assert dataset.pixel_measurements.uv.shape == (0, 2)
     assert any("behind camera" in rec.message for rec in caplog.records)
 
 
@@ -187,8 +184,8 @@ def test_visibility_matches_per_observation_loop(caplog):
     dropped = dataset.ground_truth.n * len(PAD) - len(expected)
     assert dropped > 0 and len(expected) > 0
     got = dataset.pixel_measurements
-    assert [(m.frame_index, m.landmark_id) for m in got] == [e[:2] for e in expected]
-    np.testing.assert_array_equal([m.uv for m in got], [e[2] for e in expected])
+    assert list(zip(got.frame_index.tolist(), got.landmark_id.tolist())) == [e[:2] for e in expected]
+    np.testing.assert_array_equal(got.uv, [e[2] for e in expected])
     assert sum("behind camera" in rec.message for rec in caplog.records) == dropped
 
 
@@ -220,7 +217,7 @@ def test_perturb_cold_keeps_dataset_prior_keyframe():
     np.testing.assert_array_equal(window.poses[0].R, prior.R)
     np.testing.assert_array_equal(window.poses[0].v, prior.v)
     np.testing.assert_array_equal(window.poses[0].p, prior.p)
-    assert window.poses[0].p is not prior.p  # a copy, not the dataset's arrays
+    assert not np.shares_memory(window.poses.p, dataset.ground_truth.poses.p)  # a copy
     for pose in window.poses[1:]:
         np.testing.assert_array_equal(pose.R, np.eye(3))
         np.testing.assert_array_equal(pose.v, np.zeros(3))

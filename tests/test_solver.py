@@ -311,12 +311,12 @@ def test_solve_convergence_tolerance_stops_early():
 
 def test_solve_wraps_degenerate_depth_with_iterate_context():
     # landmark coplanar with the camera center: projection depth is exactly 0
-    poses = [PoseState(np.eye(3), np.zeros(3), np.zeros(3)) for _ in range(2)]
+    poses = PoseState(np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3)), np.zeros((2, 3)))
     window = WindowState(poses, np.array([[1.0, 0.0, 0.0]]))
     problem = Problem(
         window=window,
-        deltas=[PreintegratedDelta(dt_total=1.0)],
-        measurements=[PixelMeasurement(1, 1, np.zeros(2))],
+        deltas=PreintegratedDelta(np.eye(3)[None], np.zeros((1, 3)), np.zeros((1, 3)), np.ones(1)),
+        measurements=PixelMeasurement(np.array([1]), np.array([1]), np.zeros((1, 2))),
         cam=CameraModel(1.0),
         world=WorldParams(np.zeros(3)),
     )
