@@ -28,10 +28,19 @@ by the pixel factor, naming the first such measurement in sorted order.
 `BlockJacobian`; the dense (rows x dim) Jacobian is built only by its
 `toarray()`, for finite-difference certification and tests.
 `pose_boxplus` broadcasts too, so `boxplus` retracts poses 2..n in one call.
+
+A window may carry leading batch axes before its keyframe and landmark
+axes: poses R (..., n, 3, 3), v and p (..., n, 3), landmarks (..., N, 3).
+`boxplus` takes (..., dim) increments and returns the window with their
+leading axes, and `stacked_residual` then gives (..., rows) residuals, so
+a finite-difference check retracts and evaluates all its perturbed windows
+in one call each. `Problem.with_window` swaps in such a window without
+re-checking or re-sorting the measurements.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Tuple
 
@@ -47,20 +56,28 @@ class PoseState:
     """Keyframe states: attitude (body to world), velocity and position in world frame.
 
     One keyframe has R (3,3), v and p (3,); a stack of n has R (n,3,3), v and
-    p (n,3), and `poses[k]` picks keyframe k (an index array or slice picks
-    a sub-stack). Factor functions take stacks with any leading axes."""
+    p (n,3), with any leading batch axes before the keyframe axis. `len()`
+    and `poses[k]` read the keyframe axis, the last before each field's
+    entries: `poses[k]` picks keyframe k of every batch entry, and an index
+    array or slice picks a sub-stack. Factor functions take stacks with any
+    leading axes."""
 
     R: np.ndarray
     v: np.ndarray
     p: np.ndarray
 
     def __len__(self) -> int:
-        if np.ndim(self.R) != 3:
-            raise TypeError("len() of a PoseState needs a stack of poses, R (n,3,3)")
-        return len(self.R)
+        if np.ndim(self.R) < 3:
+            raise TypeError("len() of a PoseState needs a stack of poses, R (..., n, 3, 3)")
+        return self.R.shape[-3]
 
     def __getitem__(self, index) -> "PoseState":
-        return PoseState(self.R[index], self.v[index], self.p[index])
+        return PoseState(self.R[..., index, :, :], self.v[..., index, :], self.p[..., index, :])
+
+    def __setitem__(self, index, value: "PoseState") -> None:
+        self.R[..., index, :, :] = value.R
+        self.v[..., index, :] = value.v
+        self.p[..., index, :] = value.p
 
     def copy(self) -> "PoseState":
         return PoseState(self.R.copy(), self.v.copy(), self.p.copy())
@@ -68,16 +85,18 @@ class PoseState:
 
 @dataclass
 class WindowState:
-    """n keyframe poses, stacked, plus N landmark positions; pose 1 is the fixed prior."""
+    """n keyframe poses, stacked, plus N landmark positions; pose 1 is the fixed prior.
 
-    poses: PoseState  # R (n,3,3), v and p (n,3)
-    landmarks: np.ndarray  # (N, 3) world positions
+    Both may carry the same leading batch axes, one window per index."""
+
+    poses: PoseState  # R (..., n, 3, 3), v and p (..., n, 3)
+    landmarks: np.ndarray  # (..., N, 3) world positions
 
     def __post_init__(self):
         self.landmarks = np.atleast_2d(np.asarray(self.landmarks, dtype=float))
         if len(self.poses) < 2:
             raise ValueError("WindowState needs at least 2 poses")
-        if self.landmarks.shape[0] < 1 or self.landmarks.shape[1] != 3:
+        if self.landmarks.shape[-2] < 1 or self.landmarks.shape[-1] != 3:
             raise ValueError("WindowState needs at least one (3,) landmark")
 
     @property
@@ -86,7 +105,7 @@ class WindowState:
 
     @property
     def num_landmarks(self) -> int:
-        return self.landmarks.shape[0]
+        return self.landmarks.shape[-2]
 
     @property
     def dim(self) -> int:
@@ -126,6 +145,19 @@ class Problem:
             )
         self.measurements = self.measurements[np.lexsort((ids, frames))]
 
+    def with_window(self, window: WindowState) -> "Problem":
+        """This problem at another window of the same n and N, which may carry
+        leading batch axes. The measurements were checked and sorted when the
+        problem was built, so they are shared, not checked again."""
+        if (window.n, window.num_landmarks) != (self.window.n, self.window.num_landmarks):
+            raise ValueError(
+                f"window has n={window.n}, N={window.num_landmarks}; "
+                f"problem has n={self.window.n}, N={self.window.num_landmarks}"
+            )
+        problem = copy.copy(self)
+        problem.window = window
+        return problem
+
 
 def pose_boxplus(pose: PoseState, delta: np.ndarray) -> PoseState:
     """Retract (..., 9) increments [dR, dv, dp] onto poses with matching
@@ -140,15 +172,18 @@ def pose_boxplus(pose: PoseState, delta: np.ndarray) -> PoseState:
 
 
 def boxplus(window: WindowState, delta: np.ndarray) -> WindowState:
-    """Retract a full increment vector onto the window. Pose 1 is untouched."""
+    """Retract (..., dim) increments onto the window, giving a window with
+    their leading axes (one per increment). Pose 1 is untouched."""
     delta = np.asarray(delta, dtype=float)
-    if delta.shape != (window.dim,):
-        raise ValueError(f"boxplus: increment has length {delta.size}, expected {window.dim}")
-    n = window.n
-    moved = pose_boxplus(window.poses[1:], delta[: 9 * (n - 1)].reshape(n - 1, 9))
-    poses = window.poses.copy()
-    poses.R[1:], poses.v[1:], poses.p[1:] = moved.R, moved.v, moved.p
-    landmarks = window.landmarks + delta[9 * (n - 1) :].reshape(-1, 3)
+    if delta.shape[-1:] != (window.dim,):
+        raise ValueError(f"boxplus: increment shape {delta.shape} has the wrong length, want {window.dim}")
+    n, lead = window.n, delta.shape[:-1]
+    moved = pose_boxplus(window.poses[1:], delta[..., : 9 * (n - 1)].reshape(lead + (n - 1, 9)))
+    batch = moved.v.shape[:-2]
+    poses = PoseState(np.empty(batch + (n, 3, 3)), np.empty(batch + (n, 3)), np.empty(batch + (n, 3)))
+    poses[:1] = window.poses[:1]
+    poses[1:] = moved
+    landmarks = window.landmarks + delta[..., 9 * (n - 1) :].reshape(lead + (-1, 3))
     return WindowState(poses, landmarks)
 
 
@@ -164,7 +199,8 @@ class _FactorInputs(NamedTuple):
 
 
 def _gather(problem: Problem) -> _FactorInputs:
-    """Index the inputs of every factor out of the problem's stacked records."""
+    """Index the inputs of every factor out of the problem's stacked records,
+    keeping the window's leading batch axes."""
     poses, meas = problem.window.poses, problem.measurements
     return _FactorInputs(
         deltas=problem.deltas,
@@ -172,16 +208,19 @@ def _gather(problem: Problem) -> _FactorInputs:
         pose_j=poses[1:],
         meas=meas,
         seen_from=poses[meas.frame_index - 1],
-        landmarks=problem.window.landmarks[meas.landmark_id - 1],
+        landmarks=problem.window.landmarks[..., meas.landmark_id - 1, :],
     )
 
 
 def stacked_residual(problem: Problem) -> np.ndarray:
-    """Residual vector only (no Jacobian); used by finite-difference checks."""
+    """Residual vector only (no Jacobian); used by finite-difference checks.
+
+    A window with leading batch axes gives (..., rows) residuals."""
     f = _gather(problem)
     imu = imu_residual(f.deltas, f.pose_i, f.pose_j, problem.world)
     pixel = photometric_residual(problem.cam, f.seen_from, f.landmarks, f.meas)
-    return np.concatenate([imu.reshape(-1), pixel.reshape(-1)])
+    lead = imu.shape[:-2]
+    return np.concatenate([imu.reshape(lead + (-1,)), pixel.reshape(lead + (-1,))], axis=-1)
 
 
 def _span(starts: np.ndarray, width: int) -> np.ndarray:

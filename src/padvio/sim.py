@@ -183,7 +183,7 @@ def generate(
 
     truth = WindowState(keyframes, landmarks.copy())
     # every landmark from every keyframe: poses (n, 1) against landmarks (N,)
-    q = landmark_in_body(keyframes[:, None], landmarks)
+    q = landmark_in_body(keyframes[np.arange(num_frames)[:, None]], landmarks)
     visible = q[..., 2] > DEPTH_EPSILON
     for frame, lm in np.argwhere(~visible):
         logger.warning(

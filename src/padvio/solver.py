@@ -19,7 +19,7 @@ whole run; iteration count is fixed unless a convergence tolerance is set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -195,7 +195,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
     cost_history: List[float] = []
     step_norms: List[float] = []
     for iteration in range(1, config.max_iterations + 1):
-        current = replace(problem, window=window)
+        current = problem.with_window(window)
         try:
             residual, jacobian, weights = assemble(current)
             H, g = _normal_system(residual, jacobian, weights, config.damping)

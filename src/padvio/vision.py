@@ -67,15 +67,20 @@ class PixelMeasurement:
 
 
 def _check_depth(z: np.ndarray, meas: PixelMeasurement | None = None) -> None:
-    """Raise for the first degenerate depth in batch order, naming its measurement if given."""
+    """Raise for the first degenerate depth in batch order, naming its measurement if given.
+
+    The measurement's fields broadcast against the depths, so (K,) detections
+    seen from poses with extra leading axes, (B, K), name the right pair."""
     degenerate = np.abs(z) <= DEPTH_EPSILON
     if np.any(degenerate):
         index = int(np.flatnonzero(degenerate)[0])
         depth = float(np.ravel(z)[index])
         if meas is None:
             raise DegenerateDepthError(depth)
-        frame = int(np.ravel(meas.frame_index)[index])
-        raise DegenerateDepthError(depth, frame, int(np.ravel(meas.landmark_id)[index]))
+        frame, landmark = (
+            int(np.broadcast_to(ids, np.shape(z)).flat[index]) for ids in (meas.frame_index, meas.landmark_id)
+        )
+        raise DegenerateDepthError(depth, frame, landmark)
 
 
 def landmark_in_body(pose, landmark: np.ndarray) -> np.ndarray:

@@ -1,0 +1,132 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from padvio import checks
+from padvio.checks import central_difference, run_certification
+from padvio.graph import PoseState, Problem, WindowState, boxplus, pose_boxplus, stacked_residual
+from padvio.imu import PreintegratedDelta, WorldParams
+from padvio.vision import CameraModel, DegenerateDepthError, PixelMeasurement
+
+GOLDEN = Path(__file__).parent / "data" / "certification_seed0.json"
+
+
+def _central_difference_per_column(f, dim, h=checks.FD_STEP):
+    """Reference central differences: two single evaluations per column."""
+    cols = []
+    for k in range(dim):
+        e = np.zeros(dim)
+        e[k] = h
+        cols.append((f(e) - f(-e)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def _boxplus_single(window, delta):
+    """Reference retraction of one increment vector, pose by pose."""
+    n = window.n
+    poses = window.poses.copy()
+    for k in range(1, n):
+        moved = pose_boxplus(window.poses[k], delta[9 * (k - 1) : 9 * k])
+        poses.R[k], poses.v[k], poses.p[k] = moved.R, moved.v, moved.p
+    return WindowState(poses, window.landmarks + delta[9 * (n - 1) :].reshape(-1, 3))
+
+
+def _assert_windows_equal(a, b):
+    for name in ("R", "v", "p"):
+        np.testing.assert_array_equal(getattr(a.poses, name), getattr(b.poses, name))
+    np.testing.assert_array_equal(a.landmarks, b.landmarks)
+
+
+def test_batched_central_difference_matches_per_column_oracle_on_certify_closures(monkeypatch):
+    dims = []
+
+    def both(f, dim, h=checks.FD_STEP):
+        batched = central_difference(f, dim, h)
+        np.testing.assert_array_equal(batched, _central_difference_per_column(f, dim, h))
+        dims.append(dim)
+        return batched
+
+    monkeypatch.setattr(checks, "central_difference", both)
+    run_certification(seed=3, trials=len(checks.STACKED_SHAPES))
+    # imu (18 columns), vision (12), then one stacked window of each shape
+    stacked_dims = [9 * (n - 1) + 3 * N for n, N in checks.STACKED_SHAPES]
+    assert dims == [18] * 4 + [12] * 4 + stacked_dims
+
+
+def test_certification_matches_golden_table():
+    golden = json.loads(GOLDEN.read_text())
+    report = run_certification(seed=golden["seed"], trials=golden["trials"])
+    for table in ("imu_block_errors", "vision_block_errors", "stacked_errors"):
+        expected, got = golden[table], getattr(report, table)
+        assert list(got) == list(expected)
+        for name, err in expected.items():
+            assert abs(got[name] - err) <= 1e-12, f"{table} {name}: {got[name]!r} against {err!r}"
+    assert report.vision_velocity_block_max_abs == golden["vision_velocity_block_max_abs"]
+
+
+@pytest.mark.parametrize("n,N", [(2, 1), (7, 3)])
+def test_batched_boxplus_and_residual_match_row_by_row(n, N):
+    rng = np.random.default_rng(n + N)
+    problem = checks._random_problem(rng, n, N)
+    window = problem.window
+    D = rng.normal(0.0, 0.05, (5, window.dim))
+    batch = boxplus(window, D)
+    assert (batch.n, batch.num_landmarks) == (n, N)
+    assert batch.poses.R.shape == (5, n, 3, 3) and batch.landmarks.shape == (5, N, 3)
+    residuals = stacked_residual(problem.with_window(batch))
+    assert residuals.shape == (5, 9 * (n - 1) + 2 * len(problem.measurements))
+    for b, d in enumerate(D):
+        row = boxplus(window, d)
+        poses = PoseState(batch.poses.R[b], batch.poses.v[b], batch.poses.p[b])
+        _assert_windows_equal(WindowState(poses, batch.landmarks[b]), row)
+        np.testing.assert_array_equal(residuals[b], stacked_residual(problem.with_window(row)))
+
+
+def test_unbatched_boxplus_matches_pose_by_pose_retraction():
+    rng = np.random.default_rng(11)
+    window = checks._random_problem(rng, 7, 3).window
+    for _ in range(5):
+        delta = rng.normal(0.0, 0.1, window.dim)
+        out = boxplus(window, delta)
+        assert out.poses.R.shape == (7, 3, 3) and out.landmarks.shape == (3, 3)
+        _assert_windows_equal(out, _boxplus_single(window, delta))
+
+
+def test_batched_stacked_residual_names_degenerate_depth_of_its_row():
+    # pose 2 sits 0.5 below landmarks 2 and 3 (z = 1), except in row 2, where it
+    # sits on their plane, and row 3, where it sits on landmark 1's plane (z = 2)
+    B = 4
+    p = np.zeros((B, 2, 3))
+    p[:, 1, 2] = [0.5, 0.5, 1.0, 2.0]
+    poses = PoseState(np.tile(np.eye(3), (B, 2, 1, 1)), np.zeros((B, 2, 3)), p)
+    landmarks = np.tile([[0.0, 0.0, 2.0], [0.5, 0.0, 1.0], [0.0, 0.5, 1.0]], (B, 1, 1))
+    pairs = np.array([(2, 3), (1, 1), (2, 1), (1, 3), (2, 2), (1, 2)])
+    problem = Problem(
+        window=WindowState(PoseState(poses.R[0], poses.v[0], p[0]), landmarks[0]),
+        deltas=PreintegratedDelta(np.eye(3)[None], np.zeros((1, 3)), np.zeros((1, 3)), np.ones(1)),
+        measurements=PixelMeasurement(pairs[:, 0], pairs[:, 1], np.zeros((6, 2))),
+        cam=CameraModel(1.0),
+        world=WorldParams(np.zeros(3)),
+    )
+    with pytest.raises(DegenerateDepthError) as info:
+        stacked_residual(problem.with_window(WindowState(poses, landmarks)))
+    assert (info.value.frame_index, info.value.landmark_id) == (2, 2)
+    assert info.value.depth == 0.0
+
+
+def test_with_window_keeps_measurements_and_checks_shape():
+    rng = np.random.default_rng(2)
+    problem = checks._random_problem(rng, 3, 3)
+    moved = boxplus(problem.window, rng.normal(0.0, 0.01, problem.window.dim))
+    swapped = problem.with_window(moved)
+    assert swapped.window is moved and swapped.measurements is problem.measurements
+    np.testing.assert_array_equal(
+        stacked_residual(swapped), stacked_residual(replace(problem, window=moved))
+    )
+    assert problem.window is not moved  # the original is left as it was
+    small = checks._random_problem(rng, 2, 3).window
+    with pytest.raises(ValueError, match="n=2"):
+        problem.with_window(small)

@@ -243,7 +243,7 @@ def test_jacobian_matches_finite_differences(rng):
 
         def residual_at(d):
             return imu_residual(
-                delta, pose_boxplus(pose_i, d[:9]), pose_boxplus(pose_j, d[9:]), world
+                delta, pose_boxplus(pose_i, d[..., :9]), pose_boxplus(pose_j, d[..., 9:]), world
             )
 
         numeric = central_difference(residual_at, 18)

@@ -110,7 +110,8 @@ def test_inner_point_jacobian_blocks(rng):
         return landmark_in_body(pose, landmark + d)
 
     def q_of_position(d):
-        return landmark_in_body(pose_boxplus(pose, np.concatenate([np.zeros(6), d])), landmark)
+        increment = np.concatenate([np.zeros(d.shape[:-1] + (6,)), d], axis=-1)
+        return landmark_in_body(pose_boxplus(pose, increment), landmark)
 
     np.testing.assert_allclose(central_difference(q_of_landmark, 3), pose.R.T, atol=1e-9)
     np.testing.assert_allclose(central_difference(q_of_position, 3), -np.eye(3), atol=1e-9)
@@ -154,7 +155,7 @@ def test_jacobian_matches_finite_differences(rng):
         meas = PixelMeasurement(1, 1, rng.normal(0, 50, 2))
 
         def residual_at(d):
-            return photometric_residual(cam, pose_boxplus(pose, d[:9]), landmark + d[9:], meas)
+            return photometric_residual(cam, pose_boxplus(pose, d[..., :9]), landmark + d[..., 9:], meas)
 
         numeric = central_difference(residual_at, 12)
         _, analytic = photometric_jacobian(cam, pose, landmark, meas)
@@ -202,4 +203,16 @@ def test_stack_depth_check_covers_whole_batch(rng):
         with pytest.raises(DegenerateDepthError, match=r"\(frame 2, landmark 4\)") as info:
             call(cam, stacked, landmarks, meas)
         assert (info.value.frame_index, info.value.landmark_id) == (2, 4)
+        assert abs(info.value.depth) <= 1e-12
+
+
+def test_depth_check_names_single_measurement_seen_from_a_pose_batch(rng):
+    # one detection seen from a batch of 4 poses, on the camera plane of the last one
+    cam, poses, stacked, landmarks, uv = _observation_stack(rng, 4)
+    landmark = landmarks[0]
+    stacked.p[3] = landmark - stacked.R[3] @ np.array([0.3, -0.2, 0.0])
+    meas = PixelMeasurement(2, 5, uv[0])
+    for call in (photometric_residual, photometric_jacobian):
+        with pytest.raises(DegenerateDepthError, match=r"\(frame 2, landmark 5\)") as info:
+            call(cam, stacked, landmark, meas)
         assert abs(info.value.depth) <= 1e-12
