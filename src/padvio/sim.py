@@ -1,7 +1,6 @@
 """Synthetic flight generator: ground truth, IMU samples, pixel detections.
 
-Ground truth is produced by forward-integrating the *discrete* motion model
-per IMU step,
+Ground truth follows the *discrete* motion model, one IMU step at a time,
 
     p <- p + v dt + g dt^2 / 2 + R a dt^2 / 2
     v <- v + g dt + R a dt
@@ -10,6 +9,10 @@ per IMU step,
 which is the same recursion the preintegrator sums. With zero noise the
 preintegrated deltas therefore reproduce the relative keyframe states exactly
 (no discretization residue), making the end-to-end residual oracle exact.
+The attitude product is the one loop; every specific force is then rotated
+into the world frame in one batched product, and v and p are in-order running
+sums of the recursion's terms, so every keyframe has the bits of stepping
+the recursion one step at a time.
 
 The world frame has z pointing down: gravity defaults to (0, 0, +9.81), and
 an aircraft at 4 m altitude sits at p_z = -4. The camera looks along body +z,
@@ -40,8 +43,8 @@ from typing import Dict
 import numpy as np
 
 from .graph import PoseState, Problem, WindowState
-from .imu import ImuSample, WorldParams, preintegrate
-from .manifold import exp_map
+from .imu import ImuSample, WorldParams, _running_sum, preintegrate
+from .manifold import exp_map, is_rotation
 from .vision import DEPTH_EPSILON, CameraModel, PixelMeasurement, landmark_in_body, project
 
 logger = logging.getLogger(__name__)
@@ -144,13 +147,21 @@ def generate(
 
     The same seed always yields a bit-identical dataset. Landmarks whose
     ground-truth depth is non-positive at a keyframe are reported and dropped
-    from the measurement list, never fatal.
+    from the measurement list, never fatal. An initial pose whose R is not
+    a rotation, or whose v or p is not finite, raises ValueError.
     """
     landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
     if np.any(landmarks[:, 2] != 0.0):
         raise ValueError("all landmarks must lie on the ground plane z = 0")
     if noise.imu_noise_variance < 0 or noise.pixel_noise_variance < 0:
         raise ValueError("noise variances must be >= 0")
+    pose = spec.initial_pose
+    R0, v0, p0 = (np.asarray(x, dtype=float) for x in (pose.R, pose.v, pose.p))
+    if not is_rotation(R0):
+        raise ValueError("initial_pose.R must be a rotation matrix")
+    for name, value in (("v", v0), ("p", p0)):
+        if value.shape != (3,) or not np.isfinite(value).all():
+            raise ValueError(f"initial_pose.{name} must be a 3-vector of finite numbers")
     k = steps_per_frame(spec.camera_dt, spec.imu_dt)
     num_frames = int(math.floor(spec.duration / spec.camera_dt + 1e-9)) + 1
     if num_frames < 2:
@@ -169,17 +180,21 @@ def generate(
     step_rotations = exp_map(omegas * dt)
     samples = ImuSample(omegas + gyro_noise, accels + accel_noise, np.full(num_steps, dt))
 
-    R, v, p = spec.initial_pose.R, spec.initial_pose.v, spec.initial_pose.p
-    keyframes = PoseState(np.empty((num_frames, 3, 3)), np.empty((num_frames, 3)), np.empty((num_frames, 3)))
-    keyframes.R[0], keyframes.v[0], keyframes.p[0] = R, v, p
+    # the attitude before each step; the running product is the one loop
+    before = np.empty((num_steps + 1, 3, 3))
+    before[0] = R0
     for step in range(num_steps):
-        world_accel = R @ accels[step]
-        p = p + v * dt + 0.5 * g * dt * dt + 0.5 * world_accel * dt * dt
-        v = v + g * dt + world_accel * dt
-        R = R @ step_rotations[step]
-        if (step + 1) % k == 0:
-            frame = (step + 1) // k
-            keyframes.R[frame], keyframes.v[frame], keyframes.p[frame] = R, v, p
+        np.matmul(before[step], step_rotations[step], out=before[step + 1])
+    world_accel = (before[:-1] @ accels[..., None])[..., 0]
+    # v's terms interleaved per step: g dt, then R a dt; every other row is a state
+    gravity_terms = np.broadcast_to(g * dt, world_accel.shape)
+    v_terms = np.stack([gravity_terms, world_accel * dt], axis=-2)
+    v = _running_sum(v0, v_terms.reshape(2 * num_steps, 3))[::2]
+    # p's terms interleaved per step: v dt, g dt^2 / 2, then R a dt^2 / 2
+    gravity_terms = np.broadcast_to(0.5 * g * dt * dt, world_accel.shape)
+    p_terms = np.stack([v[:-1] * dt, gravity_terms, 0.5 * world_accel * dt * dt], axis=-2)
+    p = _running_sum(p0, p_terms.reshape(3 * num_steps, 3))[::3]
+    keyframes = PoseState(before[::k].copy(), v[::k].copy(), p[::k].copy())
 
     truth = WindowState(keyframes, landmarks.copy())
     # every landmark from every keyframe: poses (n, 1) against landmarks (N,)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from padvio import checks, cli
-from padvio.dataset_io import read_dataset, write_dataset
+from padvio.dataset_io import dumps, read_dataset, write_dataset
 from padvio.graph import PoseState, WindowState
 from padvio.imu import ImuSample, WorldParams
 from padvio.sim import CameraModel, Dataset
@@ -159,6 +160,21 @@ def test_estimate_dataset_with_nan_pixel_exits_1(tmp_path, capsys):
 def test_missing_dataset_exits_1(tmp_path, capsys):
     assert cli.main(["estimate", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]) == 1
     assert "dataset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (None, "493240c54171ca99834513d9ed3c5b5ceb6c41f2b312c86544d3ac25e54a9234"),
+        ("high_rate_imu.json", "c9cdb672d7bbf82cfe9ba7832e7a88ec94e1bc157d491e54385db97d78594484"),
+        ("level_circle_n12.json", "e276c1695a14ac09b3a941a57916fda9c23b33b5139abf7f2e8c9eb770a337e3"),
+    ],
+)
+def test_simulated_dataset_matches_golden_digest(config, digest):
+    # the seed-0 dataset bytes are pinned: a faster simulator must keep every bit
+    path = None if config is None else str(Path(__file__).parent / "data" / config)
+    dataset = cli.dataset_from_config(cli.load_config(path))
+    assert hashlib.sha256(dumps(dataset).encode("ascii")).hexdigest() == digest
 
 
 def test_level_circle_config_keeps_every_measurement(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from padvio.graph import PoseState
 from padvio.imu import ImuSample, WorldParams, preintegrate
+from padvio.manifold import exp_map
 from padvio.sim import (
     CameraModel,
     NoiseSpec,
@@ -14,6 +15,7 @@ from padvio.sim import (
     generate,
     make_problem,
     perturb_initialization,
+    steps_per_frame,
     triangle_landmarks,
 )
 from padvio.vision import DEPTH_EPSILON, landmark_in_body, project
@@ -83,6 +85,79 @@ def test_hover_is_stationary():
     np.testing.assert_array_equal(samples.accel, np.broadcast_to(samples.accel[0], samples.accel.shape))
 
 
+def _simulate_one_step_at_a_time(spec, world):
+    # the per-step recursion generate replaced, kept as its oracle
+    k = steps_per_frame(spec.camera_dt, spec.imu_dt)
+    num_steps = round(spec.duration / spec.camera_dt) * k
+    g, dt = world.gravity, spec.imu_dt
+    times = np.arange(num_steps) * dt
+    accels = evaluate_profile(spec.accel_profile, times)
+    step_rotations = exp_map(evaluate_profile(spec.angular_profile, times) * dt)
+    R, v, p = spec.initial_pose.R, spec.initial_pose.v, spec.initial_pose.p
+    keyframes = [(R, v, p)]
+    for step in range(num_steps):
+        world_accel = R @ accels[step]
+        p = p + v * dt + 0.5 * g * dt * dt + 0.5 * world_accel * dt * dt
+        v = v + g * dt + world_accel * dt
+        R = R @ step_rotations[step]
+        if (step + 1) % k == 0:
+            keyframes.append((R, v, p))
+    return [np.array(field) for field in zip(*keyframes)]
+
+
+def _sinusoid_spec():
+    spec = _reference_spec()
+    spec.angular_profile = Profile(
+        "sinusoid",
+        {"base": [0.05, -0.04, 0.12], "amplitude": [0.3, 0.2, 0.4],
+         "frequency": [0.7, 1.3, 0.25], "phase": [0.0, 1.0, -2.0]},
+    )
+    spec.accel_profile = Profile(
+        "sinusoid",
+        {"base": [0.25, 0.15, -9.51], "amplitude": [0.5, 0.2, 0.3],
+         "frequency": [0.4, 0.9, 1.1], "phase": [0.5, 0.0, 1.5]},
+    )
+    return spec
+
+
+def _rotated_moving_spec():
+    spec = _reference_spec()
+    spec.initial_pose = PoseState(
+        exp_map(np.array([0.3, -0.2, 0.5])), np.array([0.4, -0.3, 0.2]), np.array([0.1, 0.2, -5.0])
+    )
+    return spec
+
+
+def _high_rate_spec():
+    spec = _reference_spec()
+    spec.imu_dt = 0.001
+    return spec
+
+
+def _one_step_per_frame_spec():
+    spec = _reference_spec()
+    spec.imu_dt = spec.camera_dt
+    return spec
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [_reference_spec, _sinusoid_spec, _rotated_moving_spec, _high_rate_spec,
+     _one_step_per_frame_spec, lambda: _reference_spec(n=2)],
+    ids=["reference", "sinusoid", "rotated_moving", "imu_dt_0.001", "k_1", "n_2"],
+)
+def test_keyframes_match_per_step_recursion(make_spec):
+    # the attitude loop and in-order sums give the recursion's bits
+    spec = make_spec()
+    world = WorldParams()
+    poses = generate(spec, PAD, CAM, world, NoiseSpec(seed=0)).ground_truth.poses
+    expected = _simulate_one_step_at_a_time(spec, world)
+    assert len(poses) == len(expected[0])
+    for got, want in zip((poses.R, poses.v, poses.p), expected):
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.c_contiguous  # dataset_io writes each field as one table
+
+
 def test_zero_noise_preintegration_reproduces_relative_states():
     dataset = generate(_reference_spec(), PAD, CAM, WorldParams(), NoiseSpec(0.0, 0.0, 1))
     g = dataset.world.gravity
@@ -148,6 +223,25 @@ def test_generate_rejects_uneven_sampling():
     spec = _reference_spec()
     spec.camera_dt = 0.45
     with pytest.raises(ValueError, match="multiple"):
+        generate(spec, PAD, CAM, WorldParams(), NoiseSpec())
+
+
+def test_generate_rejects_non_rotation_initial_attitude():
+    # 2 I would simulate, then fail to read back as a dataset
+    spec = _reference_spec()
+    spec.initial_pose = PoseState(2.0 * np.eye(3), np.zeros(3), np.array([0.0, 0.0, -4.0]))
+    with pytest.raises(ValueError, match="initial_pose.R"):
+        generate(spec, PAD, CAM, WorldParams(), NoiseSpec())
+
+
+@pytest.mark.parametrize("field", ["v", "p"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_generate_rejects_non_finite_initial_state(field, bad):
+    spec = _reference_spec()
+    values = {"v": np.zeros(3), "p": np.array([0.0, 0.0, -4.0])}
+    values[field][1] = bad
+    spec.initial_pose = PoseState(np.eye(3), values["v"], values["p"])
+    with pytest.raises(ValueError, match=f"initial_pose.{field}"):
         generate(spec, PAD, CAM, WorldParams(), NoiseSpec())
 
 
