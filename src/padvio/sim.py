@@ -148,7 +148,9 @@ def generate(
     The same seed always yields a bit-identical dataset. Landmarks whose
     ground-truth depth is non-positive at a keyframe are reported and dropped
     from the measurement list, never fatal. An initial pose whose R is not
-    a rotation, or whose v or p is not finite, raises ValueError.
+    a rotation, or whose v or p is not finite, a gravity that is not a
+    finite 3-vector, or a duration, imu_dt or camera_dt that is not finite
+    and positive raises ValueError.
     """
     landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
     if np.any(landmarks[:, 2] != 0.0):
@@ -162,6 +164,13 @@ def generate(
     for name, value in (("v", v0), ("p", p0)):
         if value.shape != (3,) or not np.isfinite(value).all():
             raise ValueError(f"initial_pose.{name} must be a 3-vector of finite numbers")
+    g = np.asarray(world.gravity, dtype=float)
+    if g.shape != (3,) or not np.isfinite(g).all():
+        raise ValueError("world.gravity must be a finite 3-vector")
+    for name in ("duration", "imu_dt", "camera_dt"):
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     k = steps_per_frame(spec.camera_dt, spec.imu_dt)
     num_frames = int(math.floor(spec.duration / spec.camera_dt + 1e-9)) + 1
     if num_frames < 2:
@@ -172,7 +181,6 @@ def generate(
     gyro_noise = math.sqrt(noise.imu_noise_variance) * rng.standard_normal((num_steps, 3))
     accel_noise = math.sqrt(noise.imu_noise_variance) * rng.standard_normal((num_steps, 3))
 
-    g = np.asarray(world.gravity, dtype=float)
     dt = spec.imu_dt
     times = np.arange(num_steps) * dt
     omegas = evaluate_profile(spec.angular_profile, times)

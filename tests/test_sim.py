@@ -245,6 +245,22 @@ def test_generate_rejects_non_finite_initial_state(field, bad):
         generate(spec, PAD, CAM, WorldParams(), NoiseSpec())
 
 
+@pytest.mark.parametrize("gravity", [[0.0, 0.0, np.nan], [0.0, np.inf, 9.81], [0.0, 9.81]])
+def test_generate_rejects_bad_gravity(gravity):
+    # NaN gravity used to simulate NaN positions and blame the depth
+    with pytest.raises(ValueError, match="world.gravity"):
+        generate(_reference_spec(), PAD, CAM, WorldParams(np.array(gravity)), NoiseSpec())
+
+
+@pytest.mark.parametrize("field", ["duration", "imu_dt", "camera_dt"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.4])
+def test_generate_rejects_bad_times(field, bad):
+    spec = _reference_spec()
+    setattr(spec, field, bad)
+    with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+        generate(spec, PAD, CAM, WorldParams(), NoiseSpec())
+
+
 def test_behind_camera_measurements_dropped(caplog):
     # aircraft starts below the ground plane, so markers sit behind the camera
     spec = _reference_spec(n=2)

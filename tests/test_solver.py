@@ -1,8 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from padvio import solver
 from padvio.graph import PoseState, Problem, WindowState, altitude_constraint, assemble, boxplus
 from padvio.imu import PreintegratedDelta, WorldParams
 from padvio.sim import (
@@ -15,6 +17,7 @@ from padvio.sim import (
     perturb_initialization,
 )
 from padvio.solver import (
+    TAIL,
     IterationError,
     RankDeficientError,
     SolverConfig,
@@ -61,6 +64,13 @@ def test_block_normal_system_matches_dense_oracle(case):
     H_again, g_again = build_normal_system(problem, damping=0.1)
     assert H.tobytes() == H_again.tobytes()
     assert g.tobytes() == g_again.tobytes()
+    # the scatter index depends only on the columns, so one built at another
+    # window of the problem, as `solve` reuses it, gives the same bits
+    moved = problem.with_window(boxplus(problem.window, np.full(problem.window.dim, 0.01)))
+    index = solver._scatter_index(assemble(moved)[1])
+    H_reused, g_reused = solver._normal_system(*assemble(problem)[:3], 0.1, index)
+    assert H.tobytes() == H_reused.tobytes()
+    assert g.tobytes() == g_reused.tobytes()
 
 
 def test_normal_system_peak_memory_below_dense_jacobian():
@@ -140,40 +150,66 @@ def _level_circle_dataset(n):
 
 
 def _oracle_window(name):
-    """A problem with every landmark 0.5 m off the plane, and its normal system."""
+    """A problem with every landmark 0.5 m off the plane, and its normal system.
+
+    The chain of n - 1 keyframe blocks runs reduction levels until at most
+    TAIL blocks remain: none at n = 7, one at n = 10 (9 -> 5 blocks), two at
+    n = 18, 30 and 31 (17 -> 9 -> 5, 29 -> 15 -> 8, 30 -> 15 -> 8), three at
+    n = 60 (59 -> 30 -> 15 -> 8) and four at n = 120."""
     if name == "n7":
         dataset = _reference_dataset(seed=2)
         problem = make_problem(dataset, dataset.ground_truth.copy())
-    elif name == "n30":  # three full tiles and a five-keyframe tail
-        dataset = _level_circle_dataset(30)
-        problem = make_problem(dataset, dataset.ground_truth.copy())
-    else:  # the long_window geometry: n = 60 over a ring of ten markers
+    elif name == "n60_N10":  # the long_window geometry: a ring of ten markers
         problem = _level_circle_problem(60, 10, seed=1)
+    else:
+        dataset = _level_circle_dataset(int(name[1:]))
+        problem = make_problem(dataset, dataset.ground_truth.copy())
     problem.window.landmarks[:, 2] = 0.5
     return problem, *build_normal_system(problem, damping=0.1)
 
 
-@pytest.mark.parametrize("name", ["n7", "n30", "n60_N10"])
-def test_constrained_step_matches_saddle_point_oracle(name):
-    problem, H, g = _oracle_window(name)
+def _assert_matches_oracle(problem, H, g):
+    """The step, constrained and unconstrained, against the saddle-point
+    system and the plain solve H delta = -g."""
     poses = problem.window.n - 1
     fixed, c = altitude_constraint(problem)
     delta, lam = constrained_step(H, g, fixed, c, poses)
     ref_delta, ref_lam = _saddle_point_step(H, g, fixed, c)
     assert np.abs(delta - ref_delta).max() <= 1e-9 * np.abs(ref_delta).max()
     assert np.abs(lam - ref_lam).max() <= 1e-9 * np.abs(ref_lam).max()
-    # unconstrained, the tiles and the tail solve H delta = -g
     delta, lam = constrained_step(H, g, np.zeros(0, dtype=np.intp), np.zeros(0), poses)
     ref_delta = np.linalg.solve(H, -g)
     assert np.abs(delta - ref_delta).max() <= 1e-9 * np.abs(ref_delta).max()
     assert lam.size == 0
 
 
+@pytest.mark.parametrize("name", ["n7", "n10", "n18", "n30", "n31", "n60_N10", "n120"])
+def test_constrained_step_matches_saddle_point_oracle(name):
+    _assert_matches_oracle(*_oracle_window(name))
+
+
+def test_constrained_step_matches_oracle_with_dropped_detections():
+    # keyframes 5 and 12 see no marker and keyframe 9 only one, so their
+    # blocks couple to the landmarks through fewer (or no) pixel factors
+    problem = _level_circle_problem(18, 3, seed=6)
+    meas = problem.measurements
+    frames = meas.frame_index
+    dropped = np.isin(frames, [5, 12]) | ((frames == 9) & (meas.landmark_id != 2))
+    problem = replace(problem, measurements=meas[~dropped])
+    problem.window.landmarks[:, 2] = [0.5, -0.3, 0.2]
+    H, g = build_normal_system(problem, damping=0.1)
+    for frame in (5, 12):  # landmark-free rows of the keyframe blocks
+        assert np.all(H[9 * (frame - 2) : 9 * (frame - 1), 9 * (problem.window.n - 1) :] == 0.0)
+    _assert_matches_oracle(problem, H, g)
+
+
 @pytest.mark.parametrize("n", [7, 9])
-def test_constrained_step_without_tiles_is_the_dense_solve(n):
-    # up to TILE + 1 keyframes there is no tile: one solve of the free block
+def test_constrained_step_without_reduction_is_the_dense_solve(n):
+    # up to TAIL + 1 keyframes no level runs: one solve of the free block,
+    # with the right-hand side summed over full rows of H
+    assert n - 1 <= TAIL
     problem = _level_circle_problem(n, 3, seed=2)
-    problem.window.landmarks[:, 2] = 0.5
+    problem.window.landmarks[:, 2] = [0.5, -0.3, 0.2]
     H, g = build_normal_system(problem, damping=0.1)
     fixed, c = altitude_constraint(problem)
     free = np.ones(H.shape[0], dtype=bool)
@@ -189,7 +225,7 @@ def test_constrained_step_without_tiles_is_the_dense_solve(n):
 
 @pytest.mark.parametrize("n", [7, 30])
 def test_normal_matrix_couples_only_neighbouring_keyframes(n):
-    # the tile elimination in constrained_step relies on this chain structure
+    # the chain reduction in constrained_step relies on this structure
     problem = _level_circle_problem(n, 3, seed=3)
     H, _ = build_normal_system(problem, damping=0.1)
     for i in range(n - 1):
@@ -201,11 +237,14 @@ def test_normal_matrix_couples_only_neighbouring_keyframes(n):
                 assert np.any(block != 0.0), (i, j)
 
 
-def test_constrained_step_reports_rank_deficiency_inside_a_tile():
+@pytest.mark.parametrize("position", [13, 6, 12])
+def test_constrained_step_reports_rank_deficiency_in_the_chain(position):
+    # of the 29 keyframe blocks at n = 30, block 13 is eliminated at the
+    # first level, block 6 at the second, and block 12 survives to the tail
     problem = _level_circle_problem(30, 3, seed=4)
     H, g = build_normal_system(problem, damping=0.0)
     fixed, c = altitude_constraint(problem)
-    block = slice(9 * 12, 9 * 13)  # keyframe block 12 lies in the second tile
+    block = slice(9 * position, 9 * position + 9)
     H[block, :] = 0.0
     H[:, block] = 0.0
     with pytest.raises(RankDeficientError) as excinfo:
@@ -336,3 +375,34 @@ def test_solve_validates_config():
         solve(problem, SolverConfig(damping=-1.0))
     with pytest.raises(ValueError):
         solve(problem, SolverConfig(max_iterations=0))
+
+
+@pytest.mark.parametrize("damping", [np.nan, np.inf])
+def test_solve_rejects_non_finite_damping(damping):
+    # nan < 0 is False: NaN damping used to run every iteration to a NaN window
+    dataset = _reference_dataset()
+    problem = make_problem(dataset, dataset.ground_truth.copy())
+    with pytest.raises(ValueError, match="damping"):
+        solve(problem, SolverConfig(damping=damping))
+
+
+def test_solve_rejects_nan_convergence_tol():
+    dataset = _reference_dataset()
+    problem = make_problem(dataset, dataset.ground_truth.copy())
+    with pytest.raises(ValueError, match="convergence_tol"):
+        solve(problem, SolverConfig(convergence_tol=np.nan))
+
+
+def test_solve_builds_the_scatter_index_once(monkeypatch):
+    dataset = _reference_dataset()
+    problem = make_problem(dataset, perturb_initialization(dataset, "cold"))
+    calls = []
+
+    def counting(jacobian):
+        calls.append(jacobian.shape)
+        return scatter_index(jacobian)
+
+    scatter_index = solver._scatter_index
+    monkeypatch.setattr(solver, "_scatter_index", counting)
+    report = solve(problem, SolverConfig(max_iterations=5))
+    assert report.iterations_run == 5 and len(calls) == 1
