@@ -16,12 +16,11 @@ Samples and deltas are stacked records. An `ImuSample` holds m readings
 field by field, omega and accel (..., m, 3) and dt (..., m), whose leading
 axes run over keyframe intervals; a `PreintegratedDelta` holds one delta
 per leading index, so the n-1 deltas of a window are one record with dR
-(n-1,3,3), dv and dp (n-1,3) and dt_total (n-1,). `integrate` absorbs the
-samples: one `exp_map` call gives every step rotation, the running product
-of dR is the one loop (over the m samples, batched across intervals), and
-dv, dp and dt_total are in-order cumulative sums, so the result has the
-bits of absorbing the samples one at a time. `preintegrate` folds the
-samples from the fresh delta.
+(n-1,3,3), dv and dp (n-1,3) and dt_total (n-1,). `propagate` steps
+the discrete motion model (its docstring states it) and holds the one loop
+over IMU steps; the simulator calls it with world gravity, and `integrate`
+with zero gravity from a delta, keeping the last state. `preintegrate`
+folds the samples from the fresh delta.
 
 `imu_residual` returns the residuals alone, for finite-difference checks;
 `imu_residual_jacobian` returns the (residual, Jacobian) pair from one
@@ -71,20 +70,58 @@ class WorldParams:
 
 
 def _running_sum(start, terms):
-    """Partial sums over axis -2 of (..., k, d) terms, from start (..., d):
-    k + 1 rows, each sum added in order from start, as a loop would."""
-    start = np.broadcast_to(start, terms.shape[:-2] + terms.shape[-1:])
-    return np.cumsum(np.concatenate([start[..., None, :], terms], axis=-2), axis=-2)
+    """In-order sums over axis -2: from start (..., d), each of m steps adds
+    the (..., m, d) terms in list order; the last term has every leading
+    axis. Returns the sums before and after each step, (..., m + 1, d)."""
+    *lead, m, d = terms[-1].shape
+    stride = len(terms)
+    sums = np.empty((*lead, stride * m + 1, d))
+    sums[..., 0, :] = start
+    for j, term in enumerate(terms, 1):
+        sums[..., j::stride, :] = term
+    return np.cumsum(sums, axis=-2, out=sums)[..., ::stride, :]
+
+
+def propagate(R, v, p, omega, accel, dt, gravity):
+    """Every state of the discrete motion model over m stacked readings:
+
+        p <- p + v dt + g dt^2 / 2 + R a dt^2 / 2
+        v <- v + g dt + R a dt
+        R <- R Exp(w dt)
+
+    From R (..., 3, 3) and v, p (..., 3), with arrays w = omega and a =
+    accel (..., m, 3), dt (..., m) and the gravity 3-vector g, it returns
+    R (..., m+1, 3, 3) and v, p (..., m+1, 3), the first state included;
+    R, omega and dt set the leading axes, and v, p and accel broadcast.
+    The attitude product is the one loop over steps; v and p are in-order
+    sums, so each state has the bits of stepping once at a time. A zero g
+    would add exact zeros, so its terms are left out.
+    """
+    step = dt[..., None]
+    rotations = exp_map(omega * step)
+    lead = np.broadcast_shapes(np.shape(R)[:-2], rotations.shape[:-3])
+    # the attitudes step-major, so that each step's product is written into one block
+    Rs = np.empty((dt.shape[-1] + 1, *lead, 3, 3))
+    Rs[0] = R
+    blocks = list(Rs)
+    for before, rotation, after in zip(blocks, np.moveaxis(rotations, -3, 0), blocks[1:]):
+        np.matmul(before, rotation, out=after)
+    Rs = np.moveaxis(Rs, 0, -3)
+    world_accel = (Rs[..., :-1, :, :] @ accel[..., None])[..., 0]
+    # per step, v adds g dt then R a dt, and p adds v dt, g dt^2 / 2 then R a dt^2 / 2
+    gs = [gravity] if np.any(gravity) else []
+    v = _running_sum(v, [g * step for g in gs] + [world_accel * step])
+    p_terms = [0.5 * g * step * step for g in gs] + [0.5 * world_accel * step * step]
+    return Rs, v, _running_sum(p, [v[..., :-1, :] * step] + p_terms)
 
 
 def integrate(delta: PreintegratedDelta, samples: ImuSample) -> PreintegratedDelta:
     """Absorb m stacked samples in order: omega and accel (..., m, 3), dt (..., m).
 
     Leading axes run over keyframe intervals and broadcast against the
-    delta's. Sample k adds dv_k dt_k + R_k a_k dt_k^2 / 2 to dp, R_k a_k dt_k
-    to dv and the factor Exp(w_k dt_k) to dR, where R_k and dv_k are the
-    values before step k. Every sum runs in sample order, so each field has
-    the bits of absorbing one sample at a time.
+    delta's. dR, dv and dp are the last state of `propagate` from the
+    delta with zero gravity, and dt_total is an in-order sum, so each field
+    has the bits of absorbing one sample at a time.
     """
     dt = np.asarray(samples.dt, dtype=float)
     valid = (dt > 0.0) & np.isfinite(dt)
@@ -94,23 +131,9 @@ def integrate(delta: PreintegratedDelta, samples: ImuSample) -> PreintegratedDel
     accel = np.asarray(samples.accel, dtype=float)
     if not (np.isfinite(omega).all() and np.isfinite(accel).all()):
         raise ValueError("integrate: sample entries must be finite")
-    m = dt.shape[-1]
-    step = dt[..., None]
-    lead = np.broadcast_shapes(np.shape(delta.dR)[:-2], dt.shape[:-1])
-    step_rotations = exp_map(omega * step)
-    # running product dR_k, the attitude each sample's specific force is rotated by
-    dR = np.array(np.broadcast_to(delta.dR, lead + (3, 3)))
-    before = np.empty(lead + (m, 3, 3))
-    for k in range(m):
-        before[..., k, :, :] = dR
-        dR = dR @ step_rotations[..., k, :, :]
-    rotated_accel = (before @ accel[..., None])[..., 0]
-    dv = _running_sum(delta.dv, rotated_accel * step)
-    # dp's terms interleaved per sample: dv_k dt_k, then R_k a_k dt_k^2 / 2
-    dp_terms = np.stack([dv[..., :-1, :] * step, 0.5 * rotated_accel * step * step], axis=-2)
-    dp = _running_sum(delta.dp, dp_terms.reshape(lead + (2 * m, 3)))
-    dt_total = _running_sum(np.asarray(delta.dt_total)[..., None], dt[..., None])
-    return PreintegratedDelta(dR, dv[..., -1, :], dp[..., -1, :], dt_total[..., -1, 0])
+    dR, dv, dp = propagate(delta.dR, delta.dv, delta.dp, omega, accel, dt, np.zeros(3))
+    dt_total = _running_sum(np.asarray(delta.dt_total)[..., None], [dt[..., None]])
+    return PreintegratedDelta(dR[..., -1, :, :], dv[..., -1, :], dp[..., -1, :], dt_total[..., -1, 0])
 
 
 def preintegrate(samples: ImuSample) -> PreintegratedDelta:

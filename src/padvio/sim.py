@@ -1,18 +1,10 @@
 """Synthetic flight generator: ground truth, IMU samples, pixel detections.
 
-Ground truth follows the *discrete* motion model, one IMU step at a time,
-
-    p <- p + v dt + g dt^2 / 2 + R a dt^2 / 2
-    v <- v + g dt + R a dt
-    R <- R Exp(w dt)
-
-which is the same recursion the preintegrator sums. With zero noise the
-preintegrated deltas therefore reproduce the relative keyframe states exactly
-(no discretization residue), making the end-to-end residual oracle exact.
-The attitude product is the one loop; every specific force is then rotated
-into the world frame in one batched product, and v and p are in-order running
-sums of the recursion's terms, so every keyframe has the bits of stepping
-the recursion one step at a time.
+Ground truth is every k-th state of one `imu.propagate` call (its docstring
+states the discrete motion model) with the true rates and world gravity.
+The preintegrator steps the same function with zero gravity, so zero-noise
+deltas reproduce the relative keyframe states exactly (no discretization
+residue), making the end-to-end residual oracle exact.
 
 The world frame has z pointing down: gravity defaults to (0, 0, +9.81), and
 an aircraft at 4 m altitude sits at p_z = -4. The camera looks along body +z,
@@ -43,8 +35,8 @@ from typing import Dict
 import numpy as np
 
 from .graph import PoseState, Problem, WindowState
-from .imu import ImuSample, WorldParams, _running_sum, preintegrate
-from .manifold import exp_map, is_rotation
+from .imu import ImuSample, WorldParams, preintegrate, propagate
+from .manifold import is_rotation
 from .vision import DEPTH_EPSILON, CameraModel, PixelMeasurement, landmark_in_body, project
 
 logger = logging.getLogger(__name__)
@@ -62,24 +54,30 @@ def _as3(value, what: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float).reshape(-1)
     if arr.size == 1:
         arr = np.full(3, arr[0])
-    if arr.shape != (3,):
-        raise ValueError(f"profile parameter {what} must be a scalar or 3-vector")
+    if arr.shape != (3,) or not np.isfinite(arr).all():
+        raise ValueError(f"profile parameter {what} must be a finite scalar or 3-vector")
     return arr
 
 
+# the parameters each profile reads, in order; any other is a misspelling
+_PROFILE_PARAMS = {"constant": ("value",), "sinusoid": ("base", "amplitude", "frequency", "phase")}
+
+
 def evaluate_profile(profile: Profile, t) -> np.ndarray:
-    """The profile at time t (s): a 3-vector, or (..., 3) for an array of times."""
+    """The profile at time t (s): a 3-vector, or (..., 3) for an array of times.
+    An unknown name, or a parameter the profile does not read, raises ValueError."""
+    known = _PROFILE_PARAMS.get(profile.name)
+    if known is None:
+        raise ValueError(f"unknown profile name: {profile.name!r}")
+    unknown = sorted(set(profile.params) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {profile.name} profile parameter {unknown[0]!r} (known: {', '.join(known)})")
     t = np.asarray(t, dtype=float)[..., None]
+    params = [_as3(profile.params.get(name, 0.0), name) for name in known]
     if profile.name == "constant":
-        value = _as3(profile.params.get("value", np.zeros(3)), "value")
-        return np.broadcast_to(value, t.shape[:-1] + (3,)).copy()
-    if profile.name == "sinusoid":
-        base = _as3(profile.params.get("base", np.zeros(3)), "base")
-        amp = _as3(profile.params.get("amplitude", np.zeros(3)), "amplitude")
-        freq = _as3(profile.params.get("frequency", np.zeros(3)), "frequency")
-        phase = _as3(profile.params.get("phase", np.zeros(3)), "phase")
-        return base + amp * np.sin(2.0 * np.pi * freq * t + phase)
-    raise ValueError(f"unknown profile name: {profile.name!r}")
+        return np.broadcast_to(params[0], t.shape[:-1] + (3,)).copy()
+    base, amp, freq, phase = params
+    return base + amp * np.sin(2.0 * np.pi * freq * t + phase)
 
 
 def default_initial_pose() -> PoseState:
@@ -147,30 +145,32 @@ def generate(
 
     The same seed always yields a bit-identical dataset. Landmarks whose
     ground-truth depth is non-positive at a keyframe are reported and dropped
-    from the measurement list, never fatal. An initial pose whose R is not
-    a rotation, or whose v or p is not finite, a gravity that is not a
-    finite 3-vector, or a duration, imu_dt or camera_dt that is not finite
-    and positive raises ValueError.
+    from the measurement list, never fatal. A non-finite input, an
+    off-plane landmark, a non-rotation initial attitude, a focal or time
+    that is not positive and a negative noise variance raise ValueError
+    naming the field.
     """
     landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
+    if landmarks.ndim != 2 or landmarks.shape[1] != 3 or not np.isfinite(landmarks).all():
+        raise ValueError("landmarks must be an (N, 3) array of finite numbers")
     if np.any(landmarks[:, 2] != 0.0):
         raise ValueError("all landmarks must lie on the ground plane z = 0")
-    if noise.imu_noise_variance < 0 or noise.pixel_noise_variance < 0:
-        raise ValueError("noise variances must be >= 0")
     pose = spec.initial_pose
-    R0, v0, p0 = (np.asarray(x, dtype=float) for x in (pose.R, pose.v, pose.p))
+    R0, v0, p0, g = (np.asarray(x, dtype=float) for x in (pose.R, pose.v, pose.p, world.gravity))
     if not is_rotation(R0):
         raise ValueError("initial_pose.R must be a rotation matrix")
-    for name, value in (("v", v0), ("p", p0)):
-        if value.shape != (3,) or not np.isfinite(value).all():
-            raise ValueError(f"initial_pose.{name} must be a 3-vector of finite numbers")
-    g = np.asarray(world.gravity, dtype=float)
-    if g.shape != (3,) or not np.isfinite(g).all():
-        raise ValueError("world.gravity must be a finite 3-vector")
-    for name in ("duration", "imu_dt", "camera_dt"):
-        value = getattr(spec, name)
+    for name, value, size in (("initial_pose.v", v0, 3), ("initial_pose.p", p0, 3), ("world.gravity", g, 3),
+                              ("cam.principal_point", np.asarray(cam.principal_point, dtype=float), 2)):
+        if value.shape != (size,) or not np.isfinite(value).all():
+            raise ValueError(f"{name} must be a finite {size}-vector")
+    positive = {"cam.focal": cam.focal, "duration": spec.duration, "imu_dt": spec.imu_dt, "camera_dt": spec.camera_dt}
+    for name, value in positive.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
+    for name in ("imu_noise_variance", "pixel_noise_variance"):
+        value = getattr(noise, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"noise.{name} must be finite and >= 0, got {value}")
     k = steps_per_frame(spec.camera_dt, spec.imu_dt)
     num_frames = int(math.floor(spec.duration / spec.camera_dt + 1e-9)) + 1
     if num_frames < 2:
@@ -185,24 +185,10 @@ def generate(
     times = np.arange(num_steps) * dt
     omegas = evaluate_profile(spec.angular_profile, times)
     accels = evaluate_profile(spec.accel_profile, times)
-    step_rotations = exp_map(omegas * dt)
     samples = ImuSample(omegas + gyro_noise, accels + accel_noise, np.full(num_steps, dt))
 
-    # the attitude before each step; the running product is the one loop
-    before = np.empty((num_steps + 1, 3, 3))
-    before[0] = R0
-    for step in range(num_steps):
-        np.matmul(before[step], step_rotations[step], out=before[step + 1])
-    world_accel = (before[:-1] @ accels[..., None])[..., 0]
-    # v's terms interleaved per step: g dt, then R a dt; every other row is a state
-    gravity_terms = np.broadcast_to(g * dt, world_accel.shape)
-    v_terms = np.stack([gravity_terms, world_accel * dt], axis=-2)
-    v = _running_sum(v0, v_terms.reshape(2 * num_steps, 3))[::2]
-    # p's terms interleaved per step: v dt, g dt^2 / 2, then R a dt^2 / 2
-    gravity_terms = np.broadcast_to(0.5 * g * dt * dt, world_accel.shape)
-    p_terms = np.stack([v[:-1] * dt, gravity_terms, 0.5 * world_accel * dt * dt], axis=-2)
-    p = _running_sum(p0, p_terms.reshape(3 * num_steps, 3))[::3]
-    keyframes = PoseState(before[::k].copy(), v[::k].copy(), p[::k].copy())
+    R, v, p = propagate(R0, v0, p0, omegas, accels, samples.dt, g)
+    keyframes = PoseState(R[::k].copy(), v[::k].copy(), p[::k].copy())
 
     truth = WindowState(keyframes, landmarks.copy())
     # every landmark from every keyframe: poses (n, 1) against landmarks (N,)

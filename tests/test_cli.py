@@ -110,6 +110,15 @@ def test_config_value_rejected_exits_1(tmp_path, capsys, field, overrides):
     assert not (tmp_path / "dataset.txt").exists()
 
 
+def test_misspelled_profile_parameter_exits_1(tmp_path, capsys):
+    # read as the default zero, "valeu" used to simulate free fall and exit 0
+    cfg = _write_config(tmp_path, accel_profile={"name": "constant", "valeu": [0.25, 0.15, -9.51]})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config field accel_profile" in err and "'valeu'" in err
+    assert not (tmp_path / "dataset.txt").exists()
+
+
 def test_negative_seed_flag_exits_1(tmp_path, capsys):
     assert cli.main(["simulate", "--seed", "-1", "--out", str(tmp_path)]) == 1
     assert "invalid config field seed" in capsys.readouterr().err
@@ -168,6 +177,7 @@ def test_missing_dataset_exits_1(tmp_path, capsys):
         (None, "493240c54171ca99834513d9ed3c5b5ceb6c41f2b312c86544d3ac25e54a9234"),
         ("high_rate_imu.json", "c9cdb672d7bbf82cfe9ba7832e7a88ec94e1bc157d491e54385db97d78594484"),
         ("level_circle_n12.json", "e276c1695a14ac09b3a941a57916fda9c23b33b5139abf7f2e8c9eb770a337e3"),
+        ("sinusoid_moving.json", "0d2a2e2ce0dbd0ebaa872a8fd3e7130be781fb1f58332eb03a1fb911cd356e20"),
     ],
 )
 def test_simulated_dataset_matches_golden_digest(config, digest):

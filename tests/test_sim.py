@@ -43,6 +43,27 @@ def test_profile_constant_and_sinusoid():
 
 
 @pytest.mark.parametrize(
+    "profile, misspelled",
+    [
+        (Profile("constant", {"valeu": [0.25, 0.15, -9.51]}), "valeu"),
+        (Profile("sinusoid", {"base": 1.0, "amplitdue": 2.0, "frequency": 0.25}), "amplitdue"),
+        (Profile("constant", {"value": [0.0, 0.0, -9.81], "phase": 1.0}), "phase"),
+    ],
+)
+def test_profile_rejects_unknown_parameter(profile, misspelled):
+    # an unread parameter used to leave its value at the default zero
+    with pytest.raises(ValueError, match=f"unknown {profile.name} profile parameter '{misspelled}'"):
+        evaluate_profile(profile, 0.0)
+
+
+@pytest.mark.parametrize("value", [[np.nan, 0.0, 0.0], np.inf, [0.0, 1.0]])
+def test_profile_rejects_non_finite_or_misshapen_parameter(value):
+    # a NaN rate used to simulate NaN states and report every marker behind the camera
+    with pytest.raises(ValueError, match="profile parameter amplitude must be a finite scalar or 3-vector"):
+        evaluate_profile(Profile("sinusoid", {"amplitude": value}), 0.0)
+
+
+@pytest.mark.parametrize(
     "profile",
     [
         Profile("constant", {"value": [0.05, -0.04, 0.12]}),
@@ -259,6 +280,38 @@ def test_generate_rejects_bad_times(field, bad):
     setattr(spec, field, bad)
     with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
         generate(spec, PAD, CAM, WorldParams(), NoiseSpec())
+
+
+@pytest.mark.parametrize("field", ["imu_noise_variance", "pixel_noise_variance"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-4])
+def test_generate_rejects_bad_noise_variance(field, bad):
+    # a NaN imu_noise_variance used to make every IMU sample NaN
+    noise = NoiseSpec()
+    setattr(noise, field, bad)
+    with pytest.raises(ValueError, match=f"^noise.{field} must be finite and >= 0"):
+        generate(_reference_spec(), PAD, CAM, WorldParams(), noise)
+
+
+@pytest.mark.parametrize("focal", [np.nan, np.inf, 0.0, -1.0])
+def test_generate_rejects_bad_focal(focal):
+    with pytest.raises(ValueError, match="^cam.focal must be finite and > 0"):
+        generate(_reference_spec(), PAD, CameraModel(focal), WorldParams(), NoiseSpec())
+
+
+@pytest.mark.parametrize("principal_point", [[np.nan, 0.0], [0.0, -np.inf], [0.0, 0.0, 0.0]])
+def test_generate_rejects_bad_principal_point(principal_point):
+    cam = CameraModel(1.0, np.array(principal_point))
+    with pytest.raises(ValueError, match="^cam.principal_point"):
+        generate(_reference_spec(), PAD, cam, WorldParams(), NoiseSpec())
+
+
+@pytest.mark.parametrize("coordinate", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_generate_rejects_non_finite_landmarks(coordinate, bad):
+    landmarks = PAD.copy()
+    landmarks[1, coordinate] = bad
+    with pytest.raises(ValueError, match="^landmarks must be an \\(N, 3\\) array of finite numbers"):
+        generate(_reference_spec(), landmarks, CAM, WorldParams(), NoiseSpec())
 
 
 def test_behind_camera_measurements_dropped(caplog):
