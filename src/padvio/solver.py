@@ -8,23 +8,29 @@ al., "Bundle Adjustment - A Modern Synthesis", 2000); the dense J is never
 formed. The constraint fixes coordinates of a Euclidean block, so it is
 imposed by eliminating those entries (the null-space method) rather than
 through a saddle-point system; the retracted altitudes z + (-z) are exactly
-0. The free block is not factored whole: IMU factors join only neighbouring
-keyframes, so the keyframe part of H is block-tridiagonal (Triggs et al.
-§6). The keyframe chain is eliminated by odd-even reduction, all the
-odd-position keyframes of a level at once, down to a small dense tail (at
-most TAIL keyframes and the free landmark x/y entries), which is solved
-once; windows of up to TAIL + 1 keyframes run no level and take one dense
-solve of the free block. The normal equations' scatter index depends only
-on the factors' columns, so `solve` builds it once. Damping alpha is
-constant for the whole run; iteration count is fixed unless a convergence
-tolerance is set.
+0. IMU factors join only neighbouring keyframes, so the keyframe part of H
+is block-tridiagonal (Triggs et al. §6), and each landmark couples only to
+the keyframes that see it, so the landmark part is block-diagonal.
+
+Windows of up to TAIL + 1 keyframes sum the dense H and take one dense
+solve of the free block. Longer windows never form H: the factor products
+are summed straight into one packed buffer of its nonzero blocks
+(`NormalBlocks`: keyframe diagonal blocks A, their upper couplings B, the
+keyframe-landmark coupling C and the landmark blocks E) and of g, and the
+keyframe chain is eliminated by odd-even reduction, all the odd-position
+keyframes of a level at once, down to a small dense tail (at most TAIL
+keyframes and the free landmark x/y entries), which is solved once. Both
+layouts sum every entry in the same order, so their kept entries have the
+same bits. The scatter index depends only on the factors' columns, so
+`solve` builds it once. Damping alpha is constant for the whole run;
+iteration count is fixed unless a convergence tolerance is set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -71,51 +77,193 @@ class IterationError(RuntimeError):
 
 
 def build_normal_system(problem: Problem, damping: float = 0.1):
-    """Damped normal equations (H, g) of the weighted least-squares problem."""
+    """Damped normal equations (H, g) of the weighted least-squares problem,
+    with H dense."""
     residual, jacobian, weights = assemble(problem)
     return _normal_system(residual, jacobian, weights, damping, _scatter_index(jacobian))
 
 
-def _scatter_index(jacobian):
-    """The flat positions in H (span x span) and g (span) that each factor's
-    B^T W B and B^T W e entries add to, with span = PRIOR + dim. They depend
-    only on the factors' columns, which are fixed for a problem."""
-    span = jacobian.PRIOR + jacobian.shape[1]
-    h_index = [cols[:, :, None] * span + cols[:, None, :] for _, cols in jacobian.factors]
-    g_index = [cols for _, cols in jacobian.factors]
-    return np.concatenate(h_index, None), np.concatenate(g_index, None)
+@dataclass(frozen=True)
+class NormalBlocks:
+    """The damped normal matrix of a window held as its nonzero blocks.
+
+    Keyframe blocks 2..n form a block-tridiagonal chain: diagonal blocks A
+    (M, 9, 9) and upper couplings B (M - 1, 9, 9), block j to j + 1, with
+    M = n - 1. C (M, 9, 3N) couples them to the N landmarks, which couple
+    to nothing else, so their part is block-diagonal, E (N, 3, 3). The
+    blocks below the diagonal are the transposes of B and C and are not
+    held. `toarray()` gives the dense symmetric matrix.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    E: np.ndarray
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        dim = 9 * len(self.A) + 3 * len(self.E)
+        return dim, dim
+
+    def landmark_block(self) -> np.ndarray:
+        """The dense (3N, 3N) landmark part of the matrix."""
+        N = len(self.E)
+        dense = np.zeros((N, 3, N, 3))
+        dense[np.arange(N), :, np.arange(N), :] = self.E
+        return dense.reshape(3 * N, 3 * N)
+
+    def columns(self, index: np.ndarray) -> np.ndarray:
+        """The dense matrix's columns `index`, all after the chain."""
+        chain = 9 * len(self.A)
+        local = index - chain
+        H_columns = np.zeros((self.shape[0], local.size))
+        H_columns[:chain] = self.C[:, :, local].reshape(chain, local.size)
+        H_columns[chain:] = self.landmark_block()[:, local]
+        return H_columns
+
+    def toarray(self) -> np.ndarray:
+        return _dense(self.A, self.B, self.C, self.landmark_block())
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.toarray(), dtype=dtype)
+
+    @classmethod
+    def from_dense(cls, H: np.ndarray, poses: int) -> "NormalBlocks":
+        """The blocks of a dense H whose first `poses` 9-column blocks form
+        the chain and whose landmark part is block-diagonal."""
+        chain = 9 * poses
+        index, landmarks = np.arange(poses), np.arange((H.shape[0] - chain) // 3)
+        blocks = H[:chain, :chain].reshape(poses, 9, poses, 9)
+        E = H[chain:, chain:].reshape(len(landmarks), 3, len(landmarks), 3)
+        return cls(
+            blocks[index, :, index, :],
+            blocks[index[:-1], :, index[1:], :],
+            H[:chain, chain:].reshape(poses, 9, -1),
+            E[landmarks, :, landmarks, :],
+        )
+
+
+class _PackedIndex(NamedTuple):
+    """The position of every entry of the factors' [B^T W B | B^T W e]
+    products, in factor order, in one buffer [A | B | C | E | g | dump] for
+    a chain of `poses` keyframe blocks and `landmarks` landmarks."""
+
+    positions: np.ndarray
+    poses: int
+    landmarks: int
+
+
+def _packed_offsets(poses: int, landmarks: int) -> np.ndarray:
+    """Where A, B, C, E, g and the dump bin start in the packed buffer, and its size."""
+    A, B, C, E = 81 * poses, 81 * (poses - 1), 27 * poses * landmarks, 9 * landmarks
+    return np.cumsum([0, A, B, C, E, 9 * poses + 3 * landmarks, 1])
+
+
+def _scatter_index(jacobian, poses: int = 0):
+    """The flat positions that each factor's B^T W B and B^T W e entries add
+    to. They depend only on the factors' columns, which are fixed for a
+    problem.
+
+    Factor columns index a span of PRIOR + dim columns. For a chain of at
+    most TAIL keyframe blocks (`poses`) the positions are in the dense H
+    (span x span) and g (span). For a longer chain they are a `_PackedIndex`
+    into one buffer of `NormalBlocks`' A, B, C and E and of g; the entries
+    with no slot there, the prior's and those below the diagonal blocks, go
+    to its last, dump bin.
+    """
+    prior = jacobian.PRIOR
+    span = prior + jacobian.shape[1]
+    if poses <= TAIL:
+        h_index = [cols[:, :, None] * span + cols[:, None, :] for _, cols in jacobian.factors]
+        g_index = [cols for _, cols in jacobian.factors]
+        return np.concatenate(h_index, None), np.concatenate(g_index, None)
+    chain, landmarks = 9 * poses, (span - prior) // 3 - 3 * poses
+    start = _packed_offsets(poses, landmarks)
+    # blocks: 0 the prior, 1..M the keyframes, M+1..M+N the landmarks. An
+    # entry of block pair (p, q) goes to base[p, q] + stride[p, q] * (its
+    # row's place in p) + unit[p, q] * (its column's place in q); a pair with
+    # no slot has its base at the dump bin and stride and unit 0
+    blocks = 1 + poses + landmarks
+    base = np.full((blocks, blocks), start[5])
+    stride = np.zeros((blocks, blocks), np.intp)
+    k, m = np.arange(poses), np.arange(landmarks)
+    keyframe, landmark = 1 + k, 1 + poses + m
+    base[keyframe, keyframe], stride[keyframe, keyframe] = start[0] + 81 * k, 9
+    base[keyframe[:-1], keyframe[1:]], stride[keyframe[:-1], keyframe[1:]] = start[1] + 81 * k[:-1], 9
+    C = start[2] + 27 * landmarks * k[:, None] + 3 * m
+    base[keyframe[:, None], landmark], stride[keyframe[:, None], landmark] = C, 3 * landmarks
+    base[landmark, landmark], stride[landmark, landmark] = start[3] + 9 * m, 3
+    unit = (stride > 0).astype(np.intp)
+    positions = np.empty(sum(c.shape[0] * c.shape[1] * (c.shape[1] + 1) for _, c in jacobian.factors), np.intp)
+    used = 0
+    for _, cols in jacobian.factors:
+        count, width = cols.shape
+        position = positions[used : used + count * width * (width + 1)].reshape(count, width, width + 1)
+        used += position.size
+        entry = cols - prior
+        block = np.where(entry < chain, entry // 9 + 1, poses + 1 + (entry - chain) // 3)
+        place = np.where(entry < chain, entry % 9, (entry - chain) % 3)
+        pair = block[:, :, None] * blocks + block[:, None, :]
+        # mode "clip" writes to `out` without the default's buffering; every
+        # pair is in range
+        h_index = position[:, :, :width]
+        np.take(base, pair, out=h_index, mode="clip")
+        term = stride.take(pair, mode="clip")
+        term *= place[:, :, None]
+        h_index += term
+        np.take(unit, pair, out=term, mode="clip")
+        term *= place[:, None, :]
+        h_index += term
+        position[:, :, width] = np.where(entry >= 0, start[4] + entry, start[5])
+    return _PackedIndex(positions, poses, landmarks)
 
 
 def _normal_system(residual, jacobian, weights, damping, index):
-    """Sum each factor's B^T W B and B^T W e into the block column space at
-    `index` (the problem's `_scatter_index`), then drop the prior's columns
-    and add the damping. The sums run in a fixed order, so identical inputs
-    give bit-identical (H, g)."""
-    h_index, g_index = index
+    """Sum each factor's B^T W B and B^T W e at `index` (the problem's
+    `_scatter_index`), drop the prior's columns and add the damping. The
+    sums run in a fixed order, so identical inputs give bit-identical
+    (H, g). A dense index gives the dense H, a packed one its
+    `NormalBlocks`; both layouts sum every entry in the same order."""
     prior = jacobian.PRIOR
     span = prior + jacobian.shape[1]
+    # each factor's [B^T W B | B^T W e], (count, width, width + 1), from one
+    # product, all in one buffer in factor order
+    products = np.empty(sum(b.shape[0] * b.shape[2] * (b.shape[2] + 1) for b, _ in jacobian.factors))
     h_values, g_values = [], []
-    start = 0
+    start = used = 0
     for blocks, _ in jacobian.factors:
         count, height, width = blocks.shape
         stop = start + count * height
         w = weights[start:stop].reshape(count, height, 1)
         e = residual[start:stop].reshape(count, height, 1)
-        # one product gives [B^T W B | B^T W e]
-        products = blocks.transpose(0, 2, 1) @ (w * np.concatenate([blocks, e], axis=2))
-        h_values.append(products[:, :, :width])
-        g_values.append(products[:, :, width])
-        start = stop
+        product = products[used : used + count * width * (width + 1)].reshape(count, width, width + 1)
+        np.matmul(blocks.transpose(0, 2, 1), w * np.concatenate([blocks, e], axis=2), out=product)
+        h_values.append(product[:, :, :width])
+        g_values.append(product[:, :, width])
+        start, used = stop, used + product.size
+    if isinstance(index, _PackedIndex):
+        M, N = index.poses, index.landmarks
+        start = _packed_offsets(M, N)
+        packed = np.bincount(index.positions, products, start[-1])
+        A, B, C, E, g = (packed[a:b] for a, b in zip(start[:-2], start[1:-1]))
+        A.reshape(M, 81)[:, ::10] += damping
+        E.reshape(N, 9)[:, ::4] += damping
+        blocks = NormalBlocks(
+            A.reshape(M, 9, 9), B.reshape(M - 1, 9, 9), C.reshape(M, 9, 3 * N), E.reshape(N, 3, 3)
+        )
+        return blocks, g
+    h_index, g_index = index
     H = np.bincount(h_index, np.concatenate(h_values, None), span * span)
     g = np.bincount(g_index, np.concatenate(g_values, None), span)
     H[prior * (span + 1) :: span + 1] += damping  # the diagonal of the kept block
     return H.reshape(span, span)[prior:, prior:], g[prior:]
 
 
-def constrained_step(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, c: np.ndarray, poses: int):
+def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray, poses: int):
     """Minimise the quadratic model with the increment entries `fixed` set to -c.
 
-    The free entries solve H_ff delta_f = -(g_f + H_fc delta_c); the returned
+    H is the dense damped normal matrix or its `NormalBlocks`. The free
+    entries solve H_ff delta_f = -(g_f + H_fc delta_c); the returned
     multipliers lambda = -(H[fixed] @ delta + g[fixed]) are those of the
     equivalent saddle-point system. With no fixed entries this is the plain
     solve H delta = -g. Returns (delta, lambda).
@@ -123,10 +271,13 @@ def constrained_step(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, c: np.ndar
     The first `poses` 9-column blocks of H are keyframe blocks that couple
     only to their neighbours and to the entries after them (the IMU chain).
     With more than TAIL keyframe blocks, whose entries must then all be free,
-    the chain is eliminated by odd-even reduction (`_reduce_chain`) down to a
-    tail of at most TAIL keyframes and the free entries after them, which is
-    solved densely. With at most TAIL keyframe blocks the step is one dense
-    solve of the free block.
+    the step works on the blocks (a dense H is read into `NormalBlocks`):
+    the fixed columns are folded into the right-hand side, and the chain is
+    eliminated by odd-even reduction (`_reduce_chain`) down to a tail of at
+    most TAIL keyframes and the free entries after them, which is solved
+    densely; the multipliers come from the fixed columns by symmetry. With
+    at most TAIL keyframe blocks the step is one dense solve of the free
+    block.
     """
     fixed = np.asarray(fixed, dtype=np.intp)
     dim = H.shape[0]
@@ -142,40 +293,39 @@ def constrained_step(H: np.ndarray, g: np.ndarray, fixed: np.ndarray, c: np.ndar
     delta[fixed] = -np.asarray(c, dtype=float)
     try:
         if reduce:
-            delta[free] = _reduce_chain(H, -(g + H[:, fixed] @ delta[fixed]), free, poses)
+            blocks = H if isinstance(H, NormalBlocks) else NormalBlocks.from_dense(H, poses)
+            H_fixed = blocks.columns(fixed)  # H[:, fixed]
+            r = -(g + H_fixed @ delta[fixed])
+            rest = np.flatnonzero(free[9 * poses :])
+            E = blocks.landmark_block()[rest][:, rest]
+            delta[free] = _reduce_chain(blocks.A, blocks.B, blocks.C[:, :, rest], E, r[free])
+            H_rows = H_fixed.T  # H[fixed], by symmetry
         else:  # the product over full rows of H keeps the dense step's rounding
             H_free = H[free]
             delta[free] = np.linalg.solve(H_free[:, free], -(g[free] + H_free @ delta))
+            H_rows = H[fixed]
     except np.linalg.LinAlgError:
-        H_ff = H[free][:, free]
+        H_ff = np.asarray(H)[free][:, free]
         raise RankDeficientError(dim - m, int(np.linalg.matrix_rank(H_ff))) from None
-    return delta, -(H[fixed] @ delta + g[fixed])
+    return delta, -(H_rows @ delta + g[fixed])
 
 
-def _reduce_chain(H, r, free, poses):
-    """Solve the free block of H x = r, whose first `poses` 9-column blocks
-    form a block-tridiagonal chain, by odd-even reduction. Returns x[free].
+def _reduce_chain(A, B, C, E, r):
+    """Solve [[T, C], [C^T, E]] x = r by odd-even reduction of the
+    block-tridiagonal T, with diagonal blocks A (M, 9, 9) and upper
+    couplings B (M - 1, 9, 9); C (M, 9, L) couples T to L entries whose own
+    block is the dense E (L, L). Overwrites E and r; returns x.
 
-    The chain is read out of H as its diagonal blocks A (M, 9, 9), upper
-    couplings B (M - 1, 9, 9) and coupling C (M, 9, L) to the L free entries
-    after it, whose own block is E (L, L). Each level inverts the T blocks at
-    odd positions in one batched call, applies them to [B_left^T | B_right |
-    C | r], and folds the result into the even neighbours, which form the
-    next level's chain, and into E (Heller, SIAM J. Numer. Anal. 1976). Once
-    at most TAIL blocks remain, the tail is solved densely and each level's
-    odd blocks are back-substituted in one batched product.
+    Each level inverts the T blocks at odd positions in one batched call,
+    applies them to [B_left^T | B_right | C | r], and folds the result into
+    the even neighbours, which form the next level's chain, and into E
+    (Heller, SIAM J. Numer. Anal. 1976). Once at most TAIL blocks remain,
+    the tail is solved densely and each level's odd blocks are
+    back-substituted in one batched product.
     """
-    chain = 9 * poses
-    rest = np.flatnonzero(free[chain:]) + chain
-    L = rest.size
-    index = np.arange(poses)
-    blocks = H[:chain, :chain].reshape(poses, 9, poses, 9)
-    A = blocks[index, :, index, :]
-    B = blocks[index[:-1], :, index[1:], :]
-    C = H[:chain, rest].reshape(poses, 9, L)
-    E = H[rest][:, rest]
-    r_chain = r[:chain].reshape(poses, 9, 1)
-    r_rest = r[rest]
+    L = E.shape[0]
+    r_chain = r[: 9 * len(A)].reshape(len(A), 9, 1)
+    r_rest = r[9 * len(A) :]
     levels = []
     while len(A) > TAIL:
         T = len(A) // 2
@@ -203,16 +353,8 @@ def _reduce_chain(H, r, free, poses):
         E -= update[:, :L]
         r_rest -= update[:, L]
         levels.append(X)
-    k = len(A)  # the tail's keyframe blocks, then its L free entries
-    S = np.zeros((9 * k + L, 9 * k + L))
-    tail = S[: 9 * k, : 9 * k].reshape(k, 9, k, 9)
-    tail[index[:k], :, index[:k], :] = A
-    tail[index[: k - 1], :, index[1:k], :] = B
-    tail[index[1:k], :, index[: k - 1], :] = B.transpose(0, 2, 1)
-    S[: 9 * k, 9 * k :] = C.reshape(9 * k, L)
-    S[9 * k :, : 9 * k] = C.reshape(9 * k, L).T
-    S[9 * k :, 9 * k :] = E
-    solution = np.linalg.solve(S, np.concatenate([r_chain.reshape(-1), r_rest]))
+    k = len(A)  # the tail's keyframe blocks, then its L entries
+    solution = np.linalg.solve(_dense(A, B, C, E), np.concatenate([r_chain.reshape(-1), r_rest]))
     x, y = solution[: 9 * k].reshape(k, 9), solution[9 * k :]
     for X in reversed(levels):
         # odd block t is X [-x[t]; -x[t + 1]; -y; 1], with x[t + 1] = 0 past the end
@@ -227,6 +369,23 @@ def _reduce_chain(H, r, free, poses):
         merged[1::2] = (X @ neighbours[:, :, None])[:, :, 0]
         x = merged
     return np.concatenate([x.reshape(-1), y])
+
+
+def _dense(A, B, C, E):
+    """The symmetric [[T, C], [C^T, E]] of a chain T with diagonal blocks A
+    (k, 9, 9) and upper couplings B (k - 1, 9, 9), its coupling C (k, 9, L)
+    and the dense (L, L) block E."""
+    k, L = len(A), E.shape[0]
+    index = np.arange(k)
+    S = np.zeros((9 * k + L, 9 * k + L))
+    chain = S[: 9 * k, : 9 * k].reshape(k, 9, k, 9)
+    chain[index, :, index, :] = A
+    chain[index[:-1], :, index[1:], :] = B
+    chain[index[1:], :, index[:-1], :] = B.transpose(0, 2, 1)
+    S[: 9 * k, 9 * k :] = C.reshape(9 * k, L)
+    S[9 * k :, : 9 * k] = C.reshape(9 * k, L).T
+    S[9 * k :, 9 * k :] = E
+    return S
 
 
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
@@ -254,7 +413,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
         try:
             residual, jacobian, weights = assemble(current)
             if index is None:
-                index = _scatter_index(jacobian)
+                index = _scatter_index(jacobian, window.n - 1)
             H, g = _normal_system(residual, jacobian, weights, config.damping, index)
             cost_history.append(float(residual @ (weights * residual)))
             if config.constrain_altitude:

@@ -19,6 +19,7 @@ from padvio.sim import (
 from padvio.solver import (
     TAIL,
     IterationError,
+    NormalBlocks,
     RankDeficientError,
     SolverConfig,
     build_normal_system,
@@ -83,6 +84,73 @@ def test_normal_system_peak_memory_below_dense_jacobian():
     finally:
         tracemalloc.stop()
     assert peak < rows * dim * 8  # 7.8 MB at n = 60, N = 10
+
+
+def _block_case(name):
+    """A problem past TAIL + 1 keyframes, evaluated away from the truth."""
+    rng = np.random.default_rng(8)
+    if name == "n60_N10":
+        return _oracle_case(name)
+    problem = _level_circle_problem(int(name[1:3]), 3, seed=5)
+    if name == "n18_shuffled_dropped":  # keyframes 5 and 12 see no marker; the rest shuffled
+        meas = problem.measurements
+        kept = meas[~np.isin(meas.frame_index, [5, 12])]
+        problem = replace(problem, measurements=kept[rng.permutation(len(kept))])
+    offset = rng.normal(0.0, 0.02, problem.window.dim)
+    return replace(problem, window=boxplus(problem.window, offset))
+
+
+def _block_system(problem, damping=0.1):
+    residual, jacobian, weights = assemble(problem)
+    index = solver._scatter_index(jacobian, problem.window.n - 1)
+    return solver._normal_system(residual, jacobian, weights, damping, index)
+
+
+@pytest.mark.parametrize("case", ["n10", "n18", "n60_N10", "n18_shuffled_dropped"])
+def test_block_system_equals_blocks_of_dense_normal_matrix(case):
+    # both layouts sum every entry in the same order, so the kept blocks
+    # carry the dense H's bits
+    problem = _block_case(case)
+    H, g = build_normal_system(problem, damping=0.1)
+    blocks, g_blocks = _block_system(problem)
+    M, N = problem.window.n - 1, problem.window.num_landmarks
+    chain = 9 * M
+    assert blocks.shape == H.shape
+    assert g_blocks.tobytes() == g.tobytes()
+    A = [H[9 * j : 9 * j + 9, 9 * j : 9 * j + 9] for j in range(M)]
+    B = [H[9 * j : 9 * j + 9, 9 * j + 9 : 9 * j + 18] for j in range(M - 1)]
+    E = [H[chain + 3 * i : chain + 3 * i + 3, chain + 3 * i : chain + 3 * i + 3] for i in range(N)]
+    assert blocks.A.tobytes() == np.array(A).tobytes()
+    assert blocks.B.tobytes() == np.array(B).tobytes()
+    assert blocks.C.tobytes() == H[:chain, chain:].reshape(M, 9, 3 * N).tobytes()
+    assert blocks.E.tobytes() == np.array(E).tobytes()
+    # the landmarks couple to nothing but their own block
+    assert np.array_equal(blocks.landmark_block(), H[chain:, chain:])
+    # the adapter reads the same blocks from the dense H, and back
+    for adapted in (NormalBlocks.from_dense(H, M), NormalBlocks.from_dense(blocks.toarray(), M)):
+        for name in "ABCE":
+            assert getattr(adapted, name).tobytes() == getattr(blocks, name).tobytes(), name
+    # below the diagonal blocks the dense H mirrors them to rounding only
+    assert np.abs(blocks.toarray() - H).max() <= 1e-12 * np.abs(H).max()
+    assert np.array_equal(np.asarray(blocks), blocks.toarray())
+
+
+def test_block_step_peak_memory_below_dense_normal_matrix():
+    # one iteration past TAIL + 1 keyframes allocates no (9n + 3N)^2 array
+    problem = _oracle_case("n60_N10")
+    residual, jacobian, weights = assemble(problem)
+    poses = problem.window.n - 1
+    index = solver._scatter_index(jacobian, poses)
+    fixed, c = altitude_constraint(problem)
+    tracemalloc.start()
+    try:
+        H, g = solver._normal_system(residual, jacobian, weights, 0.1, index)
+        constrained_step(H, g, fixed, c, poses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(H, NormalBlocks)
+    assert peak < (9 * problem.window.n + 3 * problem.window.num_landmarks) ** 2 * 8  # 2.6 MB
 
 
 def test_normal_system_symmetric():
@@ -170,17 +238,28 @@ def _oracle_window(name):
 
 def _assert_matches_oracle(problem, H, g):
     """The step, constrained and unconstrained, against the saddle-point
-    system and the plain solve H delta = -g."""
+    system and the plain solve H delta = -g. Past TAIL keyframe blocks the
+    step also runs on the block system that `solve` passes, and gives the
+    bits of the step on the dense H read through the adapter."""
     poses = problem.window.n - 1
+    systems = [H]
+    if poses > TAIL:
+        blocks, g_blocks = _block_system(problem)
+        assert g_blocks.tobytes() == g.tobytes()
+        systems.append(blocks)
     fixed, c = altitude_constraint(problem)
-    delta, lam = constrained_step(H, g, fixed, c, poses)
     ref_delta, ref_lam = _saddle_point_step(H, g, fixed, c)
-    assert np.abs(delta - ref_delta).max() <= 1e-9 * np.abs(ref_delta).max()
-    assert np.abs(lam - ref_lam).max() <= 1e-9 * np.abs(ref_lam).max()
-    delta, lam = constrained_step(H, g, np.zeros(0, dtype=np.intp), np.zeros(0), poses)
-    ref_delta = np.linalg.solve(H, -g)
-    assert np.abs(delta - ref_delta).max() <= 1e-9 * np.abs(ref_delta).max()
-    assert lam.size == 0
+    free_delta = np.linalg.solve(H, -g)
+    steps = []
+    for system in systems:
+        delta, lam = constrained_step(system, g, fixed, c, poses)
+        assert np.abs(delta - ref_delta).max() <= 1e-9 * np.abs(ref_delta).max()
+        assert np.abs(lam - ref_lam).max() <= 1e-9 * np.abs(ref_lam).max()
+        free, none = constrained_step(system, g, np.zeros(0, dtype=np.intp), np.zeros(0), poses)
+        assert np.abs(free - free_delta).max() <= 1e-9 * np.abs(free_delta).max()
+        assert none.size == 0
+        steps.append((delta.tobytes(), free.tobytes()))
+    assert steps[-1] == steps[0]
 
 
 @pytest.mark.parametrize("name", ["n7", "n10", "n18", "n30", "n31", "n60_N10", "n120"])
@@ -394,15 +473,38 @@ def test_solve_rejects_nan_convergence_tol():
 
 
 def test_solve_builds_the_scatter_index_once(monkeypatch):
-    dataset = _reference_dataset()
-    problem = make_problem(dataset, perturb_initialization(dataset, "cold"))
+    # n = 7 sums the dense H, n = 30 the block system
     calls = []
 
-    def counting(jacobian):
-        calls.append(jacobian.shape)
-        return scatter_index(jacobian)
+    def counting(jacobian, poses):
+        calls.append(poses)
+        return scatter_index(jacobian, poses)
 
     scatter_index = solver._scatter_index
     monkeypatch.setattr(solver, "_scatter_index", counting)
-    report = solve(problem, SolverConfig(max_iterations=5))
-    assert report.iterations_run == 5 and len(calls) == 1
+    for dataset in (_reference_dataset(), _level_circle_dataset(30)):
+        problem = make_problem(dataset, perturb_initialization(dataset, "cold"))
+        report = solve(problem, SolverConfig(max_iterations=5))
+        assert report.iterations_run == 5
+    assert calls == [6, 29]
+
+
+def test_unconstrained_solve_past_tail_matches_dense_steps():
+    # n = 30 takes the block path inside solve with no fixed entries: each
+    # iterate must be the plain dense solve H delta = -g from the last
+    problem = _block_case("n30")
+    problem.window.landmarks[:, 2] = 0.5
+    report = solve(problem, SolverConfig(max_iterations=3, constrain_altitude=False))
+    window = problem.window
+    for cost, norm in zip(report.cost_history, report.step_norms):
+        current = problem.with_window(window)
+        H, g = build_normal_system(current, damping=0.1)
+        r, _, w = assemble(current)
+        delta = np.linalg.solve(H, -g)
+        assert abs(cost - r @ (w * r)) <= 1e-9 * cost
+        assert abs(norm - np.linalg.norm(delta)) <= 1e-9 * norm
+        window = boxplus(window, delta)
+    final = report.final_window
+    assert np.abs(final.landmarks - window.landmarks).max() <= 1e-9 * np.abs(window.landmarks).max()
+    assert np.abs(final.poses.p - window.poses.p).max() <= 1e-9 * np.abs(window.poses.p).max()
+    assert np.abs(final.landmarks[:, 2]).max() > 0.0
