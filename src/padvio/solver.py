@@ -12,18 +12,22 @@ through a saddle-point system; the retracted altitudes z + (-z) are exactly
 is block-tridiagonal (Triggs et al. §6), and each landmark couples only to
 the keyframes that see it, so the landmark part is block-diagonal.
 
-Windows of up to TAIL + 1 keyframes sum the dense H and take one dense
-solve of the free block. Longer windows never form H: the factor products
-are summed straight into one packed buffer of its nonzero blocks
-(`NormalBlocks`: keyframe diagonal blocks A, their upper couplings B, the
-keyframe-landmark coupling C and the landmark blocks E) and of g, and the
-keyframe chain is eliminated by odd-even reduction, all the odd-position
-keyframes of a level at once, down to a small dense tail (at most TAIL
-keyframes and the free landmark x/y entries), which is solved once. Both
-layouts sum every entry in the same order, so their kept entries have the
-same bits. The scatter index depends only on the factors' columns, so
-`solve` builds it once. Damping alpha is constant for the whole run;
-iteration count is fixed unless a convergence tolerance is set.
+The layout of the normal equations is picked once per solve, from the
+window length, by the scatter index, and every later stage reads it from
+its input. Windows of up to TAIL + 1 keyframes sum the dense H, followed by
+g, and take one dense solve of the free block. Longer windows never form H:
+the factor products are summed straight into one packed buffer of its
+nonzero blocks (`NormalBlocks`: keyframe diagonal blocks A, their upper
+couplings B, the keyframe-landmark coupling C and the landmark blocks E)
+and of g. The fixed entries are folded into the right-hand side from C and
+E, and the keyframe chain is eliminated by odd-even reduction, all the
+odd-position keyframes of a level at once, down to a small dense tail (at
+most TAIL keyframes and the free landmark x/y entries), which is solved
+once. Both layouts sum every entry with one `np.bincount` in the same
+order, so their kept entries have the same bits. The scatter index depends
+only on the factors' columns, so `solve` builds it once. Damping alpha is
+constant for the whole run; iteration count is fixed unless a convergence
+tolerance is set.
 """
 
 from __future__ import annotations
@@ -112,35 +116,11 @@ class NormalBlocks:
         dense[np.arange(N), :, np.arange(N), :] = self.E
         return dense.reshape(3 * N, 3 * N)
 
-    def columns(self, index: np.ndarray) -> np.ndarray:
-        """The dense matrix's columns `index`, all after the chain."""
-        chain = 9 * len(self.A)
-        local = index - chain
-        H_columns = np.zeros((self.shape[0], local.size))
-        H_columns[:chain] = self.C[:, :, local].reshape(chain, local.size)
-        H_columns[chain:] = self.landmark_block()[:, local]
-        return H_columns
-
     def toarray(self) -> np.ndarray:
         return _dense(self.A, self.B, self.C, self.landmark_block())
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.toarray(), dtype=dtype)
-
-    @classmethod
-    def from_dense(cls, H: np.ndarray, poses: int) -> "NormalBlocks":
-        """The blocks of a dense H whose first `poses` 9-column blocks form
-        the chain and whose landmark part is block-diagonal."""
-        chain = 9 * poses
-        index, landmarks = np.arange(poses), np.arange((H.shape[0] - chain) // 3)
-        blocks = H[:chain, :chain].reshape(poses, 9, poses, 9)
-        E = H[chain:, chain:].reshape(len(landmarks), 3, len(landmarks), 3)
-        return cls(
-            blocks[index, :, index, :],
-            blocks[index[:-1], :, index[1:], :],
-            H[:chain, chain:].reshape(poses, 9, -1),
-            E[landmarks, :, landmarks, :],
-        )
 
 
 class _PackedIndex(NamedTuple):
@@ -164,19 +144,20 @@ def _scatter_index(jacobian, poses: int = 0):
     to. They depend only on the factors' columns, which are fixed for a
     problem.
 
-    Factor columns index a span of PRIOR + dim columns. For a chain of at
-    most TAIL keyframe blocks (`poses`) the positions are in the dense H
-    (span x span) and g (span). For a longer chain they are a `_PackedIndex`
-    into one buffer of `NormalBlocks`' A, B, C and E and of g; the entries
-    with no slot there, the prior's and those below the diagonal blocks, go
-    to its last, dump bin.
+    This is the one place that picks the layout of the normal equations,
+    from the number of keyframe blocks in the chain (`poses`). Factor
+    columns index a span of PRIOR + dim columns. For a chain of at most
+    TAIL blocks the positions are an array into one buffer of the dense H
+    (span x span) followed by g (span). For a longer chain they are a
+    `_PackedIndex` into one buffer of `NormalBlocks`' A, B, C and E and of
+    g; the entries with no slot there, the prior's and those below the
+    diagonal blocks, go to its last, dump bin.
     """
     prior = jacobian.PRIOR
     span = prior + jacobian.shape[1]
-    if poses <= TAIL:
-        h_index = [cols[:, :, None] * span + cols[:, None, :] for _, cols in jacobian.factors]
-        g_index = [cols for _, cols in jacobian.factors]
-        return np.concatenate(h_index, None), np.concatenate(g_index, None)
+    if poses <= TAIL:  # H's span x span bins, then g's span bins
+        index = [np.dstack([c[:, :, None] * span + c[:, None, :], span * span + c]) for _, c in jacobian.factors]
+        return np.concatenate(index, None)
     chain, landmarks = 9 * poses, (span - prior) // 3 - 3 * poses
     start = _packed_offsets(poses, landmarks)
     # blocks: 0 the prior, 1..M the keyframes, M+1..M+N the landmarks. An
@@ -220,16 +201,15 @@ def _scatter_index(jacobian, poses: int = 0):
 
 def _normal_system(residual, jacobian, weights, damping, index):
     """Sum each factor's B^T W B and B^T W e at `index` (the problem's
-    `_scatter_index`), drop the prior's columns and add the damping. The
-    sums run in a fixed order, so identical inputs give bit-identical
-    (H, g). A dense index gives the dense H, a packed one its
+    `_scatter_index`) with one `np.bincount`, drop the prior's columns and
+    add the damping. The sums run in a fixed order, so identical inputs give
+    bit-identical (H, g). A dense index gives the dense H, a packed one its
     `NormalBlocks`; both layouts sum every entry in the same order."""
     prior = jacobian.PRIOR
     span = prior + jacobian.shape[1]
     # each factor's [B^T W B | B^T W e], (count, width, width + 1), from one
     # product, all in one buffer in factor order
     products = np.empty(sum(b.shape[0] * b.shape[2] * (b.shape[2] + 1) for b, _ in jacobian.factors))
-    h_values, g_values = [], []
     start = used = 0
     for blocks, _ in jacobian.factors:
         count, height, width = blocks.shape
@@ -238,8 +218,6 @@ def _normal_system(residual, jacobian, weights, damping, index):
         e = residual[start:stop].reshape(count, height, 1)
         product = products[used : used + count * width * (width + 1)].reshape(count, width, width + 1)
         np.matmul(blocks.transpose(0, 2, 1), w * np.concatenate([blocks, e], axis=2), out=product)
-        h_values.append(product[:, :, :width])
-        g_values.append(product[:, :, width])
         start, used = stop, used + product.size
     if isinstance(index, _PackedIndex):
         M, N = index.poses, index.landmarks
@@ -252,32 +230,28 @@ def _normal_system(residual, jacobian, weights, damping, index):
             A.reshape(M, 9, 9), B.reshape(M - 1, 9, 9), C.reshape(M, 9, 3 * N), E.reshape(N, 3, 3)
         )
         return blocks, g
-    h_index, g_index = index
-    H = np.bincount(h_index, np.concatenate(h_values, None), span * span)
-    g = np.bincount(g_index, np.concatenate(g_values, None), span)
+    summed = np.bincount(index, products, span * (span + 1))
+    H, g = summed[: span * span], summed[span * span :]
     H[prior * (span + 1) :: span + 1] += damping  # the diagonal of the kept block
     return H.reshape(span, span)[prior:, prior:], g[prior:]
 
 
-def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray, poses: int):
+def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray):
     """Minimise the quadratic model with the increment entries `fixed` set to -c.
 
-    H is the dense damped normal matrix or its `NormalBlocks`. The free
-    entries solve H_ff delta_f = -(g_f + H_fc delta_c); the returned
-    multipliers lambda = -(H[fixed] @ delta + g[fixed]) are those of the
-    equivalent saddle-point system. With no fixed entries this is the plain
-    solve H delta = -g. Returns (delta, lambda).
+    The free entries solve H_ff delta_f = -(g_f + H_fc delta_c); the
+    returned multipliers lambda = -(H[fixed] @ delta + g[fixed]) are those
+    of the equivalent saddle-point system. With no fixed entries this is the
+    plain solve H delta = -g. Returns (delta, lambda).
 
-    The first `poses` 9-column blocks of H are keyframe blocks that couple
-    only to their neighbours and to the entries after them (the IMU chain).
-    With more than TAIL keyframe blocks, whose entries must then all be free,
-    the step works on the blocks (a dense H is read into `NormalBlocks`):
-    the fixed columns are folded into the right-hand side, and the chain is
-    eliminated by odd-even reduction (`_reduce_chain`) down to a tail of at
-    most TAIL keyframes and the free entries after them, which is solved
-    densely; the multipliers come from the fixed columns by symmetry. With
-    at most TAIL keyframe blocks the step is one dense solve of the free
-    block.
+    The step reads the layout from H. A dense H takes one dense solve of
+    the free block. A `NormalBlocks` H, whose keyframe chain entries must
+    all be free, has the fixed entries folded into the right-hand side as
+    C delta_l and E delta_l, with delta_l the landmark part of the
+    increment; its chain is eliminated by odd-even reduction
+    (`_reduce_chain`) down to a tail of at most TAIL keyframes and the free
+    landmark entries, which is solved densely. Its multipliers come from
+    the same two blocks, by symmetry.
     """
     fixed = np.asarray(fixed, dtype=np.intp)
     dim = H.shape[0]
@@ -286,28 +260,29 @@ def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray, poses: 
     m = dim - int(np.count_nonzero(free))
     if m != fixed.size:  # a repeated index: duplicate constraint rows
         raise RankDeficientError(dim + fixed.size, dim + m)
-    reduce = poses > TAIL
-    if reduce and (9 * poses > dim or not free[: 9 * poses].all()):
-        raise ValueError("the reduced keyframe blocks must be free entries of H")
+    blocks = isinstance(H, NormalBlocks)
+    chain = 9 * len(H.A) if blocks else 0
+    if not free[:chain].all():
+        raise ValueError("the keyframe chain's entries must be free")
     delta = np.zeros(dim)
     delta[fixed] = -np.asarray(c, dtype=float)
     try:
-        if reduce:
-            blocks = H if isinstance(H, NormalBlocks) else NormalBlocks.from_dense(H, poses)
-            H_fixed = blocks.columns(fixed)  # H[:, fixed]
-            r = -(g + H_fixed @ delta[fixed])
-            rest = np.flatnonzero(free[9 * poses :])
-            E = blocks.landmark_block()[rest][:, rest]
-            delta[free] = _reduce_chain(blocks.A, blocks.B, blocks.C[:, :, rest], E, r[free])
-            H_rows = H_fixed.T  # H[fixed], by symmetry
+        if blocks:
+            C, E = H.C.reshape(chain, dim - chain), H.landmark_block()
+            delta_l = delta[chain:]  # a view, so it follows the solve below
+            r = -(g + np.concatenate([C @ delta_l, E @ delta_l]))
+            rest = np.flatnonzero(free[chain:])
+            delta[free] = _reduce_chain(H.A, H.B, H.C[:, :, rest], E[rest][:, rest], r[free])
+            local = fixed - chain
+            lam = -(delta[:chain] @ C[:, local] + E[local] @ delta_l + g[fixed])
         else:  # the product over full rows of H keeps the dense step's rounding
             H_free = H[free]
             delta[free] = np.linalg.solve(H_free[:, free], -(g[free] + H_free @ delta))
-            H_rows = H[fixed]
+            lam = -(H[fixed] @ delta + g[fixed])
     except np.linalg.LinAlgError:
         H_ff = np.asarray(H)[free][:, free]
         raise RankDeficientError(dim - m, int(np.linalg.matrix_rank(H_ff))) from None
-    return delta, -(H_rows @ delta + g[fixed])
+    return delta, lam
 
 
 def _reduce_chain(A, B, C, E, r):
@@ -420,7 +395,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
                 fixed, c = altitude_constraint(current)
             else:
                 fixed, c = np.zeros(0, dtype=np.intp), np.zeros(0)
-            delta, _ = constrained_step(H, g, fixed, c, window.n - 1)
+            delta, _ = constrained_step(H, g, fixed, c)
         except (DegenerateDepthError, RankDeficientError, ValueError) as err:
             # ValueError covers the log map degenerating when a diverging
             # iterate pushes a relative rotation to pi

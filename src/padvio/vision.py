@@ -108,13 +108,6 @@ def project(cam: CameraModel, pt: np.ndarray) -> np.ndarray:
     return _pinhole(cam, pt)
 
 
-def projection_differential(cam: CameraModel, pt: np.ndarray) -> np.ndarray:
-    """(..., 2, 3) derivative of the pinhole projection at camera-frame points."""
-    pt = np.asarray(pt, dtype=float)
-    _check_depth(pt[..., 2])
-    return _pinhole_differential(cam, pt)
-
-
 def photometric_residual(cam: CameraModel, pose, landmark: np.ndarray, meas: PixelMeasurement) -> np.ndarray:
     """Predicted minus measured pixel coordinates."""
     q = landmark_in_body(pose, landmark)

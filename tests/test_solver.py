@@ -126,10 +126,6 @@ def test_block_system_equals_blocks_of_dense_normal_matrix(case):
     assert blocks.E.tobytes() == np.array(E).tobytes()
     # the landmarks couple to nothing but their own block
     assert np.array_equal(blocks.landmark_block(), H[chain:, chain:])
-    # the adapter reads the same blocks from the dense H, and back
-    for adapted in (NormalBlocks.from_dense(H, M), NormalBlocks.from_dense(blocks.toarray(), M)):
-        for name in "ABCE":
-            assert getattr(adapted, name).tobytes() == getattr(blocks, name).tobytes(), name
     # below the diagonal blocks the dense H mirrors them to rounding only
     assert np.abs(blocks.toarray() - H).max() <= 1e-12 * np.abs(H).max()
     assert np.array_equal(np.asarray(blocks), blocks.toarray())
@@ -139,13 +135,12 @@ def test_block_step_peak_memory_below_dense_normal_matrix():
     # one iteration past TAIL + 1 keyframes allocates no (9n + 3N)^2 array
     problem = _oracle_case("n60_N10")
     residual, jacobian, weights = assemble(problem)
-    poses = problem.window.n - 1
-    index = solver._scatter_index(jacobian, poses)
+    index = solver._scatter_index(jacobian, problem.window.n - 1)
     fixed, c = altitude_constraint(problem)
     tracemalloc.start()
     try:
         H, g = solver._normal_system(residual, jacobian, weights, 0.1, index)
-        constrained_step(H, g, fixed, c, poses)
+        constrained_step(H, g, fixed, c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -173,14 +168,14 @@ def test_zero_residual_gives_zero_step():
     dataset = _reference_dataset(imu_var=0.0, pixel_var=0.0)
     problem = make_problem(dataset, dataset.ground_truth.copy())
     H, g = build_normal_system(problem, damping=0.1)
-    delta, lam = constrained_step(H, g, *altitude_constraint(problem), problem.window.n - 1)
+    delta, lam = constrained_step(H, g, *altitude_constraint(problem))
     assert np.linalg.norm(delta) < 1e-9
     assert np.linalg.norm(lam) < 1e-9
 
 
 def test_constrained_step_trivial_case():
     H = np.eye(4)
-    delta, lam = constrained_step(H, np.zeros(4), np.array([0]), np.zeros(1), 0)
+    delta, lam = constrained_step(H, np.zeros(4), np.array([0]), np.zeros(1))
     np.testing.assert_array_equal(delta, np.zeros(4))
     np.testing.assert_array_equal(lam, np.zeros(1))
 
@@ -189,7 +184,7 @@ def test_unconstrained_step_reduces_to_plain_solve(rng):
     A = rng.standard_normal((6, 6))
     H = A @ A.T + 6 * np.eye(6)
     g = rng.standard_normal(6)
-    delta, lam = constrained_step(H, g, np.zeros(0, dtype=int), np.zeros(0), 0)
+    delta, lam = constrained_step(H, g, np.zeros(0, dtype=int), np.zeros(0))
     np.testing.assert_allclose(delta, np.linalg.solve(H, -g), atol=1e-12)
     assert lam.size == 0
 
@@ -238,28 +233,23 @@ def _oracle_window(name):
 
 def _assert_matches_oracle(problem, H, g):
     """The step, constrained and unconstrained, against the saddle-point
-    system and the plain solve H delta = -g. Past TAIL keyframe blocks the
-    step also runs on the block system that `solve` passes, and gives the
-    bits of the step on the dense H read through the adapter."""
-    poses = problem.window.n - 1
+    system and the plain solve H delta = -g: on the dense H at every n, and
+    past TAIL keyframe blocks also on the block system that `solve` passes."""
     systems = [H]
-    if poses > TAIL:
+    if problem.window.n - 1 > TAIL:
         blocks, g_blocks = _block_system(problem)
         assert g_blocks.tobytes() == g.tobytes()
         systems.append(blocks)
     fixed, c = altitude_constraint(problem)
     ref_delta, ref_lam = _saddle_point_step(H, g, fixed, c)
     free_delta = np.linalg.solve(H, -g)
-    steps = []
     for system in systems:
-        delta, lam = constrained_step(system, g, fixed, c, poses)
+        delta, lam = constrained_step(system, g, fixed, c)
         assert np.abs(delta - ref_delta).max() <= 1e-9 * np.abs(ref_delta).max()
         assert np.abs(lam - ref_lam).max() <= 1e-9 * np.abs(ref_lam).max()
-        free, none = constrained_step(system, g, np.zeros(0, dtype=np.intp), np.zeros(0), poses)
+        free, none = constrained_step(system, g, np.zeros(0, dtype=np.intp), np.zeros(0))
         assert np.abs(free - free_delta).max() <= 1e-9 * np.abs(free_delta).max()
         assert none.size == 0
-        steps.append((delta.tobytes(), free.tobytes()))
-    assert steps[-1] == steps[0]
 
 
 @pytest.mark.parametrize("name", ["n7", "n10", "n18", "n30", "n31", "n60_N10", "n120"])
@@ -297,7 +287,7 @@ def test_constrained_step_without_reduction_is_the_dense_solve(n):
     ref_delta[fixed] = -c
     H_free = H[free]
     ref_delta[free] = np.linalg.solve(H_free[:, free], -(g[free] + H_free @ ref_delta))
-    delta, lam = constrained_step(H, g, fixed, c, n - 1)
+    delta, lam = constrained_step(H, g, fixed, c)
     assert delta.tobytes() == ref_delta.tobytes()
     assert lam.tobytes() == (-(H[fixed] @ ref_delta + g[fixed])).tobytes()
 
@@ -319,23 +309,25 @@ def test_normal_matrix_couples_only_neighbouring_keyframes(n):
 @pytest.mark.parametrize("position", [13, 6, 12])
 def test_constrained_step_reports_rank_deficiency_in_the_chain(position):
     # of the 29 keyframe blocks at n = 30, block 13 is eliminated at the
-    # first level, block 6 at the second, and block 12 survives to the tail
+    # first level, block 6 at the second, and block 12 survives to the tail;
+    # zeroing its rows and columns of H means zeroing A[position], its
+    # couplings B to both neighbours and its landmark coupling C
     problem = _level_circle_problem(30, 3, seed=4)
-    H, g = build_normal_system(problem, damping=0.0)
+    blocks, g = _block_system(problem, damping=0.0)
     fixed, c = altitude_constraint(problem)
-    block = slice(9 * position, 9 * position + 9)
-    H[block, :] = 0.0
-    H[:, block] = 0.0
+    blocks.A[position] = 0.0
+    blocks.B[position - 1 : position + 1] = 0.0
+    blocks.C[position] = 0.0
     with pytest.raises(RankDeficientError) as excinfo:
-        constrained_step(H, g, fixed, c, problem.window.n - 1)
+        constrained_step(blocks, g, fixed, c)
     assert excinfo.value.deficiency == 9
 
 
 def test_constrained_step_rejects_fixed_keyframe_entries():
     problem = _level_circle_problem(12, 3, seed=4)
-    H, g = build_normal_system(problem, damping=0.1)
-    with pytest.raises(ValueError):
-        constrained_step(H, g, np.array([5]), np.zeros(1), problem.window.n - 1)
+    blocks, g = _block_system(problem)
+    with pytest.raises(ValueError, match="keyframe chain"):
+        constrained_step(blocks, g, np.array([5]), np.zeros(1))
 
 
 def test_constrained_step_lands_on_plane():
@@ -345,7 +337,7 @@ def test_constrained_step_lands_on_plane():
     problem = make_problem(dataset, window)
     H, g = build_normal_system(problem, damping=0.1)
     fixed, c = altitude_constraint(problem)
-    delta, _ = constrained_step(H, g, fixed, c, problem.window.n - 1)
+    delta, _ = constrained_step(H, g, fixed, c)
     np.testing.assert_array_equal(delta[fixed], -c)
     updated = boxplus(window, delta)
     assert np.all(updated.landmarks[:, 2] == 0.0)
@@ -354,12 +346,12 @@ def test_constrained_step_lands_on_plane():
 def test_constrained_step_reports_rank_deficiency():
     # a repeated fixed index is a duplicated constraint row
     with pytest.raises(RankDeficientError) as excinfo:
-        constrained_step(np.eye(3), np.zeros(3), np.array([2, 2]), np.zeros(2), 0)
+        constrained_step(np.eye(3), np.zeros(3), np.array([2, 2]), np.zeros(2))
     assert excinfo.value.deficiency >= 1
     assert "rank deficient" in str(excinfo.value)
     # a singular block on the free entries
     with pytest.raises(RankDeficientError) as excinfo:
-        constrained_step(np.diag([1.0, 0.0, 1.0]), np.ones(3), np.array([2]), np.zeros(1), 0)
+        constrained_step(np.diag([1.0, 0.0, 1.0]), np.ones(3), np.array([2]), np.zeros(1))
     assert excinfo.value.deficiency == 1
 
 
@@ -473,20 +465,28 @@ def test_solve_rejects_nan_convergence_tol():
 
 
 def test_solve_builds_the_scatter_index_once(monkeypatch):
-    # n = 7 sums the dense H, n = 30 the block system
-    calls = []
+    # the index picks the layout, the only switch on the window length:
+    # n = 7 and 9 sum the dense H, n = 10 and 30 the block system
+    calls, layouts = [], []
 
     def counting(jacobian, poses):
         calls.append(poses)
         return scatter_index(jacobian, poses)
 
-    scatter_index = solver._scatter_index
+    def recording(H, g, fixed, c):
+        layouts.append(type(H))
+        return step(H, g, fixed, c)
+
+    scatter_index, step = solver._scatter_index, solver.constrained_step
     monkeypatch.setattr(solver, "_scatter_index", counting)
-    for dataset in (_reference_dataset(), _level_circle_dataset(30)):
+    monkeypatch.setattr(solver, "constrained_step", recording)
+    datasets = (_reference_dataset(), _level_circle_dataset(9), _level_circle_dataset(10), _level_circle_dataset(30))
+    for dataset in datasets:
         problem = make_problem(dataset, perturb_initialization(dataset, "cold"))
         report = solve(problem, SolverConfig(max_iterations=5))
         assert report.iterations_run == 5
-    assert calls == [6, 29]
+    assert calls == [6, 8, 9, 29]
+    assert layouts == 10 * [np.ndarray] + 10 * [NormalBlocks]
 
 
 def test_unconstrained_solve_past_tail_matches_dense_steps():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from padvio import vision
 from padvio.checks import central_difference
 from padvio.graph import PoseState, pose_boxplus
 from padvio.manifold import exp_map, hat
@@ -12,7 +13,6 @@ from padvio.vision import (
     photometric_jacobian,
     photometric_residual,
     project,
-    projection_differential,
 )
 
 from conftest import random_rotation
@@ -140,7 +140,7 @@ def test_chain_rule_factorization(rng):
         inner[:, 0:3] = hat(q)
         inner[:, 6:9] = -np.eye(3)
         inner[:, 9:12] = pose.R.T
-        expected = projection_differential(cam, landmark_in_body(pose, landmark)) @ inner
+        expected = vision._pinhole_differential(cam, landmark_in_body(pose, landmark)) @ inner
         _, J = photometric_jacobian(cam, pose, landmark, PixelMeasurement(1, 1, np.zeros(2)))
         np.testing.assert_allclose(J, expected, atol=1e-12)
 
