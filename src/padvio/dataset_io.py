@@ -18,6 +18,8 @@ round-trip precision so files are byte-reproducible):
     pixels <count>
     p <frame> <landmark> <u> <v>            ... count lines, ids in 1..n and 1..N
 
+The pixel section ends the file; a record after it is an error.
+
 Each section is read and written as one table: the reader makes one
 `np.array` of the section's split lines, checks their keys and value
 counts, and converts the table to numbers in one call (str to float as
@@ -240,6 +242,8 @@ def _parse(text: str) -> Dataset:
         _indices(table[:, 1], num_landmarks, "pixel landmark") + 1,
         _finite(table[:, 2:], "p"),
     )
+    if reader.pos < len(reader.lines):
+        raise DatasetFormatError(f"extra record after the pixel section: {reader.lines[reader.pos].strip()!r}")
 
     return Dataset(
         ground_truth=WindowState(poses, landmarks),

@@ -3,36 +3,32 @@
 Each iteration solves H delta = -g, with H = J^T W J + alpha I and
 g = J^T W e, subject to delta_z = -c for every landmark altitude z, then
 retracts delta through boxplus. H and g are summed from each factor's
-B^T W B and B^T W e, the block structure of the normal equations (Triggs et
-al., "Bundle Adjustment - A Modern Synthesis", 2000); the dense J is never
-formed. The constraint fixes coordinates of a Euclidean block, so it is
-imposed by eliminating those entries (the null-space method) rather than
-through a saddle-point system; the retracted altitudes z + (-z) are exactly
-0. IMU factors join only neighbouring keyframes, so the keyframe part of H
-is block-tridiagonal (Triggs et al. §6), and each landmark couples only to
-the keyframes that see it, so the landmark part is block-diagonal.
+B^T W B and B^T W e (Triggs et al., "Bundle Adjustment - A Modern
+Synthesis", 2000); the dense J is never formed. The constraint fixes
+coordinates of a Euclidean block, so it is imposed by eliminating those
+entries (the null-space method) rather than through a saddle-point system;
+the retracted altitudes z + (-z) are exactly 0.
 
-The layout of the normal equations is picked once per solve, from the
-window length, by the scatter index, and every later stage reads it from
-its input. Windows of up to TAIL + 1 keyframes sum the dense H, followed by
-g, and take one dense solve of the free block. Longer windows never form H:
-the factor products are summed straight into one packed buffer of its
-nonzero blocks (`NormalBlocks`: keyframe diagonal blocks A, their upper
-couplings B, the keyframe-landmark coupling C and the landmark blocks E)
-and of g. The fixed entries are folded into the right-hand side from C and
-E, and the keyframe chain is eliminated by odd-even reduction, all the
-odd-position keyframes of a level at once, down to a small dense tail (at
-most TAIL keyframes and the free landmark x/y entries), which is solved
-once. Both layouts sum every entry with one `np.bincount` in the same
-order, so their kept entries have the same bits. The scatter index depends
-only on the factors' columns, so `solve` builds it once. Damping alpha is
-constant for the whole run; iteration count is fixed unless a convergence
-tolerance is set.
+The scatter index picks the layout once per solve, from the window length,
+and every later stage reads it from its input. Windows of up to TAIL + 1
+keyframes sum the dense H, then g, and take one dense solve of the free
+block. Longer windows never form H. IMU factors join only neighbouring
+keyframes and each pixel factor one keyframe to one landmark, so each
+keyframe row of H is a band (LAPACK's band storage; Golub & Van Loan, Matrix
+Computations, §4.3): the band and the dense landmark block are summed into
+one buffer with g (`NormalBlocks`). The fixed entries are folded into the
+right-hand side, and the keyframe chain is eliminated by odd-even reduction
+down to a dense tail of at most TAIL keyframes and the free landmark x/y
+entries, which is solved once. Both layouts sum every entry with one
+`np.bincount` in the same order, so their kept entries have the same bits.
+Damping alpha is constant for the whole run; iteration count is fixed unless
+a convergence tolerance is set.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
@@ -89,114 +85,91 @@ def build_normal_system(problem: Problem, damping: float = 0.1):
 
 @dataclass(frozen=True)
 class NormalBlocks:
-    """The damped normal matrix of a window held as its nonzero blocks.
+    """The damped normal matrix of a window past TAIL + 1 keyframes.
 
-    Keyframe blocks 2..n form a block-tridiagonal chain: diagonal blocks A
-    (M, 9, 9) and upper couplings B (M - 1, 9, 9), block j to j + 1, with
-    M = n - 1. C (M, 9, 3N) couples them to the N landmarks, which couple
-    to nothing else, so their part is block-diagonal, E (N, 3, 3). The
-    blocks below the diagonal are the transposes of B and C and are not
-    held. `toarray()` gives the dense symmetric matrix.
+    Its M = n - 1 keyframe blocks of 9 rows form a block-tridiagonal chain
+    coupled to the 3N landmark entries. Row block j of the band
+    (M, 9, 18 + 3N) holds its diagonal block A[j], its upper coupling B[j]
+    to block j + 1 (zero for the last block) and its landmark row C[j], in
+    that order; `A`, `B` and `C` are views of it. E (3N, 3N) is the dense
+    landmark block. The transposes of B and C below the diagonal are not
+    held; `toarray()` gives the dense symmetric matrix.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
+    band: np.ndarray
     E: np.ndarray
 
     @property
+    def A(self) -> np.ndarray:
+        return self.band[:, :, :9]
+
+    @property
+    def B(self) -> np.ndarray:
+        return self.band[:-1, :, 9:18]
+
+    @property
+    def C(self) -> np.ndarray:
+        return self.band[:, :, 18:]
+
+    @property
     def shape(self) -> Tuple[int, int]:
-        dim = 9 * len(self.A) + 3 * len(self.E)
+        dim = 9 * len(self.band) + len(self.E)
         return dim, dim
 
-    def landmark_block(self) -> np.ndarray:
-        """The dense (3N, 3N) landmark part of the matrix."""
-        N = len(self.E)
-        dense = np.zeros((N, 3, N, 3))
-        dense[np.arange(N), :, np.arange(N), :] = self.E
-        return dense.reshape(3 * N, 3 * N)
-
     def toarray(self) -> np.ndarray:
-        return _dense(self.A, self.B, self.C, self.landmark_block())
+        return _dense(self.A, self.B, self.C, self.E)
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.toarray(), dtype=dtype)
 
 
 class _PackedIndex(NamedTuple):
-    """The position of every entry of the factors' [B^T W B | B^T W e]
-    products, in factor order, in one buffer [A | B | C | E | g | dump] for
-    a chain of `poses` keyframe blocks and `landmarks` landmarks."""
+    """Where each factor product entry goes in one buffer [band | E | g | dump]."""
 
     positions: np.ndarray
     poses: int
-    landmarks: int
-
-
-def _packed_offsets(poses: int, landmarks: int) -> np.ndarray:
-    """Where A, B, C, E, g and the dump bin start in the packed buffer, and its size."""
-    A, B, C, E = 81 * poses, 81 * (poses - 1), 27 * poses * landmarks, 9 * landmarks
-    return np.cumsum([0, A, B, C, E, 9 * poses + 3 * landmarks, 1])
 
 
 def _scatter_index(jacobian, poses: int = 0):
     """The flat positions that each factor's B^T W B and B^T W e entries add
-    to. They depend only on the factors' columns, which are fixed for a
-    problem.
+    to, which depend only on the factors' columns, fixed for a problem.
 
     This is the one place that picks the layout of the normal equations,
     from the number of keyframe blocks in the chain (`poses`). Factor
     columns index a span of PRIOR + dim columns. For a chain of at most
     TAIL blocks the positions are an array into one buffer of the dense H
     (span x span) followed by g (span). For a longer chain they are a
-    `_PackedIndex` into one buffer of `NormalBlocks`' A, B, C and E and of
-    g; the entries with no slot there, the prior's and those below the
-    diagonal blocks, go to its last, dump bin.
+    `_PackedIndex`. Counted past the prior, keyframe row r of the block
+    starting at first = r - r % 9 puts column c at r * width + (c - first),
+    or at r * width + 18 + (c - chain) for a landmark column, and a landmark
+    row puts a landmark column at its place in E; the prior's rows and
+    columns and all entries below the diagonal blocks go to the dump bin.
     """
     prior = jacobian.PRIOR
     span = prior + jacobian.shape[1]
     if poses <= TAIL:  # H's span x span bins, then g's span bins
         index = [np.dstack([c[:, :, None] * span + c[:, None, :], span * span + c]) for _, c in jacobian.factors]
         return np.concatenate(index, None)
-    chain, landmarks = 9 * poses, (span - prior) // 3 - 3 * poses
-    start = _packed_offsets(poses, landmarks)
-    # blocks: 0 the prior, 1..M the keyframes, M+1..M+N the landmarks. An
-    # entry of block pair (p, q) goes to base[p, q] + stride[p, q] * (its
-    # row's place in p) + unit[p, q] * (its column's place in q); a pair with
-    # no slot has its base at the dump bin and stride and unit 0
-    blocks = 1 + poses + landmarks
-    base = np.full((blocks, blocks), start[5])
-    stride = np.zeros((blocks, blocks), np.intp)
-    k, m = np.arange(poses), np.arange(landmarks)
-    keyframe, landmark = 1 + k, 1 + poses + m
-    base[keyframe, keyframe], stride[keyframe, keyframe] = start[0] + 81 * k, 9
-    base[keyframe[:-1], keyframe[1:]], stride[keyframe[:-1], keyframe[1:]] = start[1] + 81 * k[:-1], 9
-    C = start[2] + 27 * landmarks * k[:, None] + 3 * m
-    base[keyframe[:, None], landmark], stride[keyframe[:, None], landmark] = C, 3 * landmarks
-    base[landmark, landmark], stride[landmark, landmark] = start[3] + 9 * m, 3
-    unit = (stride > 0).astype(np.intp)
+    chain, L = 9 * poses, span - prior - 9 * poses
+    width = 18 + L
+    E_start, g_start = chain * width, chain * width + L * L
+    dump = g_start + chain + L
+    # filled in place, factor by factor, to keep few index-sized temporaries
     positions = np.empty(sum(c.shape[0] * c.shape[1] * (c.shape[1] + 1) for _, c in jacobian.factors), np.intp)
     used = 0
     for _, cols in jacobian.factors:
-        count, width = cols.shape
-        position = positions[used : used + count * width * (width + 1)].reshape(count, width, width + 1)
+        count, w = cols.shape
+        position = positions[used : used + count * w * (w + 1)].reshape(count, w, w + 1)
         used += position.size
         entry = cols - prior
-        block = np.where(entry < chain, entry // 9 + 1, poses + 1 + (entry - chain) // 3)
-        place = np.where(entry < chain, entry % 9, (entry - chain) % 3)
-        pair = block[:, :, None] * blocks + block[:, None, :]
-        # mode "clip" writes to `out` without the default's buffering; every
-        # pair is in range
-        h_index = position[:, :, :width]
-        np.take(base, pair, out=h_index, mode="clip")
-        term = stride.take(pair, mode="clip")
-        term *= place[:, :, None]
-        h_index += term
-        np.take(unit, pair, out=term, mode="clip")
-        term *= place[:, None, :]
-        h_index += term
-        position[:, :, width] = np.where(entry >= 0, start[4] + entry, start[5])
-    return _PackedIndex(positions, poses, landmarks)
+        row, col = entry[:, :, None], entry[:, None, :]
+        first = np.minimum(row - row % 9, chain)
+        # a row puts column c at c plus its offset for keyframe or for landmark columns
+        landmark = np.where(row < chain, row * width + 18, E_start + (row - chain) * L) - chain
+        np.add(np.where(col < chain, row * width - first, landmark), col, out=position[:, :, :w])
+        position[:, :, :w][(row < 0) | (col < first)] = dump
+        position[:, :, w] = np.where(entry >= 0, g_start + entry, dump)
+    return _PackedIndex(positions, poses)
 
 
 def _normal_system(residual, jacobian, weights, damping, index):
@@ -220,16 +193,13 @@ def _normal_system(residual, jacobian, weights, damping, index):
         np.matmul(blocks.transpose(0, 2, 1), w * np.concatenate([blocks, e], axis=2), out=product)
         start, used = stop, used + product.size
     if isinstance(index, _PackedIndex):
-        M, N = index.poses, index.landmarks
-        start = _packed_offsets(M, N)
-        packed = np.bincount(index.positions, products, start[-1])
-        A, B, C, E, g = (packed[a:b] for a, b in zip(start[:-2], start[1:-1]))
-        A.reshape(M, 81)[:, ::10] += damping
-        E.reshape(N, 9)[:, ::4] += damping
-        blocks = NormalBlocks(
-            A.reshape(M, 9, 9), B.reshape(M - 1, 9, 9), C.reshape(M, 9, 3 * N), E.reshape(N, 3, 3)
-        )
-        return blocks, g
+        M, L = index.poses, jacobian.shape[1] - 9 * index.poses
+        width = 18 + L
+        packed = np.bincount(index.positions, products, 9 * M * width + L * L + 9 * M + L + 1)
+        band, E, g = np.split(packed[:-1], [9 * M * width, 9 * M * width + L * L])
+        band.reshape(M, 9 * width)[:, :: width + 1] += damping  # the diagonals of A
+        E[:: L + 1] += damping
+        return NormalBlocks(band.reshape(M, 9, width), E.reshape(L, L)), g
     summed = np.bincount(index, products, span * (span + 1))
     H, g = summed[: span * span], summed[span * span :]
     H[prior * (span + 1) :: span + 1] += damping  # the diagonal of the kept block
@@ -247,11 +217,10 @@ def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray):
     The step reads the layout from H. A dense H takes one dense solve of
     the free block. A `NormalBlocks` H, whose keyframe chain entries must
     all be free, has the fixed entries folded into the right-hand side as
-    C delta_l and E delta_l, with delta_l the landmark part of the
-    increment; its chain is eliminated by odd-even reduction
-    (`_reduce_chain`) down to a tail of at most TAIL keyframes and the free
-    landmark entries, which is solved densely. Its multipliers come from
-    the same two blocks, by symmetry.
+    C delta_l and E delta_l (delta_l the increment's landmark part) and its
+    chain eliminated by odd-even reduction (`_reduce_chain`) down to a
+    dense tail of at most TAIL keyframes and the free landmark entries. Its
+    multipliers come from the same two blocks, by symmetry.
     """
     fixed = np.asarray(fixed, dtype=np.intp)
     dim = H.shape[0]
@@ -268,7 +237,7 @@ def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray):
     delta[fixed] = -np.asarray(c, dtype=float)
     try:
         if blocks:
-            C, E = H.C.reshape(chain, dim - chain), H.landmark_block()
+            C, E = H.C.reshape(chain, dim - chain), H.E
             delta_l = delta[chain:]  # a view, so it follows the solve below
             r = -(g + np.concatenate([C @ delta_l, E @ delta_l]))
             rest = np.flatnonzero(free[chain:])
@@ -376,14 +345,15 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
         raise ValueError(f"damping must be a finite number >= 0, got {config.damping}")
     if math.isnan(config.convergence_tol):
         raise ValueError("convergence_tol must be a number, got nan")
-    if config.max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    iterations = config.max_iterations
+    if isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral) or iterations < 1:
+        raise ValueError(f"max_iterations must be an integer >= 1, got {iterations!r}")
 
     window = problem.window
     cost_history: List[float] = []
     step_norms: List[float] = []
     index = None  # the normal equations' scatter index, fixed for the problem
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, iterations + 1):
         current = problem.with_window(window)
         try:
             residual, jacobian, weights = assemble(current)

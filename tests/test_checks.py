@@ -56,6 +56,13 @@ def test_batched_central_difference_matches_per_column_oracle_on_certify_closure
     assert dims == [18] * 4 + [12] * 4 + stacked_dims
 
 
+@pytest.mark.parametrize("trials", [0, 2.5, True])
+def test_run_certification_rejects_non_integer_trials(trials):
+    # a count must be an int: range() raises TypeError on 2.5, and True would run one trial
+    with pytest.raises(ValueError, match="trials"):
+        run_certification(0, trials=trials)
+
+
 def test_certification_matches_golden_table():
     golden = json.loads(GOLDEN.read_text())
     report = run_certification(seed=golden["seed"], trials=golden["trials"])

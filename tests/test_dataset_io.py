@@ -139,6 +139,15 @@ MALFORMED = {
         "keyframe 2 attitude is not a rotation",
     ),
     "imu-count-not-a-multiple": (_drop_one_sample, "not a multiple of the 3 keyframe intervals"),
+    # a short pixel count would load the first records and drop the rest
+    "pixel-count-below-records": (
+        lambda t: _edit_line(t, "pixels ", lambda f: ["pixels", str(int(f[1]) - 1)]),
+        "extra record after the pixel section: 'p ",
+    ),
+    "appended-garbage-record": (
+        lambda t: t + "garbage record 1 2 3\n",
+        "extra record after the pixel section: 'garbage record 1 2 3'",
+    ),
 }
 
 

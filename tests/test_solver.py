@@ -119,13 +119,10 @@ def test_block_system_equals_blocks_of_dense_normal_matrix(case):
     assert g_blocks.tobytes() == g.tobytes()
     A = [H[9 * j : 9 * j + 9, 9 * j : 9 * j + 9] for j in range(M)]
     B = [H[9 * j : 9 * j + 9, 9 * j + 9 : 9 * j + 18] for j in range(M - 1)]
-    E = [H[chain + 3 * i : chain + 3 * i + 3, chain + 3 * i : chain + 3 * i + 3] for i in range(N)]
     assert blocks.A.tobytes() == np.array(A).tobytes()
     assert blocks.B.tobytes() == np.array(B).tobytes()
     assert blocks.C.tobytes() == H[:chain, chain:].reshape(M, 9, 3 * N).tobytes()
-    assert blocks.E.tobytes() == np.array(E).tobytes()
-    # the landmarks couple to nothing but their own block
-    assert np.array_equal(blocks.landmark_block(), H[chain:, chain:])
+    assert blocks.E.tobytes() == H[chain:, chain:].tobytes()
     # below the diagonal blocks the dense H mirrors them to rounding only
     assert np.abs(blocks.toarray() - H).max() <= 1e-12 * np.abs(H).max()
     assert np.array_equal(np.asarray(blocks), blocks.toarray())
@@ -439,13 +436,17 @@ def test_solve_wraps_degenerate_depth_with_iterate_context():
     assert err.cost_history == [] and err.step_norms == []
 
 
-def test_solve_validates_config():
+@pytest.mark.parametrize(
+    "field, value",
+    [("damping", -1.0), ("max_iterations", 0), ("max_iterations", 2.5), ("max_iterations", True)],
+    ids=["negative-damping", "zero-iterations", "fractional-iterations", "boolean-iterations"],
+)
+def test_solve_validates_config(field, value):
+    # a count must be an int: range() raises TypeError on 2.5, and True would run one iteration
     dataset = _reference_dataset()
     problem = make_problem(dataset, dataset.ground_truth.copy())
-    with pytest.raises(ValueError):
-        solve(problem, SolverConfig(damping=-1.0))
-    with pytest.raises(ValueError):
-        solve(problem, SolverConfig(max_iterations=0))
+    with pytest.raises(ValueError, match=field):
+        solve(problem, SolverConfig(**{field: value}))
 
 
 @pytest.mark.parametrize("damping", [np.nan, np.inf])
