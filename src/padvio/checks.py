@@ -12,12 +12,12 @@ residuals, so it stays independent of the analytic one.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from . import inputs
 from .graph import PoseState, assemble, boxplus, pose_boxplus, stacked_residual
 from .imu import PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
 from .manifold import exp_map
@@ -206,8 +206,8 @@ def certify_stacked(rng: np.random.Generator, trials: int) -> Dict[str, float]:
 
 def run_certification(seed: int = 0, trials: int = 100) -> CertificationReport:
     """Run all three certifications with independent seeded streams."""
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ValueError(f"invalid trials {trials!r}: must be an integer >= 1")
+    inputs.integer(seed, "seed")
+    inputs.integer(trials, "trials", 1)
     report = CertificationReport(trials=trials, seed=seed)
     report.imu_block_errors = certify_imu(np.random.default_rng(seed), trials)
     vision_errors, vel_abs = certify_vision(np.random.default_rng(seed + 1), trials)

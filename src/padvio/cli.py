@@ -8,15 +8,16 @@ Commands:
     padvio check-jacobians [--seed S] [--trials T]
 
 The config file is JSON with flat keys (all optional; defaults reproduce the
-reference desk-scale experiment). Exit codes: 0 success, 1 config error,
-2 solver failure, 3 certification failure.
+reference desk-scale experiment). Each command checks its config once, after
+the command-line overrides, by the same `inputs` rules that the library
+entry points apply to the values the fields become. Exit codes: 0 success,
+1 config error, 2 solver failure, 3 certification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -25,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import dataset_io, sim
+from . import dataset_io, inputs, sim
 from .checks import run_certification
 from .dataset_io import fmt
 from .graph import PoseState, min_landmarks
@@ -68,18 +69,21 @@ class ExperimentConfig:
     init: str = "cold"  # estimation start: "cold" or "truth"
 
 
-def load_config(path: Optional[str]) -> ExperimentConfig:
+def load_config(path: Optional[str], **overrides) -> ExperimentConfig:
+    """The defaults, overridden by the config file and then by each
+    command-line override that is not None, checked once."""
     config = ExperimentConfig()
-    if path is None:
-        return config
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as err:
-        raise ConfigError(f"cannot read config file: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file is not valid JSON: {err}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a JSON object")
+    raw = {}
+    if path is not None:
+        try:
+            raw = json.loads(Path(path).read_text())
+        except OSError as err:
+            raise ConfigError(f"cannot read config file: {err}") from None
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"config file is not valid JSON: {err}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError("config file must hold a JSON object")
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
     known = {f.name for f in fields(ExperimentConfig)}
     for key, value in raw.items():
         if key not in known:
@@ -89,70 +93,47 @@ def load_config(path: Optional[str]) -> ExperimentConfig:
     return config
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _invalid(name: str, why) -> ConfigError:
+    return ConfigError(f"invalid config field {name}: {why}")
 
 
-def _is_number(value) -> bool:
-    """A finite int or float; JSON's NaN and Infinity are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) or math.isfinite(value)
+def _check(name: str, rule, value, *args, **options) -> None:
+    """Check a config field by the library's rule for its value."""
+    try:
+        rule(value, name, *args, **options)
+    except ValueError as err:
+        raise _invalid(name, err) from None
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    def bad(name: str, why: str):
-        return ConfigError(f"invalid config field {name}: {why}")
-
-    if not _is_int(config.window_length) or config.window_length < 2:
-        raise bad("window_length", "must be an integer >= 2")
-    if not _is_int(config.seed) or config.seed < 0:
-        raise bad("seed", "must be an integer >= 0")
+    """Check each field by the rule in `inputs` that the library applies to
+    the value the field becomes."""
+    _check("window_length", inputs.integer, config.window_length, 2)
+    _check("seed", inputs.integer, config.seed)
     for name in ("imu_dt", "camera_dt", "focal", "photometric_weight"):
-        value = getattr(config, name)
-        if not _is_number(value) or not value > 0:
-            raise bad(name, "must be a positive number")
+        _check(name, inputs.real, getattr(config, name), positive=True)
     try:
         sim.steps_per_frame(config.camera_dt, config.imu_dt)
     except ValueError as err:
-        raise bad("imu_dt", str(err)) from None
+        raise _invalid("imu_dt", err) from None
     for name in ("imu_noise_variance", "pixel_noise_variance", "damping", "convergence_tol"):
-        value = getattr(config, name)
-        if not _is_number(value) or value < 0:
-            raise bad(name, "must be a number >= 0")
-    if not _is_int(config.iterations) or config.iterations < 1:
-        raise bad("iterations", "must be an integer >= 1")
-    if not isinstance(config.constrain_altitude, bool):
-        raise bad("constrain_altitude", "must be true or false")
+        _check(name, inputs.real, getattr(config, name))
+    _check("iterations", inputs.integer, config.iterations, 1)
+    _check("constrain_altitude", inputs.boolean, config.constrain_altitude)
     if config.init not in ("cold", "truth"):
-        raise bad("init", "must be 'cold' or 'truth'")
+        raise _invalid("init", "must be 'cold' or 'truth'")
     for name, size in (("principal_point", 2), ("gravity", 3), ("initial_position", 3), ("initial_velocity", 3)):
-        value = getattr(config, name)
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise bad(name, f"must be a {size}-vector of finite numbers") from None
-        if arr.shape != (size,) or not np.isfinite(arr).all():
-            raise bad(name, f"must be a {size}-vector of finite numbers")
+        _check(name, inputs.vector, getattr(config, name), size)
     if config.landmarks is not None:
-        try:
-            arr = np.asarray(config.landmarks, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise bad("landmarks", "must be a list of finite [x, y, z] triples") from None
-        if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1 or not np.isfinite(arr).all():
-            raise bad("landmarks", "must be a list of finite [x, y, z] triples")
-        if np.any(arr[:, 2] != 0.0):
-            raise bad("landmarks", "all landmarks must sit on the ground plane z = 0")
+        _check("landmarks", inputs.ground_landmarks, config.landmarks)
     for name in ("angular_profile", "accel_profile"):
         value = getattr(config, name)
         if not isinstance(value, dict) or "name" not in value:
-            raise bad(name, "must be an object with a 'name' key")
+            raise _invalid(name, "must be an object with a 'name' key")
         try:
-            sample = sim.evaluate_profile(_profile_from(value), 0.0)
+            sim.evaluate_profile(_profile_from(value), 0.0)
         except (TypeError, ValueError) as err:
-            raise bad(name, str(err)) from None
-        if not np.all(np.isfinite(sample)):
-            raise bad(name, "parameters must be finite numbers")
+            raise _invalid(name, err) from None
 
 
 def _profile_from(config_entry: dict) -> Profile:
@@ -255,10 +236,7 @@ def write_reports(out: Path, dataset: Dataset, report: SolveReport, wall_clock: 
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-        validate_config(config)
+    config = load_config(args.config, seed=args.seed)
     n = config.window_length
     needed = min_landmarks(n)
     if config_landmarks(config).shape[0] < needed:
@@ -281,14 +259,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = load_config(args.config)
-    if args.iterations is not None:
-        config.iterations = args.iterations
-    if args.damping is not None:
-        config.damping = args.damping
-    if args.no_constraint:
-        config.constrain_altitude = False
-    validate_config(config)
+    config = load_config(
+        args.config,
+        iterations=args.iterations,
+        damping=args.damping,
+        constrain_altitude=False if args.no_constraint else None,
+    )
     try:
         dataset = dataset_io.read_dataset(args.dataset)
     except OSError as err:
@@ -321,11 +297,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_check_jacobians(args) -> int:
-    validate_config(ExperimentConfig(seed=args.seed))  # the seed rule of simulate
+    _check("seed", inputs.integer, args.seed)  # the seed rule of simulate
     try:
         report = run_certification(seed=args.seed, trials=args.trials)
     except ValueError as err:  # trials < 1
-        raise ConfigError(str(err)) from None
+        raise ConfigError(f"invalid trials: {err}") from None
     for line in report.lines():
         print(line)
     return 0 if report.passed else 3

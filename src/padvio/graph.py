@@ -46,6 +46,7 @@ from typing import ClassVar, NamedTuple, Tuple
 
 import numpy as np
 
+from . import inputs
 from .imu import PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
 from .manifold import exp_map
 from .vision import CameraModel, PixelMeasurement, photometric_jacobian, photometric_residual
@@ -132,6 +133,7 @@ class Problem:
     photometric_weight: float = 1000.0
 
     def __post_init__(self):
+        inputs.real(self.photometric_weight, "photometric_weight", positive=True)
         n, N = self.window.n, self.window.num_landmarks
         if np.shape(self.deltas.dt_total) != (n - 1,):
             raise ValueError(f"problem has {np.size(self.deltas.dt_total)} deltas, expected {n - 1}")

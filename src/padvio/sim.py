@@ -34,6 +34,7 @@ from typing import Dict
 
 import numpy as np
 
+from . import inputs
 from .graph import PoseState, Problem, WindowState
 from .imu import ImuSample, WorldParams, preintegrate, propagate
 from .manifold import is_rotation
@@ -51,10 +52,10 @@ class Profile:
 
 
 def _as3(value, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float).reshape(-1)
-    if arr.size == 1:
-        arr = np.full(3, arr[0])
-    if arr.shape != (3,) or not np.isfinite(arr).all():
+    arr = inputs.finite_array(value)
+    if arr is not None and arr.size == 1:
+        arr = np.full(3, arr.flat[0])
+    if arr is None or arr.shape != (3,):
         raise ValueError(f"profile parameter {what} must be a finite scalar or 3-vector")
     return arr
 
@@ -145,32 +146,24 @@ def generate(
 
     The same seed always yields a bit-identical dataset. Landmarks whose
     ground-truth depth is non-positive at a keyframe are reported and dropped
-    from the measurement list, never fatal. A non-finite input, an
-    off-plane landmark, a non-rotation initial attitude, a focal or time
-    that is not positive and a negative noise variance raise ValueError
-    naming the field.
+    from the measurement list, never fatal. Each input is checked by its
+    rule in `inputs`, and the initial attitude must be a rotation; a
+    failure raises ValueError naming the field.
     """
-    landmarks = np.atleast_2d(np.asarray(landmarks, dtype=float))
-    if landmarks.ndim != 2 or landmarks.shape[1] != 3 or not np.isfinite(landmarks).all():
-        raise ValueError("landmarks must be an (N, 3) array of finite numbers")
-    if np.any(landmarks[:, 2] != 0.0):
-        raise ValueError("all landmarks must lie on the ground plane z = 0")
-    pose = spec.initial_pose
-    R0, v0, p0, g = (np.asarray(x, dtype=float) for x in (pose.R, pose.v, pose.p, world.gravity))
+    landmarks = inputs.ground_landmarks(landmarks, "landmarks")
+    R0 = np.asarray(spec.initial_pose.R, dtype=float)
     if not is_rotation(R0):
         raise ValueError("initial_pose.R must be a rotation matrix")
-    for name, value, size in (("initial_pose.v", v0, 3), ("initial_pose.p", p0, 3), ("world.gravity", g, 3),
-                              ("cam.principal_point", np.asarray(cam.principal_point, dtype=float), 2)):
-        if value.shape != (size,) or not np.isfinite(value).all():
-            raise ValueError(f"{name} must be a finite {size}-vector")
+    v0 = inputs.vector(spec.initial_pose.v, "initial_pose.v", 3)
+    p0 = inputs.vector(spec.initial_pose.p, "initial_pose.p", 3)
+    g = inputs.vector(world.gravity, "world.gravity", 3)
+    inputs.vector(cam.principal_point, "cam.principal_point", 2)
     positive = {"cam.focal": cam.focal, "duration": spec.duration, "imu_dt": spec.imu_dt, "camera_dt": spec.camera_dt}
     for name, value in positive.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+        inputs.real(value, name, positive=True)
     for name in ("imu_noise_variance", "pixel_noise_variance"):
-        value = getattr(noise, name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"noise.{name} must be finite and >= 0, got {value}")
+        inputs.real(getattr(noise, name), f"noise.{name}")
+    inputs.integer(noise.seed, "noise.seed")
     k = steps_per_frame(spec.camera_dt, spec.imu_dt)
     num_frames = int(math.floor(spec.duration / spec.camera_dt + 1e-9)) + 1
     if num_frames < 2:

@@ -27,13 +27,12 @@ a convergence tolerance is set.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
+from . import inputs
 from .graph import Problem, WindowState, altitude_constraint, assemble, boxplus
 from .vision import DegenerateDepthError
 
@@ -336,18 +335,16 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
     """Run the damped, optionally constrained Gauss-Newton loop.
 
     Deterministic: identical problem and config give bit-identical reports.
-    Degenerate projection depth or a singular system aborts the run with an
-    IterationError naming the iterate and carrying partial histories.
+    A config field that breaks its `inputs` rule raises ValueError naming
+    it. Degenerate projection depth or a singular system aborts the run with
+    an IterationError naming the iterate and carrying partial histories.
     """
     if config is None:
         config = SolverConfig()
-    if not (math.isfinite(config.damping) and config.damping >= 0):
-        raise ValueError(f"damping must be a finite number >= 0, got {config.damping}")
-    if math.isnan(config.convergence_tol):
-        raise ValueError("convergence_tol must be a number, got nan")
-    iterations = config.max_iterations
-    if isinstance(iterations, bool) or not isinstance(iterations, numbers.Integral) or iterations < 1:
-        raise ValueError(f"max_iterations must be an integer >= 1, got {iterations!r}")
+    inputs.real(config.damping, "damping")
+    iterations = inputs.integer(config.max_iterations, "max_iterations", 1)
+    inputs.boolean(config.constrain_altitude, "constrain_altitude")
+    inputs.real(config.convergence_tol, "convergence_tol")
 
     window = problem.window
     cost_history: List[float] = []

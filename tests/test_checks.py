@@ -63,6 +63,13 @@ def test_run_certification_rejects_non_integer_trials(trials):
         run_certification(0, trials=trials)
 
 
+@pytest.mark.parametrize("seed", [2.5, True, -1])
+def test_run_certification_rejects_bad_seed(seed):
+    # numpy raised a bare TypeError on 2.5 and an unnamed ValueError on -1, and True ran seed 1
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        run_certification(seed, trials=1)
+
+
 def test_certification_matches_golden_table():
     golden = json.loads(GOLDEN.read_text())
     report = run_certification(seed=golden["seed"], trials=golden["trials"])

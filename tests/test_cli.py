@@ -1,16 +1,18 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from padvio import checks, cli
+from padvio import checks, cli, sim
 from padvio.dataset_io import dumps, read_dataset, write_dataset
 from padvio.graph import PoseState, WindowState
 from padvio.imu import ImuSample, WorldParams
-from padvio.sim import CameraModel, Dataset
+from padvio.sim import CameraModel, Dataset, NoiseSpec, TrajectorySpec
+from padvio.solver import SolverConfig, solve
 from padvio.vision import PixelMeasurement
 
 
@@ -108,6 +110,58 @@ def test_config_value_rejected_exits_1(tmp_path, capsys, field, overrides):
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert f"invalid config field {field}" in capsys.readouterr().err
     assert not (tmp_path / "dataset.txt").exists()
+
+
+def _generate(focal=1.0, gravity=(0.0, 0.0, 9.81), landmarks=None, noise=None, **spec):
+    """The reference flight through sim.generate, with the given inputs replaced."""
+    landmarks = sim.triangle_landmarks(1.0) if landmarks is None else landmarks
+    spec = TrajectorySpec(duration=2.4, **spec)
+    return sim.generate(spec, landmarks, CameraModel(focal), WorldParams(gravity), noise or NoiseSpec())
+
+
+def _reference_problem(photometric_weight=1000.0):
+    dataset = cli.dataset_from_config(cli.ExperimentConfig())
+    return sim.make_problem(dataset, dataset.ground_truth.copy(), photometric_weight)
+
+
+# each config field the library also takes: the config value holding a bad
+# entry v, the library call given that value, the library's name for it, and
+# the bad entries that apply (-1 is a valid gravity entry; the landmark entry
+# is an altitude, where -1 is off the ground plane)
+_BAD = (True, "1", math.nan, -1)
+_SHARED_FIELDS = [
+    ("focal", lambda v: v, lambda v: _generate(focal=v), "cam.focal", _BAD),
+    ("imu_dt", lambda v: v, lambda v: _generate(imu_dt=v), "imu_dt", _BAD),
+    ("gravity", lambda v: [0.0, 0.0, v], lambda g: _generate(gravity=g), "world.gravity", _BAD[:3]),
+    ("imu_noise_variance", lambda v: v, lambda v: _generate(noise=NoiseSpec(imu_noise_variance=v)),
+     "noise.imu_noise_variance", _BAD),
+    ("pixel_noise_variance", lambda v: v, lambda v: _generate(noise=NoiseSpec(pixel_noise_variance=v)),
+     "noise.pixel_noise_variance", _BAD),
+    ("seed", lambda v: v, lambda v: _generate(noise=NoiseSpec(seed=v)), "noise.seed", _BAD),
+    ("seed", lambda v: v, lambda v: checks.run_certification(seed=v, trials=1), "seed", _BAD),
+    ("damping", lambda v: v, lambda v: solve(_reference_problem(), SolverConfig(damping=v)), "damping", _BAD),
+    ("iterations", lambda v: v, lambda v: solve(_reference_problem(), SolverConfig(max_iterations=v)),
+     "max_iterations", _BAD),
+    ("photometric_weight", lambda v: v, _reference_problem, "photometric_weight", _BAD),
+    ("landmarks", lambda v: [[0.5, 0.0, v]], lambda pad: _generate(landmarks=pad), "landmarks", _BAD),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, call, name",
+    [
+        pytest.param(field, wrap(v), call, name, id=f"{name}-{v!r}")
+        for field, wrap, call, name, bad in _SHARED_FIELDS
+        for v in bad
+    ],
+)
+def test_config_check_and_library_reject_the_same_values(tmp_path, capsys, field, value, call, name):
+    # one rule per input: the CLI names the config field, the library its own name
+    cfg = _write_config(tmp_path, **{field: value})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"invalid config field {field}: " in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must "):
+        call(value)
 
 
 def test_misspelled_profile_parameter_exits_1(tmp_path, capsys):

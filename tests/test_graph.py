@@ -210,6 +210,14 @@ def test_assemble_rejects_bad_measurement_indices():
         replace(problem, measurements=with_frame_5)
 
 
+@pytest.mark.parametrize("weight", [-1000.0, 0.0, np.nan, np.inf, True, "1000"])
+def test_problem_rejects_bad_photometric_weight(weight):
+    # -1000 used to run 50 iterations to a negative cost and a 58 m keyframe error
+    dataset, _ = _reference_problem(n=2, N=1)
+    with pytest.raises(ValueError, match="^photometric_weight must be finite and > 0"):
+        make_problem(dataset, dataset.ground_truth.copy(), weight)
+
+
 def test_jacobian_sparsity_pattern():
     _, problem = _reference_problem(n=4, N=2)
     jacobian = assemble(problem)[1].toarray()

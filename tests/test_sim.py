@@ -274,7 +274,7 @@ def test_generate_rejects_bad_gravity(gravity):
 
 
 @pytest.mark.parametrize("field", ["duration", "imu_dt", "camera_dt"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.4, True, "0.4"])
 def test_generate_rejects_bad_times(field, bad):
     spec = _reference_spec()
     setattr(spec, field, bad)
@@ -292,10 +292,17 @@ def test_generate_rejects_bad_noise_variance(field, bad):
         generate(_reference_spec(), PAD, CAM, WorldParams(), noise)
 
 
-@pytest.mark.parametrize("focal", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("focal", [np.nan, np.inf, 0.0, -1.0, True, "1"])
 def test_generate_rejects_bad_focal(focal):
     with pytest.raises(ValueError, match="^cam.focal must be finite and > 0"):
         generate(_reference_spec(), PAD, CameraModel(focal), WorldParams(), NoiseSpec())
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "0"])
+def test_generate_rejects_bad_seed(seed):
+    # numpy took True as seed 1 and raised unnamed errors on the others
+    with pytest.raises(ValueError, match="^noise.seed must be an integer >= 0"):
+        generate(_reference_spec(), PAD, CAM, WorldParams(), NoiseSpec(seed=seed))
 
 
 @pytest.mark.parametrize("principal_point", [[np.nan, 0.0], [0.0, -np.inf], [0.0, 0.0, 0.0]])

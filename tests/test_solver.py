@@ -438,11 +438,20 @@ def test_solve_wraps_degenerate_depth_with_iterate_context():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("damping", -1.0), ("max_iterations", 0), ("max_iterations", 2.5), ("max_iterations", True)],
-    ids=["negative-damping", "zero-iterations", "fractional-iterations", "boolean-iterations"],
+    [
+        ("damping", -1.0), ("max_iterations", 0), ("max_iterations", 2.5), ("max_iterations", True),
+        ("damping", True), ("damping", "0.1"), ("convergence_tol", True), ("convergence_tol", "0"),
+        ("convergence_tol", -1.0), ("constrain_altitude", "no"), ("constrain_altitude", 1),
+    ],
+    ids=[
+        "negative-damping", "zero-iterations", "fractional-iterations", "boolean-iterations",
+        "boolean-damping", "string-damping", "boolean-tol", "string-tol",
+        "negative-tol", "string-constraint", "integer-constraint",
+    ],
 )
 def test_solve_validates_config(field, value):
-    # a count must be an int: range() raises TypeError on 2.5, and True would run one iteration
+    # a count must be an int: range() raises TypeError on 2.5, and True would run one iteration;
+    # True damping used to run as 1.0, and "no" to constrain the altitudes
     dataset = _reference_dataset()
     problem = make_problem(dataset, dataset.ground_truth.copy())
     with pytest.raises(ValueError, match=field):
