@@ -8,6 +8,9 @@ A check evaluates its residual once: the 2·dim increments ±h·e_k are stacked
 into one (2·dim, dim) array, and the residual, the factor functions and the
 retractions broadcast over its leading axis. The numeric Jacobian reads only
 residuals, so it stays independent of the analytic one.
+
+`certify_imu` and `certify_vision` stack all trials' draws, the camera's
+included, so each makes one residual and one Jacobian call for all trials.
 """
 
 from __future__ import annotations
@@ -40,19 +43,20 @@ STACKED_SHAPES: Tuple[Tuple[int, int], ...] = ((2, 1), (3, 1), (3, 3), (7, 3))
 
 
 def central_difference(f: Callable[[np.ndarray], np.ndarray], dim: int, h: float = FD_STEP) -> np.ndarray:
-    """(rows, dim) Jacobian of f at the zero increment by central differences.
+    """(..., rows, dim) Jacobians of f at the zero increment by central differences.
 
-    f maps (..., dim) increments to (..., rows) residuals and is called once,
-    on the (2·dim, dim) stack of h·e_k followed by -h·e_k; column k is
-    (f(h·e_k) - f(-h·e_k)) / 2h."""
+    f is called once, on the (2·dim, dim) stack of h·e_k followed by -h·e_k,
+    and gives (2·dim, ..., rows) residuals: any axes after the first run over
+    the points it evaluates at. Column k is (f(h·e_k) - f(-h·e_k)) / 2h."""
     E = h * np.eye(dim)
     values = f(np.concatenate([E, -E]))
-    return ((values[:dim] - values[dim:]) / (2.0 * h)).T
+    return np.moveaxis((values[:dim] - values[dim:]) / (2.0 * h), 0, -1)
 
 
 def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    scale = max(1.0, float(np.abs(numeric).max()))
-    return float(np.abs(analytic - numeric).max()) / scale
+    """The largest relative error of (..., rows, cols) blocks over their leading axes."""
+    scale = np.maximum(1.0, np.abs(numeric).max(axis=(-2, -1)))
+    return float((np.abs(analytic - numeric).max(axis=(-2, -1)) / scale).max())
 
 
 def _random_rotation(rng: np.random.Generator, max_angle: float) -> np.ndarray:
@@ -61,12 +65,9 @@ def _random_rotation(rng: np.random.Generator, max_angle: float) -> np.ndarray:
     return exp_map(axis * rng.uniform(0.0, max_angle))
 
 
-def _random_pose(rng: np.random.Generator, max_angle: float = 0.8) -> PoseState:
-    return PoseState(
-        R=_random_rotation(rng, max_angle),
-        v=rng.normal(0.0, 1.0, 3),
-        p=rng.normal(0.0, 2.0, 3),
-    )
+def _random_pose(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pose's R, v and p draws."""
+    return _random_rotation(rng, 0.8), rng.normal(0.0, 1.0, 3), rng.normal(0.0, 2.0, 3)
 
 
 @dataclass
@@ -116,58 +117,51 @@ _VISION_COLS = {"dR": slice(0, 3), "dv": slice(3, 6), "dp": slice(6, 9), "dp_l":
 
 
 def certify_imu(rng: np.random.Generator, trials: int) -> Dict[str, float]:
-    errors = {f"{r}/{c}": 0.0 for r in _IMU_ROWS for c in _POSE_COLS}
-    world = WorldParams()
+    draws = []
     for _ in range(trials):
-        delta = PreintegratedDelta(
-            dR=_random_rotation(rng, 0.6),
-            dv=rng.normal(0.0, 1.0, 3),
-            dp=rng.normal(0.0, 1.0, 3),
-            dt_total=rng.uniform(0.1, 1.0),
-        )
-        pose_i = _random_pose(rng)
+        dR = _random_rotation(rng, 0.6)
+        dv, dp, dt = rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3), rng.uniform(0.1, 1.0)
+        R_i, v_i, p_i = _random_pose(rng)
         # keep the relative-rotation residual well inside the log map's domain
-        pose_j = PoseState(
-            R=pose_i.R @ delta.dR @ _random_rotation(rng, 0.3),
-            v=rng.normal(0.0, 1.0, 3),
-            p=rng.normal(0.0, 2.0, 3),
-        )
+        R_j = R_i @ dR @ _random_rotation(rng, 0.3)
+        draws.append((dR, dv, dp, dt, R_i, v_i, p_i, R_j, rng.normal(0.0, 1.0, 3), rng.normal(0.0, 2.0, 3)))
+    dR, dv, dp, dt, R_i, v_i, p_i, R_j, v_j, p_j = (np.array(column) for column in zip(*draws))
+    delta = PreintegratedDelta(dR, dv, dp, dt)
+    pose_i, pose_j = PoseState(R_i, v_i, p_i), PoseState(R_j, v_j, p_j)
+    world = WorldParams()
 
-        def residual_at(d: np.ndarray) -> np.ndarray:
-            return imu_residual(
-                delta, pose_boxplus(pose_i, d[..., :9]), pose_boxplus(pose_j, d[..., 9:]), world
-            )
+    def residual_at(d: np.ndarray) -> np.ndarray:
+        d = d[..., None, :]
+        return imu_residual(delta, pose_boxplus(pose_i, d[..., :9]), pose_boxplus(pose_j, d[..., 9:]), world)
 
-        numeric = central_difference(residual_at, 18)
-        _, analytic = imu_residual_jacobian(delta, pose_i, pose_j, world)
-        for rname, rows in _IMU_ROWS.items():
-            for cname, cols in _POSE_COLS.items():
-                err = _relative_error(analytic[rows, cols], numeric[rows, cols])
-                key = f"{rname}/{cname}"
-                errors[key] = max(errors[key], err)
-    return errors
+    numeric = central_difference(residual_at, 18)
+    _, analytic = imu_residual_jacobian(delta, pose_i, pose_j, world)
+    return {
+        f"{rname}/{cname}": _relative_error(analytic[..., rows, cols], numeric[..., rows, cols])
+        for rname, rows in _IMU_ROWS.items()
+        for cname, cols in _POSE_COLS.items()
+    }
 
 
 def certify_vision(rng: np.random.Generator, trials: int) -> Tuple[Dict[str, float], float]:
-    errors = {name: 0.0 for name in _VISION_COLS}
-    velocity_max_abs = 0.0
+    draws = []
     for _ in range(trials):
-        cam = CameraModel(rng.uniform(100.0, 800.0), rng.normal(0.0, 5.0, 2))
-        pose = _random_pose(rng)
+        focal, principal_point = rng.uniform(100.0, 800.0), rng.normal(0.0, 5.0, 2)
+        R, v, p = _random_pose(rng)
         # choose the camera-frame point directly so the depth stays safe
         q = np.array([rng.normal(0.0, 1.0), rng.normal(0.0, 1.0), rng.uniform(1.0, 5.0)])
-        landmark = pose.p + pose.R @ q
-        meas = PixelMeasurement(1, 1, rng.normal(0.0, 50.0, 2))
+        draws.append((focal, principal_point, R, v, p, p + R @ q, rng.normal(0.0, 50.0, 2)))
+    focal, principal_point, R, v, p, landmark, uv = (np.array(column) for column in zip(*draws))
+    cam, pose, meas = CameraModel(focal, principal_point), PoseState(R, v, p), PixelMeasurement(1, 1, uv)
 
-        def residual_at(d: np.ndarray) -> np.ndarray:
-            return photometric_residual(cam, pose_boxplus(pose, d[..., :9]), landmark + d[..., 9:12], meas)
+    def residual_at(d: np.ndarray) -> np.ndarray:
+        d = d[..., None, :]
+        return photometric_residual(cam, pose_boxplus(pose, d[..., :9]), landmark + d[..., 9:], meas)
 
-        numeric = central_difference(residual_at, 12)
-        _, analytic = photometric_jacobian(cam, pose, landmark, meas)
-        velocity_max_abs = max(velocity_max_abs, float(np.abs(analytic[:, 3:6]).max()))
-        for name, cols in _VISION_COLS.items():
-            errors[name] = max(errors[name], _relative_error(analytic[:, cols], numeric[:, cols]))
-    return errors, velocity_max_abs
+    numeric = central_difference(residual_at, 12)
+    _, analytic = photometric_jacobian(cam, pose, landmark, meas)
+    errors = {name: _relative_error(analytic[..., c], numeric[..., c]) for name, c in _VISION_COLS.items()}
+    return errors, float(np.abs(analytic[..., 3:6]).max())
 
 
 def _random_problem(rng: np.random.Generator, n: int, N: int):

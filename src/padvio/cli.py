@@ -132,7 +132,7 @@ def validate_config(config: ExperimentConfig) -> None:
             raise _invalid(name, "must be an object with a 'name' key")
         try:
             sim.evaluate_profile(_profile_from(value), 0.0)
-        except (TypeError, ValueError) as err:
+        except ValueError as err:
             raise _invalid(name, err) from None
 
 
@@ -299,9 +299,10 @@ def cmd_estimate(args) -> int:
 def cmd_check_jacobians(args) -> int:
     _check("seed", inputs.integer, args.seed)  # the seed rule of simulate
     try:
-        report = run_certification(seed=args.seed, trials=args.trials)
-    except ValueError as err:  # trials < 1
+        inputs.integer(args.trials, "trials", 1)
+    except ValueError as err:
         raise ConfigError(f"invalid trials: {err}") from None
+    report = run_certification(seed=args.seed, trials=args.trials)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 3

@@ -15,9 +15,9 @@ The data is held as stacked records: the window's poses are one `PoseState`
 with R (n,3,3), v and p (n,3), the problem's deltas one `PreintegratedDelta`
 with dR (n-1,3,3), dv and dp (n-1,3) and dt_total (n-1,), and its K
 detections one `PixelMeasurement` with (K,) frame and landmark index arrays
-and (K,2) uv values. A `Problem` checks the delta count and the measurement
-indices against its window and sorts the measurements by (frame, landmark)
-when it is built. `stacked_residual` and `assemble` then only index these
+and (K,2) uv values. A `Problem` checks that its window is finite, checks
+the delta count and the measurement indices against it and sorts the
+measurements by (frame, landmark) when it is built. `stacked_residual` and `assemble` then only index these
 records to give each factor its inputs and make one call per factor type:
 `stacked_residual` calls the residual-only functions, and `assemble` the
 Jacobian calls, each of which returns the residuals with their Jacobians
@@ -41,6 +41,7 @@ re-checking or re-sorting the measurements.
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Tuple
 
@@ -122,8 +123,9 @@ class Problem:
     """A window plus its measurements: the n-1 keyframe-interval deltas as one
     stacked delta and the K pixel detections as one stacked record.
 
-    Construction rejects a delta count or a measurement index that does not
-    fit the window and sorts the measurements by (frame, landmark)."""
+    Construction rejects a window that is not finite and a delta count or a
+    measurement index that does not fit the window, and sorts the
+    measurements by (frame, landmark)."""
 
     window: WindowState
     deltas: PreintegratedDelta
@@ -134,6 +136,9 @@ class Problem:
 
     def __post_init__(self):
         inputs.real(self.photometric_weight, "photometric_weight", positive=True)
+        for name in ("poses.R", "poses.v", "poses.p", "landmarks"):
+            if not np.isfinite(operator.attrgetter(name)(self.window)).all():
+                raise ValueError(f"window {name} must be finite")
         n, N = self.window.n, self.window.num_landmarks
         if np.shape(self.deltas.dt_total) != (n - 1,):
             raise ValueError(f"problem has {np.size(self.deltas.dt_total)} deltas, expected {n - 1}")

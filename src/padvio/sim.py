@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -66,10 +66,13 @@ _PROFILE_PARAMS = {"constant": ("value",), "sinusoid": ("base", "amplitude", "fr
 
 def evaluate_profile(profile: Profile, t) -> np.ndarray:
     """The profile at time t (s): a 3-vector, or (..., 3) for an array of times.
-    An unknown name, or a parameter the profile does not read, raises ValueError."""
-    known = _PROFILE_PARAMS.get(profile.name)
+    An unknown name, params that are not a mapping, or a parameter the
+    profile does not read, raises ValueError."""
+    known = _PROFILE_PARAMS.get(profile.name) if isinstance(profile.name, str) else None
     if known is None:
         raise ValueError(f"unknown profile name: {profile.name!r}")
+    if not isinstance(profile.params, Mapping):
+        raise ValueError(f"{profile.name} profile params must be a mapping, got {profile.params!r}")
     unknown = sorted(set(profile.params) - set(known))
     if unknown:
         raise ValueError(f"unknown {profile.name} profile parameter {unknown[0]!r} (known: {', '.join(known)})")

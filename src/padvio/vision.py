@@ -13,6 +13,8 @@ Every function here broadcasts over leading axes: K observations given as
 pose R (K,3,3), p (K,3), landmarks (K,3) and measured uv (K,2) give (K,3)
 camera-frame points, (K,2) residuals, (K,2,3) projection differentials and
 (K,2,12) Jacobians. A single observation is the stack with no leading axes.
+The camera broadcasts like every other record: a (K,) focal with a (K,2)
+principal point gives each observation its own camera.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ class DegenerateDepthError(RuntimeError):
 
 @dataclass
 class CameraModel:
+    """Pinhole intrinsics; focal (...,) and principal point (..., 2) may carry leading axes."""
+
     focal: float  # pixels
     principal_point: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
@@ -90,7 +94,8 @@ def landmark_in_body(pose, landmark: np.ndarray) -> np.ndarray:
 
 
 def _pinhole(cam: CameraModel, pt: np.ndarray) -> np.ndarray:
-    return np.asarray(cam.principal_point, dtype=float) + cam.focal * (pt[..., 0:2] / pt[..., 2:3])
+    focal = np.asarray(cam.focal)[..., None]
+    return np.asarray(cam.principal_point, dtype=float) + focal * (pt[..., 0:2] / pt[..., 2:3])
 
 
 def _pinhole_differential(cam: CameraModel, pt: np.ndarray) -> np.ndarray:

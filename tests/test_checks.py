@@ -15,13 +15,14 @@ GOLDEN = Path(__file__).parent / "data" / "certification_seed0.json"
 
 
 def _central_difference_per_column(f, dim, h=checks.FD_STEP):
-    """Reference central differences: two single evaluations per column."""
+    """Reference central differences: two single evaluations per column,
+    the columns stacked along the last axis."""
     cols = []
     for k in range(dim):
         e = np.zeros(dim)
         e[k] = h
         cols.append((f(e) - f(-e)) / (2.0 * h))
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)
 
 
 def _boxplus_single(window, delta):
@@ -51,9 +52,29 @@ def test_batched_central_difference_matches_per_column_oracle_on_certify_closure
 
     monkeypatch.setattr(checks, "central_difference", both)
     run_certification(seed=3, trials=len(checks.STACKED_SHAPES))
-    # imu (18 columns), vision (12), then one stacked window of each shape
+    # one call for all imu trials (18 columns), one for all vision trials (12),
+    # then one stacked window of each shape
     stacked_dims = [9 * (n - 1) + 3 * N for n, N in checks.STACKED_SHAPES]
-    assert dims == [18] * 4 + [12] * 4 + stacked_dims
+    assert dims == [18, 12] + stacked_dims
+
+
+def test_each_per_factor_check_makes_one_jacobian_call_for_all_trials(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(checks, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+
+        return call
+
+    for name in ("imu_residual_jacobian", "photometric_jacobian"):
+        monkeypatch.setattr(checks, name, counted(name))
+    checks.certify_imu(np.random.default_rng(0), 7)
+    checks.certify_vision(np.random.default_rng(1), 7)
+    assert calls == ["imu_residual_jacobian", "photometric_jacobian"]
 
 
 @pytest.mark.parametrize("trials", [0, 2.5, True])

@@ -103,6 +103,8 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
         ("convergence_tol", {"convergence_tol": math.nan}),
         ("focal", {"focal": math.inf}),
         ("photometric_weight", {"photometric_weight": math.inf}),
+        ("init", {"init": "warm"}),
+        ("angular_profile", {"angular_profile": ["constant", [0.05, -0.04, 0.12]]}),
     ],
 )
 def test_config_value_rejected_exits_1(tmp_path, capsys, field, overrides):
@@ -173,6 +175,32 @@ def test_misspelled_profile_parameter_exits_1(tmp_path, capsys):
     assert not (tmp_path / "dataset.txt").exists()
 
 
+def test_profile_name_not_a_string_exits_1(tmp_path, capsys):
+    # a list name used to reach the config check as a bare TypeError: unhashable type: 'list'
+    cfg = _write_config(tmp_path, angular_profile={"name": ["constant"]})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config field angular_profile: unknown profile name: ['constant']" in err
+    assert "unhashable" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config file"),
+        ("{ not json", "config file is not valid JSON"),
+        ("[1, 2]", "config file must hold a JSON object"),
+    ],
+)
+def test_unreadable_config_file_exits_1(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.txt").exists()
+
+
 def test_negative_seed_flag_exits_1(tmp_path, capsys):
     assert cli.main(["simulate", "--seed", "-1", "--out", str(tmp_path)]) == 1
     assert "invalid config field seed" in capsys.readouterr().err
@@ -196,6 +224,16 @@ def test_estimate_rejects_boolean_iterations(tmp_path, capsys):
     cfg = _write_config(tmp_path, iterations=True)
     assert cli.main(["estimate", str(tmp_path / "dataset.txt"), "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "invalid config field iterations" in capsys.readouterr().err
+
+
+def test_check_jacobians_lets_certification_errors_through(monkeypatch):
+    # a ValueError inside the certification used to be reported as "invalid trials"
+    def log_map_failure(rng, trials):
+        raise ValueError("log_map: rotation angle 3.141592 rad is within 1e-06 of pi")
+
+    monkeypatch.setattr(checks, "certify_stacked", log_map_failure)
+    with pytest.raises(ValueError, match="^log_map: "):
+        cli.main(["check-jacobians", "--trials", "1"])
 
 
 def test_estimate_dataset_with_bad_record_id_exits_1(tmp_path, capsys):
@@ -388,6 +426,27 @@ def test_estimate_solver_failure_removes_earlier_reports(tmp_path):
     header, rows = _read_csv(out / "convergence.csv")
     assert header == ["iteration", "cost", "step_norm"]
     assert rows == []
+    for name in ("pose_errors.csv", "landmark_errors.csv", "summary.csv"):
+        assert not (out / name).exists()
+
+
+def test_estimate_unmeasured_marker_without_damping_exits_2(tmp_path, capsys, caplog):
+    # with marker 3 never seen and no damping, the first step's system is rank deficient
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
+    assert cli.main(["estimate", str(tmp_path / "dataset.txt"), "--out", str(out)]) == 0
+    lines = (tmp_path / "dataset.txt").read_text().splitlines()
+    kept = [line for line in lines if not (line.startswith("p ") and line.split()[2] == "3")]
+    pixels = next(k for k, line in enumerate(kept) if line.startswith("pixels "))
+    kept[pixels] = f"pixels {sum(line.startswith('p ') for line in kept)}"
+    path = tmp_path / "unmeasured.txt"
+    path.write_text("\n".join(kept) + "\n")
+    assert cli.main(["estimate", str(path), "--out", str(out), "--damping", "0"]) == 2
+    assert "landmark 3 never measured" in caplog.text
+    assert "solver failed: iteration 1" in capsys.readouterr().err
+    header, rows = _read_csv(out / "convergence.csv")
+    assert header == ["iteration", "cost", "step_norm"]
+    assert len(rows) == 1 and rows[0][0] == "1" and float(rows[0][1]) > 0.0 and rows[0][2] == ""
     for name in ("pose_errors.csv", "landmark_errors.csv", "summary.csv"):
         assert not (out / name).exists()
 

@@ -144,6 +144,15 @@ MALFORMED = {
         lambda t: _edit_line(t, "pixels ", lambda f: ["pixels", str(int(f[1]) - 1)]),
         "extra record after the pixel section: 'p ",
     ),
+    "short-principal-point": (
+        lambda t: _edit_line(t, "camera principal_point", lambda f: f[:3]),
+        "camera principal_point record has 1 values, expected 2",
+    ),
+    "two-landmark-counts": (
+        lambda t: _edit_line(t, "landmarks ", lambda f: f + ["4"]),
+        "landmarks record has 2 values, expected 1",
+    ),
+    "one-keyframe": (lambda t: _edit_line(t, "keyframes ", _set(1, "1")), "keyframes count 1 is below 2"),
     "appended-garbage-record": (
         lambda t: t + "garbage record 1 2 3\n",
         "extra record after the pixel section: 'garbage record 1 2 3'",

@@ -1,3 +1,5 @@
+import operator
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,7 @@ from padvio.sim import (
     TrajectorySpec,
     generate,
     make_problem,
+    perturb_initialization,
 )
 from padvio.vision import (
     DegenerateDepthError,
@@ -216,6 +219,29 @@ def test_problem_rejects_bad_photometric_weight(weight):
     dataset, _ = _reference_problem(n=2, N=1)
     with pytest.raises(ValueError, match="^photometric_weight must be finite and > 0"):
         make_problem(dataset, dataset.ground_truth.copy(), weight)
+
+
+@pytest.mark.parametrize(
+    "name, index, value",
+    [
+        ("landmarks", (0, 0), np.nan),
+        ("poses.v", (2, 1), np.inf),
+        ("poses.R", (1, 0, 0), np.nan),
+        ("poses.p", (3, 2), -np.inf),
+    ],
+)
+def test_problem_rejects_non_finite_window(name, index, value):
+    # a cold start with one NaN landmark coordinate used to run 50 iterations to a NaN cost
+    dataset, _ = _reference_problem()
+    window = perturb_initialization(dataset, "cold")
+    operator.attrgetter(name)(window)[index] = value
+    with pytest.raises(ValueError, match=f"^window {re.escape(name)} must be finite"):
+        make_problem(dataset, window)
+
+
+def test_problem_rejects_wrong_delta_count():
+    with pytest.raises(ValueError, match="problem has 5 deltas, expected 6"):
+        Problem(_window(7, 1), _deltas(5), _measurements([]), CameraModel(1.0), WorldParams())
 
 
 def test_jacobian_sparsity_pattern():

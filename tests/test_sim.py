@@ -56,6 +56,19 @@ def test_profile_rejects_unknown_parameter(profile, misspelled):
         evaluate_profile(profile, 0.0)
 
 
+@pytest.mark.parametrize(
+    "profile, message",
+    [
+        (Profile([1]), r"unknown profile name: \[1\]"),
+        (Profile("constant", ["value"]), r"constant profile params must be a mapping, got \['value'\]"),
+    ],
+)
+def test_profile_rejects_non_string_name_or_non_mapping_params(profile, message):
+    # a list name used to raise a bare TypeError: unhashable type: 'list'
+    with pytest.raises(ValueError, match=message):
+        evaluate_profile(profile, 0.0)
+
+
 @pytest.mark.parametrize("value", [[np.nan, 0.0, 0.0], np.inf, [0.0, 1.0]])
 def test_profile_rejects_non_finite_or_misshapen_parameter(value):
     # a NaN rate used to simulate NaN states and report every marker behind the camera

@@ -193,6 +193,20 @@ def test_stack_matches_per_element_calls(rng):
     np.testing.assert_allclose(J, singles, rtol=1e-15, atol=1e-15)
 
 
+def test_stacked_camera_matches_per_observation_cameras(rng):
+    # a camera whose focal and principal point carry the observations' leading axis
+    _, poses, stacked, landmarks, uv = _observation_stack(rng, 6)
+    focal, principal_point = rng.uniform(100, 800, 6), rng.normal(0, 5, (6, 2))
+    meas = PixelMeasurement(np.ones(6, dtype=int), np.arange(1, 7), uv)
+    cam = CameraModel(focal, principal_point)
+    r, J = photometric_jacobian(cam, stacked, landmarks, meas)
+    np.testing.assert_array_equal(photometric_residual(cam, stacked, landmarks, meas), r)
+    for k, pose in enumerate(poses):
+        r_k, J_k = photometric_jacobian(CameraModel(focal[k], principal_point[k]), pose, landmarks[k], meas[k])
+        np.testing.assert_array_equal(r[k], r_k)
+        np.testing.assert_array_equal(J[k], J_k)
+
+
 def test_stack_depth_check_covers_whole_batch(rng):
     cam, poses, stacked, landmarks, uv = _observation_stack(rng, 5)
     # move the 4th and 5th points onto the camera planes of their poses: depth 0
