@@ -11,7 +11,8 @@ The config file is JSON with flat keys (all optional; defaults reproduce the
 reference desk-scale experiment). Each command checks its config once, after
 the command-line overrides, by the same `inputs` rules that the library
 entry points apply to the values the fields become. Exit codes: 0 success,
-1 config error, 2 solver failure, 3 certification failure.
+1 config error, 2 solver failure, 3 certification failure, 4 any other
+error inside a command (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional
@@ -344,6 +346,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 def entry() -> None:

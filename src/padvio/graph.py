@@ -36,11 +36,22 @@ leading axes, and `stacked_residual` then gives (..., rows) residuals, so
 a finite-difference check retracts and evaluates all its perturbed windows
 in one call each. `Problem.with_window` swaps in such a window without
 re-checking or re-sorting the measurements.
+
+A `Problem` may also carry leading batch axes on its measured values: the
+deltas dR (..., n-1, 3, 3), dv and dp (..., n-1, 3), dt_total (..., n-1)
+and the pixel uv (..., K, 2), one index per problem of a batch. A batch
+shares one (K,) frame_index / landmark_id pattern, one camera, one world
+and one photometric weight; `stack_problems` builds it from same-shaped
+problems. `stacked_residual` and `assemble` then evaluate the whole batch
+in one call per factor type: residuals (..., rows), a `BlockJacobian`
+whose blocks carry the batch axes, and one (rows,) weight diagonal shared
+by the batch. `solve` takes one problem, without batch axes.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import operator
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Tuple
@@ -123,9 +134,11 @@ class Problem:
     """A window plus its measurements: the n-1 keyframe-interval deltas as one
     stacked delta and the K pixel detections as one stacked record.
 
-    Construction rejects a window that is not finite and a delta count or a
-    measurement index that does not fit the window, and sorts the
-    measurements by (frame, landmark)."""
+    Construction rejects a window that is not finite, a delta count or
+    shape, a uv shape or a measurement index that does not fit the window,
+    and sorts the measurements by (frame, landmark). The window, deltas and
+    uv may carry leading batch axes (see the module docstring); the checks
+    read their last axes."""
 
     window: WindowState
     deltas: PreintegratedDelta
@@ -140,9 +153,17 @@ class Problem:
             if not np.isfinite(operator.attrgetter(name)(self.window)).all():
                 raise ValueError(f"window {name} must be finite")
         n, N = self.window.n, self.window.num_landmarks
-        if np.shape(self.deltas.dt_total) != (n - 1,):
-            raise ValueError(f"problem has {np.size(self.deltas.dt_total)} deltas, expected {n - 1}")
+        deltas = np.shape(self.deltas.dt_total)[-1:]
+        if deltas != (n - 1,):
+            raise ValueError(f"problem has {deltas[0] if deltas else 1} deltas, expected {n - 1}")
+        for name, last in (("dR", (n - 1, 3, 3)), ("dv", (n - 1, 3)), ("dp", (n - 1, 3))):
+            shape = np.shape(getattr(self.deltas, name))
+            if shape[-len(last) :] != last:
+                raise ValueError(f"deltas {name} has shape {shape}, expected (..., {', '.join(map(str, last))})")
         frames, ids = self.measurements.frame_index, self.measurements.landmark_id
+        uv = np.shape(self.measurements.uv)
+        if uv[-2:] != (len(frames), 2):
+            raise ValueError(f"measurement uv has shape {uv}, expected (..., {len(frames)}, 2)")
         outside = (frames < 1) | (frames > n) | (ids < 1) | (ids > N)
         if np.any(outside):
             first = np.flatnonzero(outside)[0]
@@ -164,6 +185,41 @@ class Problem:
         problem = copy.copy(self)
         problem.window = window
         return problem
+
+
+# what every problem of a batch shares, as the values that must be equal
+_SHARED = {
+    "n": lambda p: (p.window.n,),
+    "N": lambda p: (p.window.num_landmarks,),
+    "measurement pattern": lambda p: (p.measurements.frame_index, p.measurements.landmark_id),
+    "camera": lambda p: (p.cam.focal, p.cam.principal_point),
+    "world": lambda p: (p.world.gravity,),
+    "photometric_weight": lambda p: (p.photometric_weight,),
+}
+
+
+def stack_problems(problems) -> Problem:
+    """One problem whose window, deltas and uv carry a leading batch axis, one
+    index per given problem in order. The problems must share n, N, the
+    sorted measurement pattern, the camera, the world and the weight."""
+    problems = list(problems)
+    if not problems:
+        raise ValueError("stack_problems needs at least one problem")
+    first = problems[0]
+    for index, problem in enumerate(problems[1:], 1):
+        for name, shared in _SHARED.items():
+            if not all(map(np.array_equal, shared(problem), shared(first))):
+                raise ValueError(f"problem {index} differs from problem 0 in {name}")
+
+    def stack(name):
+        return np.stack([operator.attrgetter(name)(problem) for problem in problems])
+
+    poses = PoseState(*map(stack, ("window.poses.R", "window.poses.v", "window.poses.p")))
+    deltas = PreintegratedDelta(*map(stack, ("deltas.dR", "deltas.dv", "deltas.dp", "deltas.dt_total")))
+    meas = first.measurements
+    measurements = PixelMeasurement(meas.frame_index, meas.landmark_id, stack("measurements.uv"))
+    window = WindowState(poses, stack("window.landmarks"))
+    return Problem(window, deltas, measurements, first.cam, first.world, first.photometric_weight)
 
 
 def pose_boxplus(pose: PoseState, delta: np.ndarray) -> PoseState:
@@ -222,7 +278,7 @@ def _gather(problem: Problem) -> _FactorInputs:
 def stacked_residual(problem: Problem) -> np.ndarray:
     """Residual vector only (no Jacobian); used by finite-difference checks.
 
-    A window with leading batch axes gives (..., rows) residuals."""
+    A problem with leading batch axes gives (..., rows) residuals."""
     f = _gather(problem)
     imu = imu_residual(f.deltas, f.pose_i, f.pose_j, problem.world)
     pixel = photometric_residual(problem.cam, f.seen_from, f.landmarks, f.meas)
@@ -245,6 +301,10 @@ class BlockJacobian:
     column of every block column in a space of 9n + 3N columns that puts the
     prior pose first (pose k at 9(k-1), landmark i at 9n + 3(i-1)), so the
     first PRIOR columns are dropped from the dense (rows, dim) matrix.
+
+    The blocks of a batched problem carry its leading axes, (..., n-1, 9, 18)
+    and (..., K, 2, 12), and share one cols pattern. `shape` is the dense
+    shape, (..., rows, dim), and `size` and `nbytes` count the whole batch.
     """
 
     factors: Tuple[Tuple[np.ndarray, np.ndarray], ...]
@@ -254,45 +314,47 @@ class BlockJacobian:
 
     @property
     def size(self) -> int:
-        return self.shape[0] * self.shape[1]
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:
         return sum(blocks.nbytes for blocks, _ in self.factors)
 
     def toarray(self) -> np.ndarray:
-        """The dense (rows, dim) Jacobian in boxplus column order."""
-        rows, dim = self.shape
-        dense = np.zeros((rows, self.PRIOR + dim))
+        """The dense (..., rows, dim) Jacobian in boxplus column order."""
+        *batch, rows, dim = self.shape
+        dense = np.zeros((*batch, rows, self.PRIOR + dim))
         start = 0
         for blocks, cols in self.factors:
-            count, height, _ = blocks.shape
+            count, height, _ = blocks.shape[-3:]
             block_rows = np.arange(start, start + count * height).reshape(count, height)
-            dense[block_rows[:, :, None], cols[:, None, :]] = blocks
+            dense[..., block_rows[:, :, None], cols[:, None, :]] = blocks
             start += count * height
-        return dense[:, self.PRIOR :]
+        return dense[..., self.PRIOR :]
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.toarray(), dtype=dtype)
 
 
 def assemble(problem: Problem):
-    """Stacked residual, block Jacobian (see `BlockJacobian`) and weight diagonal."""
+    """Stacked residual, block Jacobian (see `BlockJacobian`) and weight diagonal.
+
+    A problem with leading batch axes gives (..., rows) residuals and blocks
+    with those axes; the (rows,) weights are shared by the batch."""
     f = _gather(problem)
     n = problem.window.n
     frames, ids = f.meas.frame_index, f.meas.landmark_id
     imu_r, imu_J = imu_residual_jacobian(f.deltas, f.pose_i, f.pose_j, problem.world)
     pixel_r, pixel_J = photometric_jacobian(problem.cam, f.seen_from, f.landmarks, f.meas)
-    residual = np.concatenate([imu_r.reshape(-1), pixel_r.reshape(-1)])
+    lead = imu_r.shape[:-2]
+    residual = np.concatenate([imu_r.reshape(lead + (-1,)), pixel_r.reshape(lead + (-1,))], axis=-1)
 
     # IMU factor k joins poses k+1 and k+2: 18 adjacent columns from 9k; pixel
     # factor m joins its observing pose and its landmark
     imu_cols = _span(9 * np.arange(n - 1), 18)
     pixel_cols = np.concatenate([_span(9 * (frames - 1), 9), _span(9 * n + 3 * (ids - 1), 3)], axis=1)
-    jacobian = BlockJacobian(
-        ((imu_J, imu_cols), (pixel_J, pixel_cols)), (residual.size, problem.window.dim)
-    )
-    weights = np.concatenate([np.ones(imu_r.size), np.full(pixel_r.size, float(problem.photometric_weight))])
+    jacobian = BlockJacobian(((imu_J, imu_cols), (pixel_J, pixel_cols)), residual.shape + (problem.window.dim,))
+    weights = np.concatenate([np.ones(9 * (n - 1)), np.full(2 * len(frames), float(problem.photometric_weight))])
     return residual, jacobian, weights
 
 

@@ -55,9 +55,11 @@ class CameraModel:
 @dataclass
 class PixelMeasurement:
     """Landmark detections in keyframe images, 1-based indices: K detections
-    as (K,) frame_index and landmark_id arrays and (K, 2) uv values. One
-    detection is the record with no leading axis; `meas[k]` picks detection k
-    and an index array or slice picks a sub-batch."""
+    as (K,) frame_index and landmark_id arrays and (K, 2) uv values. The uv
+    values may carry leading batch axes, (..., K, 2), one set per problem of
+    a batch that shares the (K,) pattern. One detection is the record with
+    no K axis; `meas[k]` picks detection k and an index array or slice picks
+    a sub-batch."""
 
     frame_index: np.ndarray
     landmark_id: np.ndarray
@@ -67,7 +69,7 @@ class PixelMeasurement:
         return len(self.frame_index)
 
     def __getitem__(self, index) -> "PixelMeasurement":
-        return PixelMeasurement(self.frame_index[index], self.landmark_id[index], self.uv[index])
+        return PixelMeasurement(self.frame_index[index], self.landmark_id[index], self.uv[..., index, :])
 
 
 def _check_depth(z: np.ndarray, meas: PixelMeasurement | None = None) -> None:

@@ -7,7 +7,16 @@ import pytest
 
 from padvio import checks
 from padvio.checks import central_difference, run_certification
-from padvio.graph import PoseState, Problem, WindowState, boxplus, pose_boxplus, stacked_residual
+from padvio.graph import (
+    PoseState,
+    Problem,
+    WindowState,
+    assemble,
+    boxplus,
+    pose_boxplus,
+    stack_problems,
+    stacked_residual,
+)
 from padvio.imu import PreintegratedDelta, WorldParams
 from padvio.vision import CameraModel, DegenerateDepthError, PixelMeasurement
 
@@ -99,6 +108,7 @@ def test_certification_matches_golden_table():
         assert list(got) == list(expected)
         for name, err in expected.items():
             assert abs(got[name] - err) <= 1e-12, f"{table} {name}: {got[name]!r} against {err!r}"
+            assert got[name] == err, f"{table} {name}: {got[name]!r} is not bit-identical to {err!r}"
     assert report.vision_velocity_block_max_abs == golden["vision_velocity_block_max_abs"]
 
 
@@ -165,3 +175,46 @@ def test_with_window_keeps_measurements_and_checks_shape():
     small = checks._random_problem(rng, 2, 3).window
     with pytest.raises(ValueError, match="n=2"):
         problem.with_window(small)
+
+
+@pytest.mark.parametrize("n,N", checks.STACKED_SHAPES)
+def test_batched_problem_matches_each_problem_bit_for_bit(n, N):
+    rng = np.random.default_rng(10 * n + N)
+    problems = [checks._random_problem(rng, n, N) for _ in range(3)]
+    batch = stack_problems(problems)
+    residual, jacobian, weights = assemble(batch)
+    batched = stacked_residual(batch)
+    dim = batch.window.dim
+    numeric = central_difference(
+        lambda d: stacked_residual(batch.with_window(boxplus(batch.window, d[..., None, :]))), dim
+    )
+    dense = jacobian.toarray()
+    # the reference: one problem at a time
+    for b, problem in enumerate(problems):
+        r, J, w = assemble(problem)
+        np.testing.assert_array_equal(residual[b], r)
+        np.testing.assert_array_equal(batched[b], stacked_residual(problem))
+        np.testing.assert_array_equal(dense[b], J.toarray())
+        np.testing.assert_array_equal(weights, w)
+        one = central_difference(lambda d: stacked_residual(problem.with_window(boxplus(problem.window, d))), dim)
+        np.testing.assert_array_equal(numeric[b], one)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_stacked_shapes_without_a_trial_read_not_run(trials):
+    # they used to read max rel err 0.000e+00, as if certified
+    report = run_certification(seed=2, trials=trials)
+    names = [f"n={n},N={N}" for n, N in checks.STACKED_SHAPES]
+    assert list(report.stacked_errors) == names[:trials]
+    stacked = [line.split() for line in report.lines() if line.lstrip().startswith("stacked")]
+    assert [fields[1] for fields in stacked] == names
+    assert [" ".join(fields[2:]) == "not run" for fields in stacked] == [k >= trials for k in range(4)]
+    ran = {**report.imu_block_errors, **report.vision_block_errors, **report.stacked_errors}
+    assert report.max_error == max(ran.values()) and report.passed
+
+
+def test_max_error_reads_only_the_checks_that_ran():
+    report = checks.CertificationReport(trials=1, seed=0, imu_block_errors={"r_rot/dR_i": 2e-5})
+    assert report.max_error == 2e-5 and not report.passed
+    assert report.lines()[-1] == "  FAIL (max 2.000e-05, threshold 1e-05)"
+    assert sum(line.endswith("not run") for line in report.lines()) == len(checks.STACKED_SHAPES)

@@ -226,14 +226,17 @@ def test_estimate_rejects_boolean_iterations(tmp_path, capsys):
     assert "invalid config field iterations" in capsys.readouterr().err
 
 
-def test_check_jacobians_lets_certification_errors_through(monkeypatch):
-    # a ValueError inside the certification used to be reported as "invalid trials"
+def test_check_jacobians_lets_certification_errors_through(monkeypatch, capsys):
+    # a ValueError inside the certification used to be reported as "invalid trials",
+    # and then left the CLI with exit 1, the config-error code
     def log_map_failure(rng, trials):
         raise ValueError("log_map: rotation angle 3.141592 rad is within 1e-06 of pi")
 
     monkeypatch.setattr(checks, "certify_stacked", log_map_failure)
-    with pytest.raises(ValueError, match="^log_map: "):
-        cli.main(["check-jacobians", "--trials", "1"])
+    assert cli.main(["check-jacobians", "--trials", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "ValueError: log_map: " in err
+    assert "config error" not in err
 
 
 def test_estimate_dataset_with_bad_record_id_exits_1(tmp_path, capsys):

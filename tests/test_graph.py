@@ -14,6 +14,7 @@ from padvio.graph import (
     assemble,
     boxplus,
     min_landmarks,
+    stack_problems,
     stacked_residual,
 )
 from padvio.imu import PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
@@ -242,6 +243,67 @@ def test_problem_rejects_non_finite_window(name, index, value):
 def test_problem_rejects_wrong_delta_count():
     with pytest.raises(ValueError, match="problem has 5 deltas, expected 6"):
         Problem(_window(7, 1), _deltas(5), _measurements([]), CameraModel(1.0), WorldParams())
+
+
+@pytest.mark.parametrize("name, value", [("dR", np.eye(3)), ("dv", np.zeros(3)), ("dp", np.zeros((4, 3)))])
+def test_problem_rejects_delta_fields_of_another_count(name, value):
+    # a dR of 1 delta for a 7-keyframe window used to pass, then fail to broadcast at the first residual
+    deltas = replace(_deltas(6), **{name: value})
+    tail = "3, 3" if name == "dR" else "3"
+    with pytest.raises(ValueError, match=re.escape(f"deltas {name} has shape {value.shape}, expected (..., 6, {tail})")):
+        Problem(_window(7, 1), deltas, _measurements([]), CameraModel(1.0), WorldParams())
+
+
+def test_problem_rejects_uv_that_does_not_fit_the_detections():
+    meas = PixelMeasurement(np.array([1, 2]), np.array([1, 1]), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=re.escape("measurement uv has shape (3, 2), expected (..., 2, 2)")):
+        Problem(_window(2, 1), _deltas(1), meas, CameraModel(1.0), WorldParams())
+
+
+def _small_problem(n=3, N=1, pairs=((1, 1), (2, 1), (3, 1)), **fields):
+    problem = Problem(_window(n, N), _deltas(n - 1), _measurements(pairs), CameraModel(1.0), WorldParams())
+    return replace(problem, **fields) if fields else problem
+
+
+@pytest.mark.parametrize(
+    "other, name",
+    [
+        (_small_problem(n=4, pairs=((1, 1),)), "n"),
+        (_small_problem(N=2), "N"),
+        (_small_problem(pairs=((1, 1), (2, 1))), "measurement pattern"),
+        (_small_problem(pairs=((1, 1), (2, 1), (2, 1))), "measurement pattern"),
+        (_small_problem(cam=CameraModel(2.0)), "camera"),
+        (_small_problem(world=WorldParams(np.array([0.0, 0.0, 9.8]))), "world"),
+        (_small_problem(photometric_weight=1.0), "photometric_weight"),
+    ],
+)
+def test_stack_problems_rejects_problems_of_another_shape(other, name):
+    with pytest.raises(ValueError, match=f"^problem 2 differs from problem 0 in {name}$"):
+        stack_problems([_small_problem(), _small_problem(), other])
+
+
+def test_stack_problems_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="at least one problem"):
+        stack_problems([])
+
+
+def test_stacked_problem_carries_a_batch_axis_on_every_measured_value():
+    problems = [_reference_problem(seed, n=4, N=2)[1] for seed in range(3)]
+    batch = stack_problems(problems)
+    assert (batch.window.n, batch.window.num_landmarks) == (4, 2)
+    assert batch.window.poses.R.shape == (3, 4, 3, 3) and batch.window.landmarks.shape == (3, 2, 3)
+    assert batch.deltas.dR.shape == (3, 3, 3, 3) and batch.deltas.dt_total.shape == (3, 3)
+    K = len(problems[0].measurements)
+    assert len(batch.measurements) == K and batch.measurements.uv.shape == (3, K, 2)
+    # detection k of every problem at once
+    np.testing.assert_array_equal(batch.measurements[1].uv, [p.measurements.uv[1] for p in problems])
+    residual, jacobian, weights = assemble(batch)
+    rows, dim = 9 * 3 + 2 * K, batch.window.dim
+    assert residual.shape == (3, rows) and jacobian.shape == (3, rows, dim) and weights.shape == (rows,)
+    # size and nbytes count the whole batch, so a fill share stays <= 1
+    assert jacobian.size == jacobian.toarray().size == 3 * rows * dim
+    assert jacobian.nbytes == 3 * assemble(problems[0])[1].nbytes
+    assert 0 < np.count_nonzero(jacobian) <= jacobian.size
 
 
 def test_jacobian_sparsity_pattern():
