@@ -6,7 +6,20 @@ on SO(3)^n x R^m over preintegrated IMU factors and pixel reprojection
 factors, with marker altitudes pinned to the ground plane by an exact
 equality-constrained step that fixes their increment entries and solves for
 the rest.
+
+Importing padvio sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 where they are unset, so that its dense solves take the
+single-threaded BLAS path: threaded LAPACK changes the bits of a solve wider
+than 96 columns, and the solves are too small to gain from threads. BLAS
+reads them when numpy is first imported, so a caller who imports numpy
+before padvio must set them itself.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .dataset_io import read_dataset, write_dataset
 from .graph import (

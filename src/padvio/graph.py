@@ -22,12 +22,20 @@ records to give each factor its inputs and make one call per factor type:
 `stacked_residual` calls the residual-only functions, and `assemble` the
 Jacobian calls, each of which returns the residuals with their Jacobians
 from one evaluation: (n-1,9) IMU residuals with (n-1,9,18) Jacobians and
-(K,2) pixel residuals with (K,2,12) Jacobians. A degenerate depth is raised
-by the pixel factor, naming the first such measurement in sorted order.
-`assemble` returns the blocks with their column indices as a
+(K,2) pixel residuals with (K,2,9) Jacobians, whose columns leave out the
+observing pose's velocity (`vision.POSE_ENTRIES`). A degenerate depth is
+raised by the pixel factor, naming the first such measurement in sorted
+order. `assemble` returns the blocks with their column indices as a
 `BlockJacobian`; the dense (rows x dim) Jacobian is built only by its
 `toarray()`, for finite-difference certification and tests.
 `pose_boxplus` broadcasts too, so `boxplus` retracts poses 2..n in one call.
+
+What assembly needs besides the window's values, the gather indices, the
+factor columns and the weight diagonal, follows from the problem's shapes
+and sorted measurements alone. `Problem.layout` builds it on first use, as a
+`FactorLayout`, and keeps it for the problem and every `with_window` copy,
+so a Gauss-Newton loop builds it once and a problem that is never evaluated
+never builds it.
 
 A window may carry leading batch axes before its keyframe and landmark
 axes: poses R (..., n, 3, 3), v and p (..., n, 3), landmarks (..., N, 3).
@@ -45,7 +53,7 @@ and one photometric weight; `stack_problems` builds it from same-shaped
 problems. `stacked_residual` and `assemble` then evaluate the whole batch
 in one call per factor type: residuals (..., rows), a `BlockJacobian`
 whose blocks carry the batch axes, and one (rows,) weight diagonal shared
-by the batch. `solve` takes one problem, without batch axes.
+by the batch. `solve` takes one problem, and rejects batch axes.
 """
 
 from __future__ import annotations
@@ -53,15 +61,15 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, NamedTuple, Tuple
 
 import numpy as np
 
 from . import inputs
 from .imu import PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
 from .manifold import exp_map
-from .vision import CameraModel, PixelMeasurement, photometric_jacobian, photometric_residual
+from .vision import POSE_ENTRIES, CameraModel, PixelMeasurement, photometric_jacobian, photometric_residual
 
 
 @dataclass
@@ -146,8 +154,11 @@ class Problem:
     cam: CameraModel
     world: WorldParams
     photometric_weight: float = 1000.0
+    # what `shared` built, kept by every `with_window` copy
+    _shared: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._shared = {}
         inputs.real(self.photometric_weight, "photometric_weight", positive=True)
         for name in ("poses.R", "poses.v", "poses.p", "landmarks"):
             if not np.isfinite(operator.attrgetter(name)(self.window)).all():
@@ -185,6 +196,19 @@ class Problem:
         problem = copy.copy(self)
         problem.window = window
         return problem
+
+    def shared(self, build: Callable[["Problem"], object]):
+        """build(self), run on this problem's first call with that `build` and
+        then kept for it and every `with_window` copy of it. Only for what
+        follows from the shapes and the measurements, not the window's values."""
+        if build not in self._shared:
+            self._shared[build] = build(self)
+        return self._shared[build]
+
+    @property
+    def layout(self) -> "FactorLayout":
+        """The problem's `FactorLayout`, built on first use (see `shared`)."""
+        return self.shared(factor_layout)
 
 
 # what every problem of a batch shares, as the values that must be equal
@@ -250,6 +274,37 @@ def boxplus(window: WindowState, delta: np.ndarray) -> WindowState:
     return WindowState(poses, landmarks)
 
 
+def _span(starts: np.ndarray, width: int) -> np.ndarray:
+    """(len(starts), width) indices start, start + 1, ..., start + width - 1."""
+    return starts[:, None] + np.arange(width)
+
+
+class FactorLayout(NamedTuple):
+    """What assembling a problem needs besides the window's values. Every
+    array is read-only, since each assembly of the problem returns the same
+    ones."""
+
+    keyframe_index: np.ndarray  # (K,) the 0-based observing keyframe of each measurement
+    landmark_index: np.ndarray  # (K,) the 0-based observed landmark of each measurement
+    columns: Tuple[np.ndarray, np.ndarray]  # IMU (n-1, 18) and pixel (K, 9), see `BlockJacobian`
+    weights: np.ndarray  # (rows,) the weight diagonal
+
+
+def factor_layout(problem: Problem) -> FactorLayout:
+    """The layout of a problem's factors; `Problem.layout` keeps it."""
+    n, meas = problem.window.n, problem.measurements
+    keyframes, landmarks = meas.frame_index - 1, meas.landmark_id - 1
+    # IMU factor k joins poses k+1 and k+2: 18 adjacent columns from 9k; pixel
+    # factor m joins its observing pose and its landmark
+    imu_cols = _span(9 * np.arange(n - 1), 18)
+    pixel_cols = np.concatenate([9 * keyframes[:, None] + POSE_ENTRIES, _span(9 * n + 3 * landmarks, 3)], axis=1)
+    weights = np.concatenate([np.ones(9 * (n - 1)), np.full(2 * len(meas), float(problem.photometric_weight))])
+    layout = FactorLayout(keyframes, landmarks, (imu_cols, pixel_cols), weights)
+    for array in (keyframes, landmarks, imu_cols, pixel_cols, weights):
+        array.flags.writeable = False
+    return layout
+
+
 class _FactorInputs(NamedTuple):
     """Every factor's inputs, stacked along a leading axis per factor type."""
 
@@ -264,14 +319,14 @@ class _FactorInputs(NamedTuple):
 def _gather(problem: Problem) -> _FactorInputs:
     """Index the inputs of every factor out of the problem's stacked records,
     keeping the window's leading batch axes."""
-    poses, meas = problem.window.poses, problem.measurements
+    poses, layout = problem.window.poses, problem.layout
     return _FactorInputs(
         deltas=problem.deltas,
         pose_i=poses[:-1],
         pose_j=poses[1:],
-        meas=meas,
-        seen_from=poses[meas.frame_index - 1],
-        landmarks=problem.window.landmarks[..., meas.landmark_id - 1, :],
+        meas=problem.measurements,
+        seen_from=poses[layout.keyframe_index],
+        landmarks=problem.window.landmarks[..., layout.landmark_index, :],
     )
 
 
@@ -286,24 +341,21 @@ def stacked_residual(problem: Problem) -> np.ndarray:
     return np.concatenate([imu.reshape(lead + (-1,)), pixel.reshape(lead + (-1,))], axis=-1)
 
 
-def _span(starts: np.ndarray, width: int) -> np.ndarray:
-    """(len(starts), width) indices start, start + 1, ..., start + width - 1."""
-    return starts[:, None] + np.arange(width)
-
-
 @dataclass(frozen=True)
 class BlockJacobian:
     """The stacked Jacobian held as its factor blocks.
 
     `factors` holds one (blocks, cols) pair per factor type in row order:
-    the (n-1, 9, 18) IMU blocks, then the (K, 2, 12) pixel blocks. Each
+    the (n-1, 9, 18) IMU blocks, then the (K, 2, 9) pixel blocks. Each
     factor's rows follow the previous factor's; cols (K, width) gives the
     column of every block column in a space of 9n + 3N columns that puts the
     prior pose first (pose k at 9(k-1), landmark i at 9n + 3(i-1)), so the
-    first PRIOR columns are dropped from the dense (rows, dim) matrix.
+    first PRIOR columns are dropped from the dense (rows, dim) matrix. A
+    pixel block has no velocity columns, so its rows of the dense matrix are
+    zero there.
 
     The blocks of a batched problem carry its leading axes, (..., n-1, 9, 18)
-    and (..., K, 2, 12), and share one cols pattern. `shape` is the dense
+    and (..., K, 2, 9), and share one cols pattern. `shape` is the dense
     shape, (..., rows, dim), and `size` and `nbytes` count the whole batch.
     """
 
@@ -340,22 +392,16 @@ def assemble(problem: Problem):
     """Stacked residual, block Jacobian (see `BlockJacobian`) and weight diagonal.
 
     A problem with leading batch axes gives (..., rows) residuals and blocks
-    with those axes; the (rows,) weights are shared by the batch."""
+    with those axes; the (rows,) weights are shared by the batch. The
+    weights and the column indices are the problem's `layout`, read-only."""
     f = _gather(problem)
-    n = problem.window.n
-    frames, ids = f.meas.frame_index, f.meas.landmark_id
     imu_r, imu_J = imu_residual_jacobian(f.deltas, f.pose_i, f.pose_j, problem.world)
     pixel_r, pixel_J = photometric_jacobian(problem.cam, f.seen_from, f.landmarks, f.meas)
     lead = imu_r.shape[:-2]
     residual = np.concatenate([imu_r.reshape(lead + (-1,)), pixel_r.reshape(lead + (-1,))], axis=-1)
-
-    # IMU factor k joins poses k+1 and k+2: 18 adjacent columns from 9k; pixel
-    # factor m joins its observing pose and its landmark
-    imu_cols = _span(9 * np.arange(n - 1), 18)
-    pixel_cols = np.concatenate([_span(9 * (frames - 1), 9), _span(9 * n + 3 * (ids - 1), 3)], axis=1)
-    jacobian = BlockJacobian(((imu_J, imu_cols), (pixel_J, pixel_cols)), residual.shape + (problem.window.dim,))
-    weights = np.concatenate([np.ones(9 * (n - 1)), np.full(2 * len(frames), float(problem.photometric_weight))])
-    return residual, jacobian, weights
+    layout = problem.layout
+    factors = tuple(zip((imu_J, pixel_J), layout.columns))
+    return residual, BlockJacobian(factors, residual.shape + (problem.window.dim,)), layout.weights
 
 
 def altitude_constraint(problem: Problem):
@@ -363,11 +409,11 @@ def altitude_constraint(problem: Problem):
 
     Returns (fixed, c): fixed[i] = 9(n-1) + 3i + 2 indexes landmark i's z
     increment, c_i is its current altitude, so a step with delta[fixed] = -c
-    lands every landmark on z = 0.
+    lands every landmark on z = 0. A batched problem gives c (..., N).
     """
     window = problem.window
     fixed = 9 * (window.n - 1) + 3 * np.arange(window.num_landmarks) + 2
-    return fixed, window.landmarks[:, 2].copy()
+    return fixed, window.landmarks[..., 2].copy()
 
 
 def min_landmarks(n: int) -> int:

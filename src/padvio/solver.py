@@ -9,7 +9,7 @@ coordinates of a Euclidean block, so it is imposed by eliminating those
 entries (the null-space method) rather than through a saddle-point system;
 the retracted altitudes z + (-z) are exactly 0.
 
-The scatter index picks the layout once per solve, from the window length,
+The scatter index picks the layout once per problem, from the window length,
 and every later stage reads it from its input. Windows of up to TAIL + 1
 keyframes sum the dense H, then g, and take one dense solve of the free
 block. Longer windows never form H. IMU factors join only neighbouring
@@ -33,7 +33,7 @@ from typing import List, NamedTuple, Tuple
 import numpy as np
 
 from . import inputs
-from .graph import Problem, WindowState, altitude_constraint, assemble, boxplus
+from .graph import BlockJacobian, Problem, WindowState, altitude_constraint, assemble, boxplus
 from .vision import DegenerateDepthError
 
 TAIL = 8  # most keyframe blocks left to the dense tail of the chain reduction
@@ -79,7 +79,8 @@ def build_normal_system(problem: Problem, damping: float = 0.1):
     """Damped normal equations (H, g) of the weighted least-squares problem,
     with H dense."""
     residual, jacobian, weights = assemble(problem)
-    return _normal_system(residual, jacobian, weights, damping, _scatter_index(jacobian))
+    index = _scatter_index(problem.layout.columns, problem.window.dim)
+    return _normal_system(residual, jacobian, weights, damping, index)
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,10 @@ class _PackedIndex(NamedTuple):
     poses: int
 
 
-def _scatter_index(jacobian, poses: int = 0):
+def _scatter_index(columns, dim: int, poses: int = 0):
     """The flat positions that each factor's B^T W B and B^T W e entries add
-    to, which depend only on the factors' columns, fixed for a problem.
+    to, which depend only on the factors' columns (`FactorLayout.columns`),
+    fixed for a problem.
 
     This is the one place that picks the layout of the normal equations,
     from the number of keyframe blocks in the chain (`poses`). Factor
@@ -144,19 +146,19 @@ def _scatter_index(jacobian, poses: int = 0):
     row puts a landmark column at its place in E; the prior's rows and
     columns and all entries below the diagonal blocks go to the dump bin.
     """
-    prior = jacobian.PRIOR
-    span = prior + jacobian.shape[1]
+    prior = BlockJacobian.PRIOR
+    span = prior + dim
     if poses <= TAIL:  # H's span x span bins, then g's span bins
-        index = [np.dstack([c[:, :, None] * span + c[:, None, :], span * span + c]) for _, c in jacobian.factors]
+        index = [np.dstack([c[:, :, None] * span + c[:, None, :], span * span + c]) for c in columns]
         return np.concatenate(index, None)
     chain, L = 9 * poses, span - prior - 9 * poses
     width = 18 + L
     E_start, g_start = chain * width, chain * width + L * L
     dump = g_start + chain + L
     # filled in place, factor by factor, to keep few index-sized temporaries
-    positions = np.empty(sum(c.shape[0] * c.shape[1] * (c.shape[1] + 1) for _, c in jacobian.factors), np.intp)
+    positions = np.empty(sum(c.shape[0] * c.shape[1] * (c.shape[1] + 1) for c in columns), np.intp)
     used = 0
-    for _, cols in jacobian.factors:
+    for cols in columns:
         count, w = cols.shape
         position = positions[used : used + count * w * (w + 1)].reshape(count, w, w + 1)
         used += position.size
@@ -169,6 +171,11 @@ def _scatter_index(jacobian, poses: int = 0):
         position[:, :, :w][(row < 0) | (col < first)] = dump
         position[:, :, w] = np.where(entry >= 0, g_start + entry, dump)
     return _PackedIndex(positions, poses)
+
+
+def _problem_index(problem: Problem):
+    """The scatter index of the problem's normal equations; `Problem.shared` keeps it."""
+    return _scatter_index(problem.layout.columns, problem.window.dim, problem.window.n - 1)
 
 
 def _normal_system(residual, jacobian, weights, damping, index):
@@ -336,8 +343,10 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
 
     Deterministic: identical problem and config give bit-identical reports.
     A config field that breaks its `inputs` rule raises ValueError naming
-    it. Degenerate projection depth or a singular system aborts the run with
-    an IterationError naming the iterate and carrying partial histories.
+    it. A problem with batch axes (`graph.stack_problems`) raises ValueError
+    naming their shape. Degenerate projection depth or a singular system
+    aborts the run with an IterationError naming the iterate and carrying
+    partial histories.
     """
     if config is None:
         config = SolverConfig()
@@ -345,17 +354,20 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
     iterations = inputs.integer(config.max_iterations, "max_iterations", 1)
     inputs.boolean(config.constrain_altitude, "constrain_altitude")
     inputs.real(config.convergence_tol, "convergence_tol")
+    window, deltas, uv = problem.window, problem.deltas, problem.measurements.uv
+    batch = np.broadcast_shapes(
+        window.poses.R.shape[:-3], window.landmarks.shape[:-2], np.shape(deltas.dt_total)[:-1], np.shape(uv)[:-2]
+    )
+    if batch:
+        raise ValueError(f"solve takes one problem, not a batch of shape {batch}")
 
-    window = problem.window
     cost_history: List[float] = []
     step_norms: List[float] = []
-    index = None  # the normal equations' scatter index, fixed for the problem
+    index = problem.shared(_problem_index)
     for iteration in range(1, iterations + 1):
         current = problem.with_window(window)
         try:
             residual, jacobian, weights = assemble(current)
-            if index is None:
-                index = _scatter_index(jacobian, window.n - 1)
             H, g = _normal_system(residual, jacobian, weights, config.damping, index)
             cost_history.append(float(residual @ (weights * residual)))
             if config.constrain_altitude:

@@ -12,7 +12,7 @@ and name the first one in batch order whose predicted depth is degenerate.
 Every function here broadcasts over leading axes: K observations given as
 pose R (K,3,3), p (K,3), landmarks (K,3) and measured uv (K,2) give (K,3)
 camera-frame points, (K,2) residuals, (K,2,3) projection differentials and
-(K,2,12) Jacobians. A single observation is the stack with no leading axes.
+(K,2,9) Jacobians. A single observation is the stack with no leading axes.
 The camera broadcasts like every other record: a (K,) focal with a (K,2)
 principal point gives each observation its own camera.
 """
@@ -27,6 +27,12 @@ from .manifold import hat
 
 # Predicted depths at or below this magnitude are degenerate.
 DEPTH_EPSILON = 1e-6
+
+# The Jacobian's nine columns, in order, differentiate the observing pose's
+# increment entries POSE_ENTRIES (its attitude and position in the
+# [dR, dv, dp] order of `graph.pose_boxplus`), then the landmark's three.
+# Velocity never enters the projection, so it has no columns.
+POSE_ENTRIES = np.array([0, 1, 2, 6, 7, 8])
 
 
 class DegenerateDepthError(RuntimeError):
@@ -123,18 +129,18 @@ def photometric_residual(cam: CameraModel, pose, landmark: np.ndarray, meas: Pix
 
 
 def photometric_jacobian(cam: CameraModel, pose, landmark: np.ndarray, meas: PixelMeasurement):
-    """The photometric residuals and their (..., 2, 12) Jacobians, from one evaluation.
+    """The photometric residuals and their (..., 2, 9) Jacobians, from one evaluation.
 
-    Column blocks are [dR, dv, dp, dp_l]. The camera-frame point obeys
-    q(dR) = Exp(-dR) R^T (p_l - p) to first order, so the inner 3x12 Jacobian
-    is [hat(q), 0, -I, R^T]; the projection differential chains on top.
-    Velocity never enters the projection, so its block is identically zero.
+    Column blocks are [dR, dp, dp_l] (see `POSE_ENTRIES`). The camera-frame
+    point obeys q(dR) = Exp(-dR) R^T (p_l - p) to first order, so the inner
+    3x9 Jacobian is [hat(q), -I, R^T]; the projection differential chains on
+    top.
     """
     q = landmark_in_body(pose, landmark)
     _check_depth(q[..., 2], meas)
     P = _pinhole_differential(cam, q)
-    J = np.zeros(q.shape[:-1] + (2, 12))
+    J = np.empty(q.shape[:-1] + (2, 9))
     J[..., 0:3] = P @ hat(q)
-    J[..., 6:9] = -P
-    J[..., 9:12] = P @ np.swapaxes(pose.R, -1, -2)
+    J[..., 3:6] = -P
+    J[..., 6:9] = P @ np.swapaxes(pose.R, -1, -2)
     return _pinhole(cam, q) - np.asarray(meas.uv, dtype=float), J

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +294,29 @@ def test_level_circle_config_keeps_every_measurement(tmp_path, capsys):
     assert dataset.ground_truth.num_landmarks == 10
     assert len(dataset.pixel_measurements) == 12 * 10
     assert all(pose.p[2] < 0.0 for pose in dataset.ground_truth.poses)
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("flag", [[], ["--no-constraint"]])
+def test_console_estimate_pins_one_blas_thread_by_default(tmp_path, flag):
+    # 16 keyframes and 13 markers: the reduction's tail is 8 keyframes plus the
+    # free landmark entries, 72 + 2 * 13 = 98 columns and 72 + 3 * 13 = 111
+    # with --no-constraint, past the 96 columns where threaded LAPACK changes bits
+    cfg = str(Path(__file__).parent / "data" / "level_circle_n16_ring13.json")
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    src = str(Path(__file__).parents[1] / "src")
+    # importing padvio here has set the variables in this process, so drop them
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREADS}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    reports = {}
+    for name, threads in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        command = [sys.executable, "-m", "padvio.cli", "estimate", str(tmp_path / "dataset.txt"), "--config", cfg]
+        subprocess.run(command + flag + ["--out", str(out)], env={**env, **threads}, check=True, capture_output=True)
+        reports[name] = [(out / f).read_bytes() for f in ("convergence.csv", "pose_errors.csv", "landmark_errors.csv")]
+    assert reports["unset"] == reports["one"]
 
 
 def test_high_rate_imu_config_simulates_every_sample(tmp_path, capsys):

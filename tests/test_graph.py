@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from padvio import graph
 from padvio.checks import central_difference
 from padvio.graph import (
     PoseState,
@@ -360,6 +361,38 @@ def test_altitude_constraint_zero_for_grounded_landmarks():
     np.testing.assert_array_equal(c, np.zeros(2))
 
 
+def test_altitude_constraint_reads_each_problem_of_a_batch():
+    problems = [_reference_problem(seed, n=4, N=3)[1] for seed in range(3)]
+    for k, problem in enumerate(problems):
+        problem.window.landmarks[:, 2] = 0.1 * (k + 1) * np.arange(1.0, 4.0)
+    fixed, c = altitude_constraint(stack_problems(problems))
+    np.testing.assert_array_equal(fixed, altitude_constraint(problems[0])[0])
+    np.testing.assert_array_equal(c, [problem.window.landmarks[:, 2] for problem in problems])
+
+
+def test_layout_is_built_on_first_use_and_shared_by_window_copies(monkeypatch):
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return build(problem)
+
+    build = graph.factor_layout
+    monkeypatch.setattr(graph, "factor_layout", counting)
+    _, problem = _reference_problem(n=4, N=2)
+    rng = np.random.default_rng(3)
+    offsets = rng.normal(0.0, 0.01, (2, problem.window.dim))
+    first, second = (problem.with_window(boxplus(problem.window, offset)) for offset in offsets)
+    assert calls == []  # a problem that is never evaluated builds nothing
+    (_, J_first, w_first), (_, J_second, w_second) = assemble(first), assemble(second)
+    assert len(calls) == 1 and w_first is w_second
+    for (_, cols_first), (_, cols_second) in zip(J_first.factors, J_second.factors):
+        assert cols_first is cols_second and not cols_first.flags.writeable
+    # a problem rebuilt with other measurements gets its own layout
+    assert replace(problem, measurements=problem.measurements[1:]).layout is not problem.layout
+    assert len(calls) == 2
+
+
 def test_min_landmarks_values():
     assert min_landmarks(2) == 10
     assert min_landmarks(7) == 1
@@ -402,11 +435,13 @@ def _assemble_per_factor(problem):
         row = base + 2 * idx
         residual[row : row + 2] = photometric_residual(problem.cam, pose, landmark, m)
         _, J = photometric_jacobian(problem.cam, pose, landmark, m)
+        # columns [dR, dp, dp_l]: the pose's velocity entries stay zero
         if m.frame_index >= 2:
             col = 9 * (m.frame_index - 2)
-            jacobian[row : row + 2, col : col + 9] = J[:, 0:9]
+            jacobian[row : row + 2, col : col + 3] = J[:, 0:3]
+            jacobian[row : row + 2, col + 6 : col + 9] = J[:, 3:6]
         col_l = base + 3 * (m.landmark_id - 1)
-        jacobian[row : row + 2, col_l : col_l + 3] = J[:, 9:12]
+        jacobian[row : row + 2, col_l : col_l + 3] = J[:, 6:9]
     weights = np.concatenate(
         [np.ones(base), np.full(2 * len(measurements), float(problem.photometric_weight))]
     )
@@ -448,9 +483,14 @@ def _oracle_case(name):
 def test_batched_assembly_matches_per_factor_oracle(case):
     problem = _oracle_case(case)
     r, J, w = assemble(problem)
+    n, K = problem.window.n, len(problem.measurements)
+    (imu_blocks, _), (pixel_blocks, _) = J.factors
+    assert imu_blocks.shape == (n - 1, 9, 18) and pixel_blocks.shape == (K, 2, 9)
     J = J.toarray()
     r_ref, J_ref, w_ref = _assemble_per_factor(problem)
     assert J.shape == J_ref.shape
+    velocity = (9 * np.arange(n - 1)[:, None] + np.arange(3, 6)).ravel()
+    np.testing.assert_array_equal(J[9 * (n - 1) :, velocity], 0.0)
     assert np.abs(r - r_ref).max() <= 1e-12 * max(1.0, np.abs(r_ref).max())
     assert np.abs(J - J_ref).max() <= 1e-12 * max(1.0, np.abs(J_ref).max())
     np.testing.assert_array_equal(J != 0.0, J_ref != 0.0)

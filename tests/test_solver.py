@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from padvio import solver
-from padvio.graph import PoseState, Problem, WindowState, altitude_constraint, assemble, boxplus
+from padvio import checks, graph, solver
+from padvio.graph import PoseState, Problem, WindowState, altitude_constraint, assemble, boxplus, stack_problems
 from padvio.imu import PreintegratedDelta, WorldParams
 from padvio.sim import (
     CameraModel,
@@ -68,7 +68,7 @@ def test_block_normal_system_matches_dense_oracle(case):
     # the scatter index depends only on the columns, so one built at another
     # window of the problem, as `solve` reuses it, gives the same bits
     moved = problem.with_window(boxplus(problem.window, np.full(problem.window.dim, 0.01)))
-    index = solver._scatter_index(assemble(moved)[1])
+    index = solver._scatter_index(moved.layout.columns, moved.window.dim)
     H_reused, g_reused = solver._normal_system(*assemble(problem)[:3], 0.1, index)
     assert H.tobytes() == H_reused.tobytes()
     assert g.tobytes() == g_reused.tobytes()
@@ -102,7 +102,7 @@ def _block_case(name):
 
 def _block_system(problem, damping=0.1):
     residual, jacobian, weights = assemble(problem)
-    index = solver._scatter_index(jacobian, problem.window.n - 1)
+    index = solver._problem_index(problem)
     return solver._normal_system(residual, jacobian, weights, damping, index)
 
 
@@ -132,7 +132,7 @@ def test_block_step_peak_memory_below_dense_normal_matrix():
     # one iteration past TAIL + 1 keyframes allocates no (9n + 3N)^2 array
     problem = _oracle_case("n60_N10")
     residual, jacobian, weights = assemble(problem)
-    index = solver._scatter_index(jacobian, problem.window.n - 1)
+    index = solver._problem_index(problem)
     fixed, c = altitude_constraint(problem)
     tracemalloc.start()
     try:
@@ -476,27 +476,41 @@ def test_solve_rejects_nan_convergence_tol():
 
 def test_solve_builds_the_scatter_index_once(monkeypatch):
     # the index picks the layout, the only switch on the window length:
-    # n = 7 and 9 sum the dense H, n = 10 and 30 the block system
-    calls, layouts = [], []
+    # n = 7 and 9 sum the dense H, n = 10 and 30 the block system; the
+    # factor layout it is built from is built once per problem too
+    calls, layouts, factor_layouts = [], [], []
 
-    def counting(jacobian, poses):
+    def counting(columns, dim, poses):
         calls.append(poses)
-        return scatter_index(jacobian, poses)
+        return scatter_index(columns, dim, poses)
+
+    def counting_layouts(problem):
+        factor_layouts.append(problem.window.n)
+        return factor_layout(problem)
 
     def recording(H, g, fixed, c):
         layouts.append(type(H))
         return step(H, g, fixed, c)
 
-    scatter_index, step = solver._scatter_index, solver.constrained_step
+    scatter_index, step, factor_layout = solver._scatter_index, solver.constrained_step, graph.factor_layout
     monkeypatch.setattr(solver, "_scatter_index", counting)
     monkeypatch.setattr(solver, "constrained_step", recording)
+    monkeypatch.setattr(graph, "factor_layout", counting_layouts)
     datasets = (_reference_dataset(), _level_circle_dataset(9), _level_circle_dataset(10), _level_circle_dataset(30))
     for dataset in datasets:
         problem = make_problem(dataset, perturb_initialization(dataset, "cold"))
         report = solve(problem, SolverConfig(max_iterations=5))
         assert report.iterations_run == 5
     assert calls == [6, 8, 9, 29]
+    assert factor_layouts == [7, 9, 10, 30]
     assert layouts == 10 * [np.ndarray] + 10 * [NormalBlocks]
+
+
+def test_solve_rejects_a_batched_problem():
+    rng = np.random.default_rng(0)
+    batch = stack_problems([checks._random_problem(rng, 7, 3) for _ in range(3)])
+    with pytest.raises(ValueError, match=r"^solve takes one problem, not a batch of shape \(3,\)$"):
+        solve(batch)
 
 
 def test_unconstrained_solve_past_tail_matches_dense_steps():

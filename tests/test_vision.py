@@ -93,12 +93,19 @@ def test_residual_is_predicted_minus_measured():
 
 
 def test_jacobian_velocity_block_identically_zero(rng):
+    # the Jacobian has no velocity columns because a velocity increment, of
+    # any size, leaves the residual's bits unchanged
     for _ in range(20):
-        pose = _pose(R=random_rotation(rng), p=rng.normal(0, 1, 3))
+        pose = _pose(R=random_rotation(rng), p=rng.normal(0, 1, 3), v=rng.normal(0, 1, 3))
         q = np.array([rng.normal(), rng.normal(), rng.uniform(1.0, 5.0)])
-        meas = PixelMeasurement(1, 1, np.zeros(2))
-        _, J = photometric_jacobian(CameraModel(400.0), pose, pose.p + pose.R @ q, meas)
-        np.testing.assert_array_equal(J[:, 3:6], np.zeros((2, 3)))
+        landmark, meas = pose.p + pose.R @ q, PixelMeasurement(1, 1, rng.normal(0, 50, 2))
+        increments = np.zeros((4, 9))
+        increments[:, 3:6] = rng.normal(0, 1, (4, 3)) * np.array([1e-6, 1e-2, 1.0, 1e3])[:, None]
+        moved = photometric_residual(CameraModel(400.0), pose_boxplus(pose, increments), landmark, meas)
+        residual = photometric_residual(CameraModel(400.0), pose, landmark, meas)
+        assert moved.tobytes() == np.tile(residual, (4, 1)).tobytes()
+        _, J = photometric_jacobian(CameraModel(400.0), pose, landmark, meas)
+        assert J.shape == (2, 9)
 
 
 def test_inner_point_jacobian_blocks(rng):
@@ -130,16 +137,16 @@ def test_rotation_block_first_order_identity(rng):
 
 
 def test_chain_rule_factorization(rng):
-    # full Jacobian equals the projection differential times the inner 3x12 Jacobian
+    # full Jacobian equals the projection differential times the inner 3x9 Jacobian
     for _ in range(20):
         cam = CameraModel(rng.uniform(100, 700), rng.normal(0, 3, 2))
         pose = _pose(R=random_rotation(rng), p=rng.normal(0, 1, 3))
         q = np.array([rng.normal(), rng.normal(), rng.uniform(1.0, 5.0)])
         landmark = pose.p + pose.R @ q
-        inner = np.zeros((3, 12))
+        inner = np.zeros((3, 9))
         inner[:, 0:3] = hat(q)
-        inner[:, 6:9] = -np.eye(3)
-        inner[:, 9:12] = pose.R.T
+        inner[:, 3:6] = -np.eye(3)
+        inner[:, 6:9] = pose.R.T
         expected = vision._pinhole_differential(cam, landmark_in_body(pose, landmark)) @ inner
         _, J = photometric_jacobian(cam, pose, landmark, PixelMeasurement(1, 1, np.zeros(2)))
         np.testing.assert_allclose(J, expected, atol=1e-12)
@@ -159,6 +166,9 @@ def test_jacobian_matches_finite_differences(rng):
 
         numeric = central_difference(residual_at, 12)
         _, analytic = photometric_jacobian(cam, pose, landmark, meas)
+        # the analytic columns are [dR, dp, dp_l]; the velocity ones are exactly 0
+        np.testing.assert_array_equal(numeric[:, 3:6], 0.0)
+        numeric = numeric[:, np.r_[0:3, 6:12]]
         err = np.abs(analytic - numeric).max() / max(1.0, np.abs(numeric).max())
         worst = max(worst, err)
     assert worst < 1e-5
@@ -179,7 +189,7 @@ def test_stack_matches_per_element_calls(rng):
     meas = PixelMeasurement(np.ones(6, dtype=int), np.arange(1, 7), uv)
     r = photometric_residual(cam, stacked, landmarks, meas)
     fused_r, J = photometric_jacobian(cam, stacked, landmarks, meas)
-    assert r.shape == (6, 2) and J.shape == (6, 2, 12)
+    assert r.shape == (6, 2) and J.shape == (6, 2, 9)
     # the fused call's residual is the residual-only call's, bit for bit
     np.testing.assert_array_equal(fused_r, r)
     single_meas = [PixelMeasurement(1, k + 1, uv[k]) for k in range(6)]
