@@ -11,11 +11,15 @@ residuals, so it stays independent of the analytic one.
 
 `certify_imu` and `certify_vision` stack all trials' draws, the camera's
 included, so each makes one residual and one Jacobian call for all trials.
-`certify_stacked` draws trial t's window of shape t mod 4 from a simulated
-flight, then stacks the trials of each shape into one batched problem
-(`graph.stack_problems`), so each shape makes one residual call and one
-`assemble` call for all its trials. A shape that got no trial (fewer trials
-than shapes) has no entry in the report and prints as not run.
+Their draw loops only draw numbers, a rotation as its rotation vector; the
+rotations and the products of the drawn values are formed once per check,
+on the stacks. `certify_stacked` simulates trial t's flight of shape t mod 4
+and draws its window offset, then stacks the flights of each shape
+(`sim.stack_datasets`) into one batched problem: one preintegration of all
+their intervals, one `Problem` and one `boxplus` of the stacked offsets.
+Each shape then makes one residual call and one `assemble` call for all its
+trials. A shape that got no trial (fewer trials than shapes) has no entry
+in the report and prints as not run.
 """
 
 from __future__ import annotations
@@ -26,17 +30,19 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import inputs
-from .graph import PoseState, assemble, boxplus, pose_boxplus, stack_problems, stacked_residual
+from .graph import PoseState, assemble, boxplus, pose_boxplus, stacked_residual
 from .imu import PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
 from .manifold import exp_map
 from .sim import (
     CameraModel,
+    Dataset,
     NoiseSpec,
     Profile,
     TrajectorySpec,
     default_initial_pose,
     generate,
     make_problem,
+    stack_datasets,
 )
 from .vision import POSE_ENTRIES, PixelMeasurement, photometric_jacobian, photometric_residual
 
@@ -65,13 +71,14 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def _random_rotation(rng: np.random.Generator, max_angle: float) -> np.ndarray:
+    """A rotation vector: a random axis times an angle below max_angle."""
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
-    return exp_map(axis * rng.uniform(0.0, max_angle))
+    return axis * rng.uniform(0.0, max_angle)
 
 
 def _random_pose(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pose's R, v and p draws."""
+    """One pose's draws: its attitude as a rotation vector, v and p."""
     return _random_rotation(rng, 0.8), rng.normal(0.0, 1.0, 3), rng.normal(0.0, 2.0, 3)
 
 
@@ -95,12 +102,13 @@ class CertificationReport:
 
     @property
     def max_error(self) -> float:
+        """The largest error, NaN if any error is NaN (Python's max would skip it)."""
         values = (
             list(self.imu_block_errors.values())
             + list(self.vision_block_errors.values())
             + list(self.stacked_errors.values())
         )
-        return max(values)
+        return float(np.max(values))
 
     @property
     def passed(self) -> bool:
@@ -138,10 +146,12 @@ def certify_imu(rng: np.random.Generator, trials: int) -> Dict[str, float]:
         dR = _random_rotation(rng, 0.6)
         dv, dp, dt = rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3), rng.uniform(0.1, 1.0)
         R_i, v_i, p_i = _random_pose(rng)
-        # keep the relative-rotation residual well inside the log map's domain
-        R_j = R_i @ dR @ _random_rotation(rng, 0.3)
-        draws.append((dR, dv, dp, dt, R_i, v_i, p_i, R_j, rng.normal(0.0, 1.0, 3), rng.normal(0.0, 2.0, 3)))
-    dR, dv, dp, dt, R_i, v_i, p_i, R_j, v_j, p_j = (np.array(column) for column in zip(*draws))
+        # R_j = R_i dR X: keep the relative-rotation residual well inside the log map's domain
+        X = _random_rotation(rng, 0.3)
+        draws.append((dR, dv, dp, dt, R_i, v_i, p_i, X, rng.normal(0.0, 1.0, 3), rng.normal(0.0, 2.0, 3)))
+    dR, dv, dp, dt, R_i, v_i, p_i, X, v_j, p_j = (np.array(column) for column in zip(*draws))
+    dR, R_i, X = exp_map(np.stack([dR, R_i, X]))
+    R_j = R_i @ dR @ X
     delta = PreintegratedDelta(dR, dv, dp, dt)
     pose_i, pose_j = PoseState(R_i, v_i, p_i), PoseState(R_j, v_j, p_j)
     world = WorldParams()
@@ -163,11 +173,13 @@ def certify_vision(rng: np.random.Generator, trials: int) -> Tuple[Dict[str, flo
     draws = []
     for _ in range(trials):
         focal, principal_point = rng.uniform(100.0, 800.0), rng.normal(0.0, 5.0, 2)
-        R, v, p = _random_pose(rng)
+        phi, v, p = _random_pose(rng)
         # choose the camera-frame point directly so the depth stays safe
         q = np.array([rng.normal(0.0, 1.0), rng.normal(0.0, 1.0), rng.uniform(1.0, 5.0)])
-        draws.append((focal, principal_point, R, v, p, p + R @ q, rng.normal(0.0, 50.0, 2)))
-    focal, principal_point, R, v, p, landmark, uv = (np.array(column) for column in zip(*draws))
+        draws.append((focal, principal_point, phi, v, p, q, rng.normal(0.0, 50.0, 2)))
+    focal, principal_point, phi, v, p, q, uv = (np.array(column) for column in zip(*draws))
+    R = exp_map(phi)
+    landmark = p + (R @ q[..., None])[..., 0]
     cam, pose, meas = CameraModel(focal, principal_point), PoseState(R, v, p), PixelMeasurement(1, 1, uv)
 
     def residual_at(d: np.ndarray) -> np.ndarray:
@@ -183,7 +195,8 @@ def certify_vision(rng: np.random.Generator, trials: int) -> Tuple[Dict[str, flo
     return errors, float(np.abs(numeric[..., _VISION_COLS["dv"]]).max())
 
 
-def _random_problem(rng: np.random.Generator, n: int, N: int):
+def _random_flight(rng: np.random.Generator, n: int, N: int) -> Dataset:
+    """A simulated flight of n keyframes over N markers, its rates drawn near hover."""
     spec = TrajectorySpec(
         duration=0.4 * (n - 1),
         initial_pose=default_initial_pose(),
@@ -194,23 +207,23 @@ def _random_problem(rng: np.random.Generator, n: int, N: int):
     )
     landmarks = np.column_stack([rng.uniform(-0.8, 0.8, (N, 2)), np.zeros(N)])
     noise = NoiseSpec(imu_noise_variance=1e-4, pixel_noise_variance=1.0, seed=int(rng.integers(2**32)))
-    dataset = generate(spec, landmarks, CameraModel(500.0), WorldParams(), noise)
-    problem = make_problem(dataset, dataset.ground_truth.copy())
-    # evaluate away from the truth so the comparison point is generic
-    offset = rng.normal(0.0, 0.02, problem.window.dim)
-    return problem.with_window(boxplus(problem.window, offset))
+    return generate(spec, landmarks, CameraModel(500.0), WorldParams(), noise)
 
 
 def certify_stacked(rng: np.random.Generator, trials: int) -> Dict[str, float]:
     drawn: Dict[Tuple[int, int], list] = {shape: [] for shape in STACKED_SHAPES}
     for trial in range(trials):
-        shape = STACKED_SHAPES[trial % len(STACKED_SHAPES)]
-        drawn[shape].append(_random_problem(rng, *shape))
+        n, N = shape = STACKED_SHAPES[trial % len(STACKED_SHAPES)]
+        # each trial is evaluated off its truth by a window offset, so the
+        # comparison point is generic
+        drawn[shape].append((_random_flight(rng, n, N), rng.normal(0.0, 0.02, 9 * (n - 1) + 3 * N)))
     errors = {}
-    for shape, problems in drawn.items():
-        if not problems:
+    for shape, drawn_trials in drawn.items():
+        if not drawn_trials:
             continue
-        batch = stack_problems(problems)
+        flights, offsets = zip(*drawn_trials)
+        stacked = stack_datasets(flights)
+        batch = make_problem(stacked, boxplus(stacked.ground_truth, np.array(offsets)))
         # the increments' axis goes before the trials' axis of the batch
         numeric = central_difference(
             lambda d: stacked_residual(batch.with_window(boxplus(batch.window, d[..., None, :]))), batch.window.dim

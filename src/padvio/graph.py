@@ -49,8 +49,8 @@ A `Problem` may also carry leading batch axes on its measured values: the
 deltas dR (..., n-1, 3, 3), dv and dp (..., n-1, 3), dt_total (..., n-1)
 and the pixel uv (..., K, 2), one index per problem of a batch. A batch
 shares one (K,) frame_index / landmark_id pattern, one camera, one world
-and one photometric weight; `stack_problems` builds it from same-shaped
-problems. `stacked_residual` and `assemble` then evaluate the whole batch
+and one photometric weight; `sim.make_problem` builds it from datasets
+stacked by `sim.stack_datasets`. `stacked_residual` and `assemble` then evaluate the whole batch
 in one call per factor type: residuals (..., rows), a `BlockJacobian`
 whose blocks carry the batch axes, and one (rows,) weight diagonal shared
 by the batch. `solve` takes one problem, and rejects batch axes.
@@ -209,41 +209,6 @@ class Problem:
     def layout(self) -> "FactorLayout":
         """The problem's `FactorLayout`, built on first use (see `shared`)."""
         return self.shared(factor_layout)
-
-
-# what every problem of a batch shares, as the values that must be equal
-_SHARED = {
-    "n": lambda p: (p.window.n,),
-    "N": lambda p: (p.window.num_landmarks,),
-    "measurement pattern": lambda p: (p.measurements.frame_index, p.measurements.landmark_id),
-    "camera": lambda p: (p.cam.focal, p.cam.principal_point),
-    "world": lambda p: (p.world.gravity,),
-    "photometric_weight": lambda p: (p.photometric_weight,),
-}
-
-
-def stack_problems(problems) -> Problem:
-    """One problem whose window, deltas and uv carry a leading batch axis, one
-    index per given problem in order. The problems must share n, N, the
-    sorted measurement pattern, the camera, the world and the weight."""
-    problems = list(problems)
-    if not problems:
-        raise ValueError("stack_problems needs at least one problem")
-    first = problems[0]
-    for index, problem in enumerate(problems[1:], 1):
-        for name, shared in _SHARED.items():
-            if not all(map(np.array_equal, shared(problem), shared(first))):
-                raise ValueError(f"problem {index} differs from problem 0 in {name}")
-
-    def stack(name):
-        return np.stack([operator.attrgetter(name)(problem) for problem in problems])
-
-    poses = PoseState(*map(stack, ("window.poses.R", "window.poses.v", "window.poses.p")))
-    deltas = PreintegratedDelta(*map(stack, ("deltas.dR", "deltas.dv", "deltas.dp", "deltas.dt_total")))
-    meas = first.measurements
-    measurements = PixelMeasurement(meas.frame_index, meas.landmark_id, stack("measurements.uv"))
-    window = WindowState(poses, stack("window.landmarks"))
-    return Problem(window, deltas, measurements, first.cam, first.world, first.photometric_weight)
 
 
 def pose_boxplus(pose: PoseState, delta: np.ndarray) -> PoseState:

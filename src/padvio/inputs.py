@@ -38,6 +38,11 @@ def boolean(value, name: str):
 
 def finite_array(value):
     """value as a float array if every entry is a finite real, else None."""
+    if isinstance(value, np.ndarray) and np.issubdtype(value.dtype, np.floating):
+        # converted first, so a longdouble past the float range becomes inf and fails
+        with np.errstate(over="ignore"):
+            array = value.astype(float)
+        return array if np.isfinite(array).all() else None
     entries = np.asarray(value, dtype=object)  # numpy would read a listed True or "1" as 1.0
     if not all(_is_finite_real(x) for x in entries.flat):
         return None

@@ -17,6 +17,13 @@ and the ground-truth keyframes one `PoseState` stack. `make_problem`
 reshapes the samples to (n-1, S/(n-1), ...) and preintegrates every
 keyframe interval in one call.
 
+`stack_datasets` builds a batch of B same-shaped datasets: one `Dataset`
+whose ground truth, IMU samples (omega and accel (B,S,3), dt (B,S)) and
+pixel uv (B,K,2) carry a leading batch axis, with one shared detection
+pattern, camera, world and timing. `make_problem` broadcasts over that
+axis: it preintegrates all B·(n-1) intervals in one call and gives a
+batched `Problem` (see `graph`). It is the one place a batch is built.
+
 Motion profiles are declarative (a profile name plus parameters) so a whole
 scenario fits in a config file. Known profile names:
 
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
@@ -120,9 +128,12 @@ class NoiseSpec:
 
 @dataclass
 class Dataset:
+    """One simulated flight, or a batch of them from `stack_datasets` with a
+    leading batch axis on the ground truth, the IMU samples and the uv."""
+
     ground_truth: WindowState
-    imu_samples: ImuSample  # omega and accel (S,3), dt (S,)
-    pixel_measurements: PixelMeasurement  # (K,) ids, (K,2) uv
+    imu_samples: ImuSample  # omega and accel (..., S,3), dt (..., S)
+    pixel_measurements: PixelMeasurement  # (K,) ids, (..., K,2) uv
     cam: CameraModel
     world: WorldParams
     imu_dt: float
@@ -236,22 +247,62 @@ def perturb_initialization(dataset: Dataset, mode: str) -> WindowState:
     return WindowState(poses, landmarks)
 
 
+# what every dataset of a batch shares, as the values that must be equal
+_SHARED = {
+    "n": lambda d: (d.ground_truth.n,),
+    "N": lambda d: (d.ground_truth.num_landmarks,),
+    "IMU sample count": lambda d: (len(d.imu_samples.dt),),
+    "measurement pattern": lambda d: (d.pixel_measurements.frame_index, d.pixel_measurements.landmark_id),
+    "camera": lambda d: (d.cam.focal, d.cam.principal_point),
+    "world": lambda d: (d.world.gravity,),
+    "timing": lambda d: (d.imu_dt, d.camera_dt),
+}
+
+
+def stack_datasets(datasets) -> Dataset:
+    """One dataset whose ground truth, IMU samples and pixel uv carry a leading
+    batch axis, one index per given dataset in order. The datasets must share
+    n, N, the IMU sample count, the detection pattern, the camera, the world
+    and the timing; the first that does not raises ValueError naming the field."""
+    datasets = list(datasets)
+    if not datasets:
+        raise ValueError("stack_datasets needs at least one dataset")
+    first = datasets[0]
+    for index, dataset in enumerate(datasets[1:], 1):
+        for name, shared in _SHARED.items():
+            if not all(map(np.array_equal, shared(dataset), shared(first))):
+                raise ValueError(f"dataset {index} differs from dataset 0 in {name}")
+
+    def stack(name):
+        return np.stack([operator.attrgetter(name)(dataset) for dataset in datasets])
+
+    poses = PoseState(*map(stack, ("ground_truth.poses.R", "ground_truth.poses.v", "ground_truth.poses.p")))
+    samples = ImuSample(*map(stack, ("imu_samples.omega", "imu_samples.accel", "imu_samples.dt")))
+    meas = first.pixel_measurements
+    measurements = PixelMeasurement(meas.frame_index, meas.landmark_id, stack("pixel_measurements.uv"))
+    truth = WindowState(poses, stack("ground_truth.landmarks"))
+    return Dataset(truth, samples, measurements, first.cam, first.world, first.imu_dt, first.camera_dt)
+
+
 def make_problem(
     dataset: Dataset, window: WindowState, photometric_weight: float = 1000.0
 ) -> Problem:
     """Bundle a dataset and an initial window into an optimization problem.
 
-    The S samples are reshaped to (n-1, S/(n-1), ...) and all n-1 keyframe
-    intervals are preintegrated in one call."""
+    The S samples are reshaped to (..., n-1, S/(n-1), ...) and all keyframe
+    intervals are preintegrated in one call. A stacked dataset (see
+    `stack_datasets`) gives a problem with its batch axis on the deltas and uv."""
     n = dataset.ground_truth.n
     samples = dataset.imu_samples
-    per = len(samples.dt) // (n - 1)
-    if per < 1 or per * (n - 1) != len(samples.dt):
+    *lead, count = np.shape(samples.dt)
+    per = count // (n - 1)
+    if per < 1 or per * (n - 1) != count:
         raise ValueError("IMU sample count is not a positive multiple of the keyframe interval count")
+    intervals = (*lead, n - 1, per)
     by_interval = ImuSample(
-        samples.omega.reshape(n - 1, per, 3),
-        samples.accel.reshape(n - 1, per, 3),
-        samples.dt.reshape(n - 1, per),
+        samples.omega.reshape(intervals + (3,)),
+        samples.accel.reshape(intervals + (3,)),
+        samples.dt.reshape(intervals),
     )
     return Problem(
         window=window,

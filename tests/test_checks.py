@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,10 +15,10 @@ from padvio.graph import (
     assemble,
     boxplus,
     pose_boxplus,
-    stack_problems,
     stacked_residual,
 )
 from padvio.imu import PreintegratedDelta, WorldParams
+from padvio.sim import make_problem, stack_datasets
 from padvio.vision import CameraModel, DegenerateDepthError, PixelMeasurement
 
 GOLDEN = Path(__file__).parent / "data" / "certification_seed0.json"
@@ -48,6 +49,33 @@ def _assert_windows_equal(a, b):
     for name in ("R", "v", "p"):
         np.testing.assert_array_equal(getattr(a.poses, name), getattr(b.poses, name))
     np.testing.assert_array_equal(a.landmarks, b.landmarks)
+
+
+def _random_problem(rng, n, N):
+    """Reference for one stacked trial, drawn in the same order: a simulated
+    flight, its own problem at the truth, then the retracted window offset."""
+    dataset = checks._random_flight(rng, n, N)
+    problem = make_problem(dataset, dataset.ground_truth.copy())
+    offset = rng.normal(0.0, 0.02, problem.window.dim)
+    return problem.with_window(boxplus(problem.window, offset))
+
+
+def _certify_stacked_trial_by_trial(rng, trials):
+    """Reference for `certify_stacked`: each trial's own problem, its own
+    finite differences and Jacobian, and each shape's largest error."""
+    errors = {}
+    for trial in range(trials):
+        n, N = shape = checks.STACKED_SHAPES[trial % len(checks.STACKED_SHAPES)]
+        problem = _random_problem(rng, n, N)
+        numeric = central_difference(
+            lambda d: stacked_residual(problem.with_window(boxplus(problem.window, d))), problem.window.dim
+        )
+        error = checks._relative_error(assemble(problem)[1].toarray(), numeric)
+        name = checks._shape_name(*shape)
+        errors[name] = max(errors.get(name, error), error)
+    # in STACKED_SHAPES order, as the report holds them
+    order = [checks._shape_name(n, N) for n, N in checks.STACKED_SHAPES]
+    return {name: errors[name] for name in order if name in errors}
 
 
 def test_batched_central_difference_matches_per_column_oracle_on_certify_closures(monkeypatch):
@@ -115,7 +143,7 @@ def test_certification_matches_golden_table():
 @pytest.mark.parametrize("n,N", [(2, 1), (7, 3)])
 def test_batched_boxplus_and_residual_match_row_by_row(n, N):
     rng = np.random.default_rng(n + N)
-    problem = checks._random_problem(rng, n, N)
+    problem = _random_problem(rng, n, N)
     window = problem.window
     D = rng.normal(0.0, 0.05, (5, window.dim))
     batch = boxplus(window, D)
@@ -132,7 +160,7 @@ def test_batched_boxplus_and_residual_match_row_by_row(n, N):
 
 def test_unbatched_boxplus_matches_pose_by_pose_retraction():
     rng = np.random.default_rng(11)
-    window = checks._random_problem(rng, 7, 3).window
+    window = _random_problem(rng, 7, 3).window
     for _ in range(5):
         delta = rng.normal(0.0, 0.1, window.dim)
         out = boxplus(window, delta)
@@ -164,7 +192,7 @@ def test_batched_stacked_residual_names_degenerate_depth_of_its_row():
 
 def test_with_window_keeps_measurements_and_checks_shape():
     rng = np.random.default_rng(2)
-    problem = checks._random_problem(rng, 3, 3)
+    problem = _random_problem(rng, 3, 3)
     moved = boxplus(problem.window, rng.normal(0.0, 0.01, problem.window.dim))
     swapped = problem.with_window(moved)
     assert swapped.window is moved and swapped.measurements is problem.measurements
@@ -172,16 +200,26 @@ def test_with_window_keeps_measurements_and_checks_shape():
         stacked_residual(swapped), stacked_residual(replace(problem, window=moved))
     )
     assert problem.window is not moved  # the original is left as it was
-    small = checks._random_problem(rng, 2, 3).window
+    small = _random_problem(rng, 2, 3).window
     with pytest.raises(ValueError, match="n=2"):
         problem.with_window(small)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("trials", [1, 4, 7])
+def test_certify_stacked_matches_trial_by_trial_reference(seed, trials):
+    got = checks.certify_stacked(np.random.default_rng(seed), trials)
+    assert got == _certify_stacked_trial_by_trial(np.random.default_rng(seed), trials)
 
 
 @pytest.mark.parametrize("n,N", checks.STACKED_SHAPES)
 def test_batched_problem_matches_each_problem_bit_for_bit(n, N):
     rng = np.random.default_rng(10 * n + N)
-    problems = [checks._random_problem(rng, n, N) for _ in range(3)]
-    batch = stack_problems(problems)
+    flights = [checks._random_flight(rng, n, N) for _ in range(3)]
+    offsets = rng.normal(0.0, 0.02, (3, 9 * (n - 1) + 3 * N))
+    stacked = stack_datasets(flights)
+    batch = make_problem(stacked, boxplus(stacked.ground_truth, offsets))
+    problems = [make_problem(flight, boxplus(flight.ground_truth, offset)) for flight, offset in zip(flights, offsets)]
     residual, jacobian, weights = assemble(batch)
     batched = stacked_residual(batch)
     dim = batch.window.dim
@@ -191,6 +229,12 @@ def test_batched_problem_matches_each_problem_bit_for_bit(n, N):
     dense = jacobian.toarray()
     # the reference: one problem at a time
     for b, problem in enumerate(problems):
+        for name in ("dR", "dv", "dp", "dt_total"):
+            np.testing.assert_array_equal(getattr(batch.deltas, name)[b], getattr(problem.deltas, name))
+        poses = batch.window.poses
+        window = WindowState(PoseState(poses.R[b], poses.v[b], poses.p[b]), batch.window.landmarks[b])
+        _assert_windows_equal(window, problem.window)
+        np.testing.assert_array_equal(batch.measurements.uv[b], problem.measurements.uv)
         r, J, w = assemble(problem)
         np.testing.assert_array_equal(residual[b], r)
         np.testing.assert_array_equal(batched[b], stacked_residual(problem))
@@ -211,6 +255,22 @@ def test_stacked_shapes_without_a_trial_read_not_run(trials):
     assert [" ".join(fields[2:]) == "not run" for fields in stacked] == [k >= trials for k in range(4)]
     ran = {**report.imu_block_errors, **report.vision_block_errors, **report.stacked_errors}
     assert report.max_error == max(ran.values()) and report.passed
+
+
+@pytest.mark.parametrize("table", ["imu_block_errors", "vision_block_errors", "stacked_errors"])
+def test_a_nan_error_fails_the_certification(table):
+    # Python's max skipped a NaN anywhere but first, so the report passed
+    report = checks.CertificationReport(
+        trials=4,
+        seed=0,
+        imu_block_errors={"r_rot/dR_i": 1e-9, "r_rot/dv_i": 2e-9},
+        vision_block_errors={"dR": 1e-9, "dv": 0.0},
+        stacked_errors={"n=2,N=1": 1e-9, "n=3,N=1": 3e-9},
+    )
+    errors = getattr(report, table)
+    errors[list(errors)[1]] = math.nan
+    assert math.isnan(report.max_error) and not report.passed
+    assert report.lines()[-1] == "  FAIL (max nan, threshold 1e-05)"
 
 
 def test_max_error_reads_only_the_checks_that_ran():

@@ -498,3 +498,19 @@ def test_check_jacobians_corrupt_hook_fails(capsys, monkeypatch):
     monkeypatch.setattr(checks, "imu_residual_jacobian", wrong_jacobian)
     assert cli.main(["check-jacobians", "--trials", "3"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_jacobians_fails_on_a_nan_block_error(capsys, monkeypatch):
+    # a NaN error used to be skipped by max(): the vision dp line read nan, the verdict PASS and the exit code 0
+    original = checks.photometric_jacobian
+
+    def nan_jacobian(*args):
+        r, J = original(*args)
+        J[..., 0, 4] = np.nan
+        return r, J
+
+    monkeypatch.setattr(checks, "photometric_jacobian", nan_jacobian)
+    assert cli.main(["check-jacobians", "--trials", "3"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.split()[:2] == ["vision", "dp"] and line.endswith("max rel err nan") for line in lines)
+    assert lines[-1] == "  FAIL (max nan, threshold 1e-05)"

@@ -15,19 +15,20 @@ from padvio.graph import (
     assemble,
     boxplus,
     min_landmarks,
-    stack_problems,
     stacked_residual,
 )
-from padvio.imu import PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
+from padvio.imu import ImuSample, PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
 from padvio.manifold import exp_map
 from padvio.sim import (
     CameraModel,
+    Dataset,
     NoiseSpec,
     Profile,
     TrajectorySpec,
     generate,
     make_problem,
     perturb_initialization,
+    stack_datasets,
 )
 from padvio.vision import (
     DegenerateDepthError,
@@ -261,36 +262,48 @@ def test_problem_rejects_uv_that_does_not_fit_the_detections():
         Problem(_window(2, 1), _deltas(1), meas, CameraModel(1.0), WorldParams())
 
 
-def _small_problem(n=3, N=1, pairs=((1, 1), (2, 1), (3, 1)), **fields):
-    problem = Problem(_window(n, N), _deltas(n - 1), _measurements(pairs), CameraModel(1.0), WorldParams())
-    return replace(problem, **fields) if fields else problem
+def _small_dataset(n=3, N=1, pairs=((1, 1), (2, 1), (3, 1)), per=2, **fields):
+    """A still flight of n keyframes 1 s apart, per IMU samples each, seen at the (frame, landmark) pairs."""
+    S = per * (n - 1)
+    samples = ImuSample(np.zeros((S, 3)), np.zeros((S, 3)), np.full(S, 1.0 / per))
+    dataset = Dataset(_window(n, N), samples, _measurements(pairs), CameraModel(1.0), WorldParams(), 1.0 / per, 1.0)
+    return replace(dataset, **fields) if fields else dataset
 
 
 @pytest.mark.parametrize(
     "other, name",
     [
-        (_small_problem(n=4, pairs=((1, 1),)), "n"),
-        (_small_problem(N=2), "N"),
-        (_small_problem(pairs=((1, 1), (2, 1))), "measurement pattern"),
-        (_small_problem(pairs=((1, 1), (2, 1), (2, 1))), "measurement pattern"),
-        (_small_problem(cam=CameraModel(2.0)), "camera"),
-        (_small_problem(world=WorldParams(np.array([0.0, 0.0, 9.8]))), "world"),
-        (_small_problem(photometric_weight=1.0), "photometric_weight"),
+        (_small_dataset(n=4, pairs=((1, 1),)), "n"),
+        (_small_dataset(N=2), "N"),
+        (_small_dataset(pairs=((1, 1), (2, 1))), "measurement pattern"),
+        (_small_dataset(pairs=((1, 1), (2, 1), (2, 1))), "measurement pattern"),
+        (_small_dataset(cam=CameraModel(2.0)), "camera"),
+        (_small_dataset(world=WorldParams(np.array([0.0, 0.0, 9.8]))), "world"),
+        (_small_dataset(per=4), "IMU sample count"),
+        (_small_dataset(imu_dt=0.25), "timing"),
+        (_small_dataset(camera_dt=2.0), "timing"),
     ],
 )
 def test_stack_problems_rejects_problems_of_another_shape(other, name):
-    with pytest.raises(ValueError, match=f"^problem 2 differs from problem 0 in {name}$"):
-        stack_problems([_small_problem(), _small_problem(), other])
+    # a batched problem is built from stacked datasets, so they must share its shape
+    with pytest.raises(ValueError, match=f"^dataset 2 differs from dataset 0 in {name}$"):
+        stack_datasets([_small_dataset(), _small_dataset(), other])
 
 
 def test_stack_problems_rejects_an_empty_list():
-    with pytest.raises(ValueError, match="at least one problem"):
-        stack_problems([])
+    with pytest.raises(ValueError, match="^stack_datasets needs at least one dataset$"):
+        stack_datasets([])
 
 
 def test_stacked_problem_carries_a_batch_axis_on_every_measured_value():
-    problems = [_reference_problem(seed, n=4, N=2)[1] for seed in range(3)]
-    batch = stack_problems(problems)
+    datasets = [_reference_problem(seed, n=4, N=2)[0] for seed in range(3)]
+    stacked = stack_datasets(datasets)
+    S = len(datasets[0].imu_samples.dt)
+    assert stacked.ground_truth.poses.R.shape == (3, 4, 3, 3) and stacked.ground_truth.landmarks.shape == (3, 2, 3)
+    assert stacked.imu_samples.omega.shape == stacked.imu_samples.accel.shape == (3, S, 3)
+    assert stacked.imu_samples.dt.shape == (3, S)
+    batch = make_problem(stacked, stacked.ground_truth)
+    problems = [make_problem(dataset, dataset.ground_truth) for dataset in datasets]
     assert (batch.window.n, batch.window.num_landmarks) == (4, 2)
     assert batch.window.poses.R.shape == (3, 4, 3, 3) and batch.window.landmarks.shape == (3, 2, 3)
     assert batch.deltas.dR.shape == (3, 3, 3, 3) and batch.deltas.dt_total.shape == (3, 3)
@@ -362,12 +375,12 @@ def test_altitude_constraint_zero_for_grounded_landmarks():
 
 
 def test_altitude_constraint_reads_each_problem_of_a_batch():
-    problems = [_reference_problem(seed, n=4, N=3)[1] for seed in range(3)]
-    for k, problem in enumerate(problems):
-        problem.window.landmarks[:, 2] = 0.1 * (k + 1) * np.arange(1.0, 4.0)
-    fixed, c = altitude_constraint(stack_problems(problems))
-    np.testing.assert_array_equal(fixed, altitude_constraint(problems[0])[0])
-    np.testing.assert_array_equal(c, [problem.window.landmarks[:, 2] for problem in problems])
+    stacked = stack_datasets([_reference_problem(seed, n=4, N=3)[0] for seed in range(3)])
+    window = stacked.ground_truth.copy()
+    window.landmarks[..., 2] = 0.1 * np.arange(1.0, 4.0)[:, None] * np.arange(1.0, 4.0)
+    fixed, c = altitude_constraint(make_problem(stacked, window))
+    np.testing.assert_array_equal(fixed, 9 * 3 + 3 * np.arange(3) + 2)
+    np.testing.assert_array_equal(c, window.landmarks[..., 2])
 
 
 def test_layout_is_built_on_first_use_and_shared_by_window_copies(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from padvio import checks, graph, solver
-from padvio.graph import PoseState, Problem, WindowState, altitude_constraint, assemble, boxplus, stack_problems
+from padvio.graph import PoseState, Problem, WindowState, altitude_constraint, assemble, boxplus
 from padvio.imu import PreintegratedDelta, WorldParams
 from padvio.sim import (
     CameraModel,
@@ -15,6 +15,7 @@ from padvio.sim import (
     generate,
     make_problem,
     perturb_initialization,
+    stack_datasets,
 )
 from padvio.solver import (
     TAIL,
@@ -508,7 +509,8 @@ def test_solve_builds_the_scatter_index_once(monkeypatch):
 
 def test_solve_rejects_a_batched_problem():
     rng = np.random.default_rng(0)
-    batch = stack_problems([checks._random_problem(rng, 7, 3) for _ in range(3)])
+    flights = stack_datasets([checks._random_flight(rng, 7, 3) for _ in range(3)])
+    batch = make_problem(flights, flights.ground_truth)
     with pytest.raises(ValueError, match=r"^solve takes one problem, not a batch of shape \(3,\)$"):
         solve(batch)
 
