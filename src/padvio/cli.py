@@ -31,7 +31,7 @@ import numpy as np
 from . import dataset_io, inputs, sim
 from .checks import run_certification
 from .dataset_io import fmt
-from .graph import PoseState, min_landmarks
+from .graph import PoseState, Problem, min_landmarks
 from .imu import WorldParams
 from .sim import CameraModel, Dataset, NoiseSpec, Profile, TrajectorySpec
 from .solver import IterationError, SolveReport, SolverConfig, solve
@@ -63,12 +63,12 @@ class ExperimentConfig:
     )
     initial_position: List[float] = field(default_factory=lambda: [0.0, 0.0, -4.0])
     initial_velocity: List[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
-    damping: float = 0.1
-    iterations: int = 50
-    constrain_altitude: bool = True
-    convergence_tol: float = 0.0
-    photometric_weight: float = 1000.0
-    init: str = "cold"  # estimation start: "cold" or "truth"
+    damping: float = SolverConfig.damping
+    iterations: int = SolverConfig.max_iterations
+    constrain_altitude: bool = SolverConfig.constrain_altitude
+    convergence_tol: float = SolverConfig.convergence_tol
+    photometric_weight: float = Problem.photometric_weight
+    init: str = "cold"  # estimation start: one of sim.INIT_PRESETS
 
 
 def load_config(path: Optional[str], **overrides) -> ExperimentConfig:
@@ -122,8 +122,8 @@ def validate_config(config: ExperimentConfig) -> None:
         _check(name, inputs.real, getattr(config, name))
     _check("iterations", inputs.integer, config.iterations, 1)
     _check("constrain_altitude", inputs.boolean, config.constrain_altitude)
-    if config.init not in ("cold", "truth"):
-        raise _invalid("init", "must be 'cold' or 'truth'")
+    if config.init not in sim.INIT_PRESETS:
+        raise _invalid("init", "must be " + " or ".join(map(repr, sim.INIT_PRESETS)))
     for name, size in (("principal_point", 2), ("gravity", 3), ("initial_position", 3), ("initial_velocity", 3)):
         _check(name, inputs.vector, getattr(config, name), size)
     if config.landmarks is not None:

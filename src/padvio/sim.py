@@ -213,6 +213,9 @@ def generate(
     return Dataset(truth, samples, measurements, cam, world, spec.imu_dt, spec.camera_dt)
 
 
+INIT_PRESETS = ("cold", "truth")  # the modes of `perturb_initialization`
+
+
 def perturb_initialization(dataset: Dataset, mode: str) -> WindowState:
     """Initial window for the optimizer.
 
@@ -223,11 +226,11 @@ def perturb_initialization(dataset: Dataset, mode: str) -> WindowState:
     (cast from the cold pose) meets the ground plane, so altitudes start at
     exactly 0.
     """
+    if mode not in INIT_PRESETS:
+        raise ValueError(f"unknown initialization preset: {mode!r}")
     truth = dataset.ground_truth
     if mode == "truth":
         return truth.copy()
-    if mode != "cold":
-        raise ValueError(f"unknown initialization preset: {mode!r}")
 
     cold_p = np.array([0.0, 0.0, -4.0])
     poses = truth.poses.copy()
@@ -285,7 +288,7 @@ def stack_datasets(datasets) -> Dataset:
 
 
 def make_problem(
-    dataset: Dataset, window: WindowState, photometric_weight: float = 1000.0
+    dataset: Dataset, window: WindowState, photometric_weight: float = Problem.photometric_weight
 ) -> Problem:
     """Bundle a dataset and an initial window into an optimization problem.
 

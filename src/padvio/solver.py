@@ -10,17 +10,20 @@ entries (the null-space method) rather than through a saddle-point system;
 the retracted altitudes z + (-z) are exactly 0.
 
 The scatter index picks the layout once per problem, from the window length,
-and every later stage reads it from its input. Windows of up to TAIL + 1
-keyframes sum the dense H, then g, and take one dense solve of the free
-block. Longer windows never form H. IMU factors join only neighbouring
-keyframes and each pixel factor one keyframe to one landmark, so each
-keyframe row of H is a band (LAPACK's band storage; Golub & Van Loan, Matrix
-Computations, §4.3): the band and the dense landmark block are summed into
-one buffer with g (`NormalBlocks`). The fixed entries are folded into the
-right-hand side, and the keyframe chain is eliminated by odd-even reduction
-down to a dense tail of at most TAIL keyframes and the free landmark x/y
-entries, which is solved once. Both layouts sum every entry with one
-`np.bincount` in the same order, so their kept entries have the same bits.
+and every later stage reads it from its input. IMU factors join only
+neighbouring keyframes and each pixel factor one keyframe to one landmark, so
+each keyframe row of H is a band (LAPACK's band storage; Golub & Van Loan,
+Matrix Computations, §4.3). Every entry of H and g is summed with one
+`np.bincount` into one buffer [band | E | g | dump]: the band holds the
+keyframe chain's rows and E is the dense block of the entries past the chain.
+A window of up to TAIL + 1 keyframes has no chain, so E is the whole dense H,
+and the step is one dense solve of the free block. A longer window never
+forms H: its band and E are a `NormalBlocks`, the fixed entries are folded
+into the right-hand side, and the keyframe chain is eliminated by odd-even
+reduction down to a dense tail of at most TAIL keyframes and the free
+landmark x/y entries, which is solved once. Every bin sums its entries in
+the same order whatever the window length, so a kept entry has the same bits
+as in the dense H that `build_normal_system` gives.
 Damping alpha is constant for the whole run; iteration count is fixed unless
 a convergence tolerance is set.
 """
@@ -124,34 +127,31 @@ class NormalBlocks:
 
 
 class _PackedIndex(NamedTuple):
-    """Where each factor product entry goes in one buffer [band | E | g | dump]."""
+    """Where each factor product entry goes in one buffer [band | E | g | dump],
+    for a chain of `poses` keyframe blocks (0: no chain, E is the dense H)."""
 
     positions: np.ndarray
     poses: int
 
 
-def _scatter_index(columns, dim: int, poses: int = 0):
+def _scatter_index(columns, dim: int, poses: int = 0) -> _PackedIndex:
     """The flat positions that each factor's B^T W B and B^T W e entries add
     to, which depend only on the factors' columns (`FactorLayout.columns`),
     fixed for a problem.
 
     This is the one place that picks the layout of the normal equations,
-    from the number of keyframe blocks in the chain (`poses`). Factor
-    columns index a span of PRIOR + dim columns. For a chain of at most
-    TAIL blocks the positions are an array into one buffer of the dense H
-    (span x span) followed by g (span). For a longer chain they are a
-    `_PackedIndex`. Counted past the prior, keyframe row r of the block
+    from the number of keyframe blocks in the window (`poses`). A window of
+    at most TAIL blocks is laid out with no chain (`poses` 0): every column is
+    then a column of E, and E is the dense H. Factor columns index a span of
+    PRIOR + dim columns. Counted past the prior, keyframe row r of the block
     starting at first = r - r % 9 puts column c at r * width + (c - first),
-    or at r * width + 18 + (c - chain) for a landmark column, and a landmark
-    row puts a landmark column at its place in E; the prior's rows and
-    columns and all entries below the diagonal blocks go to the dump bin.
+    or at r * width + 18 + (c - chain) for a landmark column, and a row past
+    the chain puts a column past the chain at its place in E; the prior's rows
+    and columns and all entries below the diagonal blocks go to the dump bin.
     """
     prior = BlockJacobian.PRIOR
-    span = prior + dim
-    if poses <= TAIL:  # H's span x span bins, then g's span bins
-        index = [np.dstack([c[:, :, None] * span + c[:, None, :], span * span + c]) for c in columns]
-        return np.concatenate(index, None)
-    chain, L = 9 * poses, span - prior - 9 * poses
+    poses = poses if poses > TAIL else 0
+    chain, L = 9 * poses, dim - 9 * poses
     width = 18 + L
     E_start, g_start = chain * width, chain * width + L * L
     dump = g_start + chain + L
@@ -182,10 +182,9 @@ def _normal_system(residual, jacobian, weights, damping, index):
     """Sum each factor's B^T W B and B^T W e at `index` (the problem's
     `_scatter_index`) with one `np.bincount`, drop the prior's columns and
     add the damping. The sums run in a fixed order, so identical inputs give
-    bit-identical (H, g). A dense index gives the dense H, a packed one its
-    `NormalBlocks`; both layouts sum every entry in the same order."""
-    prior = jacobian.PRIOR
-    span = prior + jacobian.shape[1]
+    bit-identical (H, g). With no chain in the index E is the dense H, which
+    is returned as it is; with a chain H is the `NormalBlocks` of the band
+    and E."""
     # each factor's [B^T W B | B^T W e], (count, width, width + 1), from one
     # product, all in one buffer in factor order
     products = np.empty(sum(b.shape[0] * b.shape[2] * (b.shape[2] + 1) for b, _ in jacobian.factors))
@@ -198,18 +197,18 @@ def _normal_system(residual, jacobian, weights, damping, index):
         product = products[used : used + count * width * (width + 1)].reshape(count, width, width + 1)
         np.matmul(blocks.transpose(0, 2, 1), w * np.concatenate([blocks, e], axis=2), out=product)
         start, used = stop, used + product.size
-    if isinstance(index, _PackedIndex):
-        M, L = index.poses, jacobian.shape[1] - 9 * index.poses
-        width = 18 + L
-        packed = np.bincount(index.positions, products, 9 * M * width + L * L + 9 * M + L + 1)
-        band, E, g = np.split(packed[:-1], [9 * M * width, 9 * M * width + L * L])
-        band.reshape(M, 9 * width)[:, :: width + 1] += damping  # the diagonals of A
-        E[:: L + 1] += damping
-        return NormalBlocks(band.reshape(M, 9, width), E.reshape(L, L)), g
-    summed = np.bincount(index, products, span * (span + 1))
-    H, g = summed[: span * span], summed[span * span :]
-    H[prior * (span + 1) :: span + 1] += damping  # the diagonal of the kept block
-    return H.reshape(span, span)[prior:, prior:], g[prior:]
+    M, L = index.poses, jacobian.shape[1] - 9 * index.poses
+    width = 18 + L
+    E_start = 9 * M * width
+    g_start = E_start + L * L
+    packed = np.bincount(index.positions, products, g_start + 9 * M + L + 1)
+    packed[E_start : g_start : L + 1] += damping  # the diagonal of E
+    E, g = packed[E_start:g_start].reshape(L, L), packed[g_start:-1]
+    if not M:
+        return E, g
+    band = packed[:E_start].reshape(M, 9, width)
+    band.reshape(M, 9 * width)[:, :: width + 1] += damping  # the diagonals of A
+    return NormalBlocks(band, E), g
 
 
 def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 from padvio import checks, cli, sim
 from padvio.dataset_io import dumps, read_dataset, write_dataset
-from padvio.graph import PoseState, WindowState
+from padvio.graph import PoseState, Problem, WindowState
 from padvio.imu import ImuSample, WorldParams
 from padvio.sim import CameraModel, Dataset, NoiseSpec, TrajectorySpec
 from padvio.solver import SolverConfig, solve
@@ -294,6 +295,25 @@ def test_level_circle_config_keeps_every_measurement(tmp_path, capsys):
     assert dataset.ground_truth.num_landmarks == 10
     assert len(dataset.pixel_measurements) == 12 * 10
     assert all(pose.p[2] < 0.0 for pose in dataset.ground_truth.poses)
+
+
+def test_readme_library_example_mirrors_the_cli():
+    # the Python block after "Library use mirrors the CLI:", extracted as CI runs it
+    text = (Path(__file__).parents[1] / "README.md").read_text().split("Library use mirrors the CLI:", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    dataset, report = namespace["dataset"], namespace["report"]
+    assert dumps(dataset) == dumps(cli.dataset_from_config(cli.ExperimentConfig()))
+    errors = report.final_window.landmarks - dataset.ground_truth.landmarks
+    assert np.linalg.norm(errors, axis=1).max() < 0.1  # criterion 5's landmark bound
+
+
+def test_cli_solver_and_weight_defaults_are_the_library_defaults():
+    config = cli.ExperimentConfig()
+    assert cli.solver_config(config) == SolverConfig()
+    weight = inspect.signature(sim.make_problem).parameters["photometric_weight"].default
+    assert config.photometric_weight == weight == Problem.photometric_weight
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -477,13 +477,16 @@ def test_solve_rejects_nan_convergence_tol():
 
 def test_solve_builds_the_scatter_index_once(monkeypatch):
     # the index picks the layout, the only switch on the window length:
-    # n = 7 and 9 sum the dense H, n = 10 and 30 the block system; the
-    # factor layout it is built from is built once per problem too
-    calls, layouts, factor_layouts = [], [], []
+    # n = 7 and 9 lay out no keyframe chain, so E is the dense H, and n = 10
+    # and 30 the block system; the factor layout it is built from is built
+    # once per problem too
+    calls, built, layouts, factor_layouts = [], [], [], []
 
     def counting(columns, dim, poses):
         calls.append(poses)
-        return scatter_index(columns, dim, poses)
+        index = scatter_index(columns, dim, poses)
+        built.append(index.poses)
+        return index
 
     def counting_layouts(problem):
         factor_layouts.append(problem.window.n)
@@ -503,6 +506,7 @@ def test_solve_builds_the_scatter_index_once(monkeypatch):
         report = solve(problem, SolverConfig(max_iterations=5))
         assert report.iterations_run == 5
     assert calls == [6, 8, 9, 29]
+    assert built == [0, 0, 9, 29]
     assert factor_layouts == [7, 9, 10, 30]
     assert layouts == 10 * [np.ndarray] + 10 * [NormalBlocks]
 
