@@ -13,10 +13,11 @@ residuals, so it stays independent of the analytic one.
 included, so each makes one residual and one Jacobian call for all trials.
 Their draw loops only draw numbers, a rotation as its rotation vector; the
 rotations and the products of the drawn values are formed once per check,
-on the stacks. `certify_stacked` simulates trial t's flight of shape t mod 4
-and draws its window offset, then stacks the flights of each shape
-(`sim.stack_datasets`) into one batched problem: one preintegration of all
-their intervals, one `Problem` and one `boxplus` of the stacked offsets.
+on the stacks. `certify_stacked` draws trial t's flight inputs of shape
+t mod 4 and its window offset, then simulates the flights of each shape in
+one batched `sim.generate` call into one batched problem: one propagation
+and one preintegration of all their intervals, one `Problem` and one
+`boxplus` of the stacked offsets.
 Each shape then makes one residual call and one `assemble` call for all its
 trials. A shape that got no trial (fewer trials than shapes) has no entry
 in the report and prints as not run.
@@ -42,7 +43,6 @@ from .sim import (
     default_initial_pose,
     generate,
     make_problem,
-    stack_datasets,
 )
 from .vision import POSE_ENTRIES, PixelMeasurement, photometric_jacobian, photometric_residual
 
@@ -195,8 +195,9 @@ def certify_vision(rng: np.random.Generator, trials: int) -> Tuple[Dict[str, flo
     return errors, float(np.abs(numeric[..., _VISION_COLS["dv"]]).max())
 
 
-def _random_flight(rng: np.random.Generator, n: int, N: int) -> Dataset:
-    """A simulated flight of n keyframes over N markers, its rates drawn near hover."""
+def _random_flight(rng: np.random.Generator, n: int, N: int) -> Tuple[TrajectorySpec, np.ndarray, NoiseSpec]:
+    """The inputs of a flight of n keyframes over N markers, its rates drawn
+    near hover: its spec, landmarks and noise spec (see `_simulate`)."""
     spec = TrajectorySpec(
         duration=0.4 * (n - 1),
         initial_pose=default_initial_pose(),
@@ -207,6 +208,11 @@ def _random_flight(rng: np.random.Generator, n: int, N: int) -> Dataset:
     )
     landmarks = np.column_stack([rng.uniform(-0.8, 0.8, (N, 2)), np.zeros(N)])
     noise = NoiseSpec(imu_noise_variance=1e-4, pixel_noise_variance=1.0, seed=int(rng.integers(2**32)))
+    return spec, landmarks, noise
+
+
+def _simulate(spec, landmarks, noise) -> Dataset:
+    """The flight, or batch of flights, that `_random_flight` inputs describe."""
     return generate(spec, landmarks, CameraModel(500.0), WorldParams(), noise)
 
 
@@ -216,14 +222,14 @@ def certify_stacked(rng: np.random.Generator, trials: int) -> Dict[str, float]:
         n, N = shape = STACKED_SHAPES[trial % len(STACKED_SHAPES)]
         # each trial is evaluated off its truth by a window offset, so the
         # comparison point is generic
-        drawn[shape].append((_random_flight(rng, n, N), rng.normal(0.0, 0.02, 9 * (n - 1) + 3 * N)))
+        drawn[shape].append((*_random_flight(rng, n, N), rng.normal(0.0, 0.02, 9 * (n - 1) + 3 * N)))
     errors = {}
     for shape, drawn_trials in drawn.items():
         if not drawn_trials:
             continue
-        flights, offsets = zip(*drawn_trials)
-        stacked = stack_datasets(flights)
-        batch = make_problem(stacked, boxplus(stacked.ground_truth, np.array(offsets)))
+        specs, landmarks, noises, offsets = zip(*drawn_trials)
+        flights = _simulate(specs, landmarks, noises)
+        batch = make_problem(flights, boxplus(flights.ground_truth, np.array(offsets)))
         # the increments' axis goes before the trials' axis of the batch
         numeric = central_difference(
             lambda d: stacked_residual(batch.with_window(boxplus(batch.window, d[..., None, :]))), batch.window.dim

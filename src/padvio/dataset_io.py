@@ -68,8 +68,15 @@ def _records(key: str, values: np.ndarray, *ids) -> List[str]:
 
 
 def dumps(dataset: Dataset) -> str:
+    """The file text of one flight; a batch of flights (see `sim.generate`)
+    raises ValueError naming its shape."""
     truth = dataset.ground_truth
     poses, samples, meas = truth.poses, dataset.imu_samples, dataset.pixel_measurements
+    batch = np.broadcast_shapes(
+        poses.R.shape[:-3], truth.landmarks.shape[:-2], np.shape(samples.dt)[:-1], np.shape(meas.uv)[:-2]
+    )
+    if batch:
+        raise ValueError(f"write_dataset takes one flight, not a batch of shape {batch}")
     lines = [f"{MAGIC} {VERSION}"]
     lines.append(f"world gravity {_fmt_vec(dataset.world.gravity)}")
     lines.append(f"camera focal {fmt(dataset.cam.focal)}")

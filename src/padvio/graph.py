@@ -49,11 +49,12 @@ A `Problem` may also carry leading batch axes on its measured values: the
 deltas dR (..., n-1, 3, 3), dv and dp (..., n-1, 3), dt_total (..., n-1)
 and the pixel uv (..., K, 2), one index per problem of a batch. A batch
 shares one (K,) frame_index / landmark_id pattern, one camera, one world
-and one photometric weight; `sim.make_problem` builds it from datasets
-stacked by `sim.stack_datasets`. `stacked_residual` and `assemble` then evaluate the whole batch
-in one call per factor type: residuals (..., rows), a `BlockJacobian`
-whose blocks carry the batch axes, and one (rows,) weight diagonal shared
-by the batch. `solve` takes one problem, and rejects batch axes.
+and one photometric weight; `sim.make_problem` builds it from a batch of
+flights simulated by one `sim.generate` call. `stacked_residual` and
+`assemble` then evaluate the whole batch in one call per factor type:
+residuals (..., rows), a `BlockJacobian` whose blocks carry the batch
+axes, and one (rows,) weight diagonal shared by the batch. `solve` takes
+one problem, and rejects batch axes.
 """
 
 from __future__ import annotations

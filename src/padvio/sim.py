@@ -17,12 +17,15 @@ and the ground-truth keyframes one `PoseState` stack. `make_problem`
 reshapes the samples to (n-1, S/(n-1), ...) and preintegrates every
 keyframe interval in one call.
 
-`stack_datasets` builds a batch of B same-shaped datasets: one `Dataset`
-whose ground truth, IMU samples (omega and accel (B,S,3), dt (B,S)) and
-pixel uv (B,K,2) carry a leading batch axis, with one shared detection
-pattern, camera, world and timing. `make_problem` broadcasts over that
-axis: it preintegrates all B·(n-1) intervals in one call and gives a
-batched `Problem` (see `graph`). It is the one place a batch is built.
+`generate` also simulates a batch of B same-shaped flights in one pass,
+given one spec, landmark array and noise spec per flight: one `Dataset`
+whose ground truth (R (B,n,3,3), v and p (B,n,3), landmarks (B,N,3)), IMU
+samples (omega and accel (B,S,3), dt (B,S)) and pixel uv (B,K,2) carry a
+leading flight axis, with one shared (K,) detection pattern, camera, world
+and timing. One `propagate` call steps every flight. `make_problem`
+broadcasts over that axis: it preintegrates all B·(n-1) intervals in one
+call and gives a batched `Problem` (see `graph`). It is the one place a
+batch is built; a single flight is the batch code with no flight axis.
 
 Motion profiles are declarative (a profile name plus parameters) so a whole
 scenario fits in a config file. Known profile names:
@@ -36,9 +39,8 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -128,8 +130,8 @@ class NoiseSpec:
 
 @dataclass
 class Dataset:
-    """One simulated flight, or a batch of them from `stack_datasets` with a
-    leading batch axis on the ground truth, the IMU samples and the uv."""
+    """One simulated flight, or a batch of them from `generate` with a
+    leading flight axis on the ground truth, the IMU samples and the uv."""
 
     ground_truth: WindowState
     imu_samples: ImuSample  # omega and accel (..., S,3), dt (..., S)
@@ -149,68 +151,126 @@ def steps_per_frame(camera_dt: float, imu_dt: float) -> int:
     return int(k)
 
 
+def _checked_flight(spec: TrajectorySpec, landmarks, noise: NoiseSpec, name: str):
+    """One flight's inputs, each checked by its rule in `inputs` under its
+    field name after `name`: (landmarks (N, 3), R0, v0, p0, IMU steps per
+    keyframe interval, keyframe count n)."""
+    landmarks = inputs.ground_landmarks(landmarks, name + "landmarks")
+    R0 = np.asarray(spec.initial_pose.R, dtype=float)
+    if not is_rotation(R0):
+        raise ValueError(f"{name}initial_pose.R must be a rotation matrix")
+    v0 = inputs.vector(spec.initial_pose.v, name + "initial_pose.v", 3)
+    p0 = inputs.vector(spec.initial_pose.p, name + "initial_pose.p", 3)
+    for field_name in ("duration", "imu_dt", "camera_dt"):
+        inputs.real(getattr(spec, field_name), name + field_name, positive=True)
+    for field_name in ("imu_noise_variance", "pixel_noise_variance"):
+        inputs.real(getattr(noise, field_name), f"{name}noise.{field_name}")
+    inputs.integer(noise.seed, name + "noise.seed")
+    k = steps_per_frame(spec.camera_dt, spec.imu_dt)
+    num_frames = int(math.floor(spec.duration / spec.camera_dt + 1e-9)) + 1
+    if num_frames < 2:
+        raise ValueError(f"{name}duration must cover at least one camera interval")
+    return landmarks, R0, v0, p0, k, num_frames
+
+
 def generate(
-    spec: TrajectorySpec,
-    landmarks: np.ndarray,
+    spec: TrajectorySpec | Sequence[TrajectorySpec],
+    landmarks,
     cam: CameraModel,
     world: WorldParams,
-    noise: NoiseSpec,
+    noise: NoiseSpec | Sequence[NoiseSpec],
 ) -> Dataset:
-    """Simulate one flight and package it as a dataset.
+    """Simulate one flight, or a batch of same-shaped flights, as one dataset.
+
+    One flight takes a `TrajectorySpec`, an (N, 3) landmark array and a
+    `NoiseSpec`. A batch of B flights takes equal-length sequences of the
+    three, one entry per flight, and gives a dataset with a leading flight
+    axis on the ground truth, the IMU samples and the pixel uv; the camera
+    and the world are shared. The flights must agree on the keyframe count
+    n, the marker count N, the IMU sample count, the timing (imu_dt and
+    camera_dt) and which markers each keyframe sees (the measurement
+    pattern); the first flight that does not raises ValueError naming it
+    and the field. One `propagate` call steps all flights, and each
+    flight draws its gyro, accel, then pixel noise from its own seed, so
+    flight b of a batch is bit-identical to simulating it alone.
 
     The same seed always yields a bit-identical dataset. Landmarks whose
     ground-truth depth is non-positive at a keyframe are reported and dropped
     from the measurement list, never fatal. Each input is checked by its
     rule in `inputs`, and the initial attitude must be a rotation; a
-    failure raises ValueError naming the field.
+    failure raises ValueError naming the field (after "flight b " in a
+    batch).
     """
-    landmarks = inputs.ground_landmarks(landmarks, "landmarks")
-    R0 = np.asarray(spec.initial_pose.R, dtype=float)
-    if not is_rotation(R0):
-        raise ValueError("initial_pose.R must be a rotation matrix")
-    v0 = inputs.vector(spec.initial_pose.v, "initial_pose.v", 3)
-    p0 = inputs.vector(spec.initial_pose.p, "initial_pose.p", 3)
+    single = isinstance(spec, TrajectorySpec)
+    if single:
+        flights, names = [(spec, landmarks, noise)], [""]
+    else:
+        counts = tuple(map(len, (spec, landmarks, noise)))
+        if not 0 < counts[0] == counts[1] == counts[2]:
+            raise ValueError(
+                "generate takes one or more flights, one entry each in spec, landmarks and noise, "
+                "got %d, %d and %d" % counts
+            )
+        flights, names = list(zip(spec, landmarks, noise)), [f"flight {b} " for b in range(counts[0])]
     g = inputs.vector(world.gravity, "world.gravity", 3)
     inputs.vector(cam.principal_point, "cam.principal_point", 2)
-    positive = {"cam.focal": cam.focal, "duration": spec.duration, "imu_dt": spec.imu_dt, "camera_dt": spec.camera_dt}
-    for name, value in positive.items():
-        inputs.real(value, name, positive=True)
-    for name in ("imu_noise_variance", "pixel_noise_variance"):
-        inputs.real(getattr(noise, name), f"noise.{name}")
-    inputs.integer(noise.seed, "noise.seed")
-    k = steps_per_frame(spec.camera_dt, spec.imu_dt)
-    num_frames = int(math.floor(spec.duration / spec.camera_dt + 1e-9)) + 1
-    if num_frames < 2:
-        raise ValueError("duration must cover at least one camera interval")
+    inputs.real(cam.focal, "cam.focal", positive=True)
+    checked = [_checked_flight(*flight, name) for flight, name in zip(flights, names)]
+    specs, _, noises = zip(*flights)
+    landmark_sets, R0, v0, p0, ks, frame_counts = zip(*checked)
+    shared = {
+        "n": frame_counts,
+        "N": [len(lm) for lm in landmark_sets],
+        "IMU sample count": [(n - 1) * k for n, k in zip(frame_counts, ks)],
+        "timing": [(s.imu_dt, s.camera_dt) for s in specs],
+    }
+    for b in range(1, len(flights)):
+        for field_name, values in shared.items():
+            if values[b] != values[0]:
+                raise ValueError(f"flight {b} differs from flight 0 in {field_name}")
+
+    def flight_axis(arrays) -> np.ndarray:
+        # one flight's array as it is, or a batch's arrays stacked on a leading axis
+        return arrays[0] if single else np.stack(arrays)
+
+    k, num_frames = ks[0], frame_counts[0]
     num_steps = (num_frames - 1) * k
+    # each flight's own stream draws its gyro, then its accel, then its pixel noise
+    rngs = [np.random.default_rng(n.seed) for n in noises]
+    imu_scales = [math.sqrt(n.imu_noise_variance) for n in noises]
+    gyro_noise = flight_axis([s * rng.standard_normal((num_steps, 3)) for s, rng in zip(imu_scales, rngs)])
+    accel_noise = flight_axis([s * rng.standard_normal((num_steps, 3)) for s, rng in zip(imu_scales, rngs)])
 
-    rng = np.random.default_rng(noise.seed)
-    gyro_noise = math.sqrt(noise.imu_noise_variance) * rng.standard_normal((num_steps, 3))
-    accel_noise = math.sqrt(noise.imu_noise_variance) * rng.standard_normal((num_steps, 3))
-
-    dt = spec.imu_dt
+    dt = specs[0].imu_dt
     times = np.arange(num_steps) * dt
-    omegas = evaluate_profile(spec.angular_profile, times)
-    accels = evaluate_profile(spec.accel_profile, times)
-    samples = ImuSample(omegas + gyro_noise, accels + accel_noise, np.full(num_steps, dt))
+    omegas = flight_axis([evaluate_profile(s.angular_profile, times) for s in specs])
+    accels = flight_axis([evaluate_profile(s.accel_profile, times) for s in specs])
+    samples = ImuSample(omegas + gyro_noise, accels + accel_noise, np.full(np.shape(omegas)[:-1], dt))
 
-    R, v, p = propagate(R0, v0, p0, omegas, accels, samples.dt, g)
-    keyframes = PoseState(R[::k].copy(), v[::k].copy(), p[::k].copy())
+    R, v, p = propagate(flight_axis(R0), flight_axis(v0), flight_axis(p0), omegas, accels, samples.dt, g)
+    keyframes = PoseState(R[..., ::k, :, :].copy(), v[..., ::k, :].copy(), p[..., ::k, :].copy())
 
-    truth = WindowState(keyframes, landmarks.copy())
-    # every landmark from every keyframe: poses (n, 1) against landmarks (N,)
-    q = landmark_in_body(keyframes[np.arange(num_frames)[:, None]], landmarks)
+    landmarks = flight_axis(landmark_sets)
+    truth = WindowState(keyframes, landmarks)
+    # every landmark from every keyframe: poses (..., n, 1) against landmarks (..., 1, N)
+    q = landmark_in_body(keyframes[np.arange(num_frames)[:, None]], landmarks[..., None, :, :])
     visible = q[..., 2] > DEPTH_EPSILON
-    for frame, lm in np.argwhere(~visible):
+    for *flight, frame, lm in np.argwhere(~visible):
         logger.warning(
-            "landmark %d behind camera at keyframe %d (depth %.3e), measurement dropped",
-            lm + 1, frame + 1, q[frame, lm, 2],
+            "%slandmark %d behind camera at keyframe %d (depth %.3e), measurement dropped",
+            names[flight[0] if flight else 0], lm + 1, frame + 1, q[(*flight, frame, lm, 2)],
         )
-    exact_uv = project(cam, q[visible])
-    frames, ids = np.nonzero(visible)
-    pixel_noise = math.sqrt(noise.pixel_noise_variance) * rng.standard_normal((len(frames), 2))
+    pattern = visible if single else visible[0]
+    for b in range(1, len(flights)):
+        if not np.array_equal(visible[b], pattern):
+            raise ValueError(f"flight {b} differs from flight 0 in measurement pattern")
+    exact_uv = project(cam, q[..., pattern, :])
+    frames, ids = np.nonzero(pattern)
+    pixel_noise = flight_axis(
+        [math.sqrt(n.pixel_noise_variance) * rng.standard_normal((len(frames), 2)) for n, rng in zip(noises, rngs)]
+    )
     measurements = PixelMeasurement(frames + 1, ids + 1, exact_uv + pixel_noise)
-    return Dataset(truth, samples, measurements, cam, world, spec.imu_dt, spec.camera_dt)
+    return Dataset(truth, samples, measurements, cam, world, specs[0].imu_dt, specs[0].camera_dt)
 
 
 INIT_PRESETS = ("cold", "truth")  # the modes of `perturb_initialization`
@@ -224,7 +284,7 @@ def perturb_initialization(dataset: Dataset, mode: str) -> WindowState:
     updated), every later pose is set to attitude I, velocity 0, position
     (0,0,-4); each landmark is placed where its earliest measured pixel ray
     (cast from the cold pose) meets the ground plane, so altitudes start at
-    exactly 0.
+    exactly 0. A batch of flights gives each flight its own cold start.
     """
     if mode not in INIT_PRESETS:
         raise ValueError(f"unknown initialization preset: {mode!r}")
@@ -234,7 +294,7 @@ def perturb_initialization(dataset: Dataset, mode: str) -> WindowState:
 
     cold_p = np.array([0.0, 0.0, -4.0])
     poses = truth.poses.copy()
-    poses.R[1:], poses.v[1:], poses.p[1:] = np.eye(3), 0.0, cold_p
+    poses[1:] = PoseState(np.eye(3), np.zeros(3), cold_p)
     cam = dataset.cam
     meas = dataset.pixel_measurements
     # each landmark's earliest detection: the first of its group, by frame
@@ -244,47 +304,10 @@ def perturb_initialization(dataset: Dataset, mode: str) -> WindowState:
         logger.warning("landmark %d never measured; cold start leaves it at the origin", lm)
     # the cold attitude is I, so the body-frame pixel ray (x, y, 1) is the
     # world-frame ray; from the cold position it meets z = 0 at scale -p_z
-    ray = (meas.uv[by_landmark[first]] - cam.principal_point) / cam.focal
+    ray = (meas.uv[..., by_landmark[first], :] - cam.principal_point) / cam.focal
     landmarks = np.zeros_like(truth.landmarks)
-    landmarks[ids - 1, :2] = cold_p[:2] - cold_p[2] * ray
+    landmarks[..., ids - 1, :2] = cold_p[:2] - cold_p[2] * ray
     return WindowState(poses, landmarks)
-
-
-# what every dataset of a batch shares, as the values that must be equal
-_SHARED = {
-    "n": lambda d: (d.ground_truth.n,),
-    "N": lambda d: (d.ground_truth.num_landmarks,),
-    "IMU sample count": lambda d: (len(d.imu_samples.dt),),
-    "measurement pattern": lambda d: (d.pixel_measurements.frame_index, d.pixel_measurements.landmark_id),
-    "camera": lambda d: (d.cam.focal, d.cam.principal_point),
-    "world": lambda d: (d.world.gravity,),
-    "timing": lambda d: (d.imu_dt, d.camera_dt),
-}
-
-
-def stack_datasets(datasets) -> Dataset:
-    """One dataset whose ground truth, IMU samples and pixel uv carry a leading
-    batch axis, one index per given dataset in order. The datasets must share
-    n, N, the IMU sample count, the detection pattern, the camera, the world
-    and the timing; the first that does not raises ValueError naming the field."""
-    datasets = list(datasets)
-    if not datasets:
-        raise ValueError("stack_datasets needs at least one dataset")
-    first = datasets[0]
-    for index, dataset in enumerate(datasets[1:], 1):
-        for name, shared in _SHARED.items():
-            if not all(map(np.array_equal, shared(dataset), shared(first))):
-                raise ValueError(f"dataset {index} differs from dataset 0 in {name}")
-
-    def stack(name):
-        return np.stack([operator.attrgetter(name)(dataset) for dataset in datasets])
-
-    poses = PoseState(*map(stack, ("ground_truth.poses.R", "ground_truth.poses.v", "ground_truth.poses.p")))
-    samples = ImuSample(*map(stack, ("imu_samples.omega", "imu_samples.accel", "imu_samples.dt")))
-    meas = first.pixel_measurements
-    measurements = PixelMeasurement(meas.frame_index, meas.landmark_id, stack("pixel_measurements.uv"))
-    truth = WindowState(poses, stack("ground_truth.landmarks"))
-    return Dataset(truth, samples, measurements, first.cam, first.world, first.imu_dt, first.camera_dt)
 
 
 def make_problem(
@@ -293,8 +316,8 @@ def make_problem(
     """Bundle a dataset and an initial window into an optimization problem.
 
     The S samples are reshaped to (..., n-1, S/(n-1), ...) and all keyframe
-    intervals are preintegrated in one call. A stacked dataset (see
-    `stack_datasets`) gives a problem with its batch axis on the deltas and uv."""
+    intervals are preintegrated in one call. A batch of flights (see
+    `generate`) gives a problem with its flight axis on the deltas and uv."""
     n = dataset.ground_truth.n
     samples = dataset.imu_samples
     *lead, count = np.shape(samples.dt)

@@ -342,8 +342,8 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
 
     Deterministic: identical problem and config give bit-identical reports.
     A config field that breaks its `inputs` rule raises ValueError naming
-    it. A problem with batch axes (from `sim.stack_datasets`) raises
-    ValueError naming their shape. Degenerate projection depth or a singular system
+    it. A problem with batch axes (from a batch of flights, see
+    `sim.generate`) raises ValueError naming their shape. Degenerate projection depth or a singular system
     aborts the run with an IterationError naming the iterate and carrying
     partial histories.
     """

@@ -18,7 +18,7 @@ from padvio.graph import (
     stacked_residual,
 )
 from padvio.imu import PreintegratedDelta, WorldParams
-from padvio.sim import make_problem, stack_datasets
+from padvio.sim import make_problem
 from padvio.vision import CameraModel, DegenerateDepthError, PixelMeasurement
 
 GOLDEN = Path(__file__).parent / "data" / "certification_seed0.json"
@@ -52,9 +52,10 @@ def _assert_windows_equal(a, b):
 
 
 def _random_problem(rng, n, N):
-    """Reference for one stacked trial, drawn in the same order: a simulated
-    flight, its own problem at the truth, then the retracted window offset."""
-    dataset = checks._random_flight(rng, n, N)
+    """Reference for one stacked trial, drawn in the same order: a flight
+    simulated on its own, its own problem at the truth, then the retracted
+    window offset."""
+    dataset = checks._simulate(*checks._random_flight(rng, n, N))
     problem = make_problem(dataset, dataset.ground_truth.copy())
     offset = rng.normal(0.0, 0.02, problem.window.dim)
     return problem.with_window(boxplus(problem.window, offset))
@@ -215,9 +216,10 @@ def test_certify_stacked_matches_trial_by_trial_reference(seed, trials):
 @pytest.mark.parametrize("n,N", checks.STACKED_SHAPES)
 def test_batched_problem_matches_each_problem_bit_for_bit(n, N):
     rng = np.random.default_rng(10 * n + N)
-    flights = [checks._random_flight(rng, n, N) for _ in range(3)]
+    drawn = [checks._random_flight(rng, n, N) for _ in range(3)]
     offsets = rng.normal(0.0, 0.02, (3, 9 * (n - 1) + 3 * N))
-    stacked = stack_datasets(flights)
+    stacked = checks._simulate(*zip(*drawn))
+    flights = [checks._simulate(*inputs) for inputs in drawn]
     batch = make_problem(stacked, boxplus(stacked.ground_truth, offsets))
     problems = [make_problem(flight, boxplus(flight.ground_truth, offset)) for flight, offset in zip(flights, offsets)]
     residual, jacobian, weights = assemble(batch)

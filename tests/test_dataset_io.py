@@ -17,6 +17,24 @@ def _dataset(seed=0):
     )
 
 
+@pytest.mark.parametrize("flights", [3, 1])
+def test_write_dataset_rejects_a_batch(flights, tmp_path):
+    spec = TrajectorySpec(duration=1.2)
+    batch = generate(
+        [spec] * flights,
+        [triangle_landmarks()] * flights,
+        CameraModel(1.0),
+        WorldParams(),
+        [NoiseSpec(seed=seed) for seed in range(flights)],
+    )
+    message = rf"^write_dataset takes one flight, not a batch of shape \({flights},\)$"
+    with pytest.raises(ValueError, match=message):
+        dumps(batch)
+    with pytest.raises(ValueError, match=message):
+        write_dataset(batch, tmp_path / "dataset.txt")
+    assert not (tmp_path / "dataset.txt").exists()
+
+
 def test_round_trip_is_exact():
     original = _dataset()
     restored = loads(dumps(original))

@@ -17,18 +17,16 @@ from padvio.graph import (
     min_landmarks,
     stacked_residual,
 )
-from padvio.imu import ImuSample, PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
+from padvio.imu import PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
 from padvio.manifold import exp_map
 from padvio.sim import (
     CameraModel,
-    Dataset,
     NoiseSpec,
     Profile,
     TrajectorySpec,
     generate,
     make_problem,
     perturb_initialization,
-    stack_datasets,
 )
 from padvio.vision import (
     DegenerateDepthError,
@@ -63,7 +61,8 @@ def _window(n=2, N=1):
     return WindowState(_poses(n), landmarks)
 
 
-def _reference_problem(seed=0, n=7, N=3, imu_var=1e-4, pixel_var=1e-5):
+def _reference_flight(seed=0, n=7, N=3, imu_var=1e-4, pixel_var=1e-5):
+    """The spec, landmarks and noise spec of a reference-like flight."""
     spec = TrajectorySpec(
         duration=0.4 * (n - 1),
         angular_profile=Profile("constant", {"value": [0.05, -0.04, 0.12]}),
@@ -72,9 +71,21 @@ def _reference_problem(seed=0, n=7, N=3, imu_var=1e-4, pixel_var=1e-5):
     landmarks = np.column_stack(
         [np.linspace(-0.5, 0.5, N), np.linspace(0.3, -0.3, N) ** 2, np.zeros(N)]
     )
-    dataset = generate(
-        spec, landmarks, CameraModel(1.0), WorldParams(), NoiseSpec(imu_var, pixel_var, seed)
-    )
+    return spec, landmarks, NoiseSpec(imu_var, pixel_var, seed)
+
+
+def _simulate(spec, landmarks, noise):
+    """The flight, or batch of flights, simulated with the reference camera and world."""
+    return generate(spec, landmarks, CameraModel(1.0), WorldParams(), noise)
+
+
+def _reference_batch(seeds, **fields):
+    """One batched dataset of the reference-like flights with the given noise seeds."""
+    return _simulate(*zip(*(_reference_flight(seed, **fields) for seed in seeds)))
+
+
+def _reference_problem(seed=0, **fields):
+    dataset = _simulate(*_reference_flight(seed, **fields))
     return dataset, make_problem(dataset, dataset.ground_truth.copy())
 
 
@@ -262,42 +273,53 @@ def test_problem_rejects_uv_that_does_not_fit_the_detections():
         Problem(_window(2, 1), _deltas(1), meas, CameraModel(1.0), WorldParams())
 
 
-def _small_dataset(n=3, N=1, pairs=((1, 1), (2, 1), (3, 1)), per=2, **fields):
-    """A still flight of n keyframes 1 s apart, per IMU samples each, seen at the (frame, landmark) pairs."""
-    S = per * (n - 1)
-    samples = ImuSample(np.zeros((S, 3)), np.zeros((S, 3)), np.full(S, 1.0 / per))
-    dataset = Dataset(_window(n, N), samples, _measurements(pairs), CameraModel(1.0), WorldParams(), 1.0 / per, 1.0)
-    return replace(dataset, **fields) if fields else dataset
+def _hovering_flight(n=3, N=2, imu_dt=0.02, camera_dt=0.4, p=(0.0, 0.0, -4.0), v=(0.0, 0.0, 0.0)):
+    """The inputs of a flight of n keyframes at rest apart from its initial
+    velocity v, over N markers, starting at position p."""
+    spec = TrajectorySpec(
+        duration=camera_dt * (n - 1),
+        imu_dt=imu_dt,
+        camera_dt=camera_dt,
+        initial_pose=PoseState(np.eye(3), np.array(v), np.array(p)),
+        accel_profile=Profile("constant", {"value": [0.0, 0.0, -9.81]}),
+    )
+    landmarks = np.column_stack([np.linspace(-0.5, 0.5, N), np.zeros(N), np.zeros(N)])
+    return spec, landmarks, NoiseSpec(0.0, 0.0, 0)
 
 
 @pytest.mark.parametrize(
     "other, name",
     [
-        (_small_dataset(n=4, pairs=((1, 1),)), "n"),
-        (_small_dataset(N=2), "N"),
-        (_small_dataset(pairs=((1, 1), (2, 1))), "measurement pattern"),
-        (_small_dataset(pairs=((1, 1), (2, 1), (2, 1))), "measurement pattern"),
-        (_small_dataset(cam=CameraModel(2.0)), "camera"),
-        (_small_dataset(world=WorldParams(np.array([0.0, 0.0, 9.8]))), "world"),
-        (_small_dataset(per=4), "IMU sample count"),
-        (_small_dataset(imu_dt=0.25), "timing"),
-        (_small_dataset(camera_dt=2.0), "timing"),
+        (_hovering_flight(n=4), "n"),
+        (_hovering_flight(N=3), "N"),
+        # below the ground, so every marker is behind the camera
+        (_hovering_flight(p=(0.0, 0.0, 1.0)), "measurement pattern"),
+        # falls through the ground between keyframes 2 and 3
+        (_hovering_flight(p=(0.0, 0.0, -0.5), v=(0.0, 0.0, 1.0)), "measurement pattern"),
+        (_hovering_flight(n=2), "n"),
+        (_hovering_flight(N=1), "N"),
+        # same n and camera_dt, twice the IMU samples per keyframe interval
+        (_hovering_flight(imu_dt=0.01), "IMU sample count"),
+        # same n and IMU sample count, another timing
+        (_hovering_flight(imu_dt=0.04, camera_dt=0.8), "timing"),
+        (_hovering_flight(imu_dt=0.03, camera_dt=0.6), "timing"),
     ],
 )
 def test_stack_problems_rejects_problems_of_another_shape(other, name):
-    # a batched problem is built from stacked datasets, so they must share its shape
-    with pytest.raises(ValueError, match=f"^dataset 2 differs from dataset 0 in {name}$"):
-        stack_datasets([_small_dataset(), _small_dataset(), other])
+    # a batched problem is built from a batch of flights, so they must share its shape
+    flights = [_hovering_flight(), _hovering_flight(), other]
+    with pytest.raises(ValueError, match=f"^flight 2 differs from flight 0 in {name}$"):
+        _simulate(*zip(*flights))
 
 
 def test_stack_problems_rejects_an_empty_list():
-    with pytest.raises(ValueError, match="^stack_datasets needs at least one dataset$"):
-        stack_datasets([])
+    with pytest.raises(ValueError, match="^generate takes one or more flights, .* got 0, 0 and 0$"):
+        _simulate([], [], [])
 
 
 def test_stacked_problem_carries_a_batch_axis_on_every_measured_value():
     datasets = [_reference_problem(seed, n=4, N=2)[0] for seed in range(3)]
-    stacked = stack_datasets(datasets)
+    stacked = _reference_batch(range(3), n=4, N=2)
     S = len(datasets[0].imu_samples.dt)
     assert stacked.ground_truth.poses.R.shape == (3, 4, 3, 3) and stacked.ground_truth.landmarks.shape == (3, 2, 3)
     assert stacked.imu_samples.omega.shape == stacked.imu_samples.accel.shape == (3, S, 3)
@@ -375,7 +397,7 @@ def test_altitude_constraint_zero_for_grounded_landmarks():
 
 
 def test_altitude_constraint_reads_each_problem_of_a_batch():
-    stacked = stack_datasets([_reference_problem(seed, n=4, N=3)[0] for seed in range(3)])
+    stacked = _reference_batch(range(3), n=4, N=3)
     window = stacked.ground_truth.copy()
     window.landmarks[..., 2] = 0.1 * np.arange(1.0, 4.0)[:, None] * np.arange(1.0, 4.0)
     fixed, c = altitude_constraint(make_problem(stacked, window))

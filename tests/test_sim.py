@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from padvio import checks, cli, sim
 from padvio.graph import PoseState
 from padvio.imu import ImuSample, WorldParams, preintegrate
 from padvio.manifold import exp_map
@@ -419,3 +420,121 @@ def test_perturb_rejects_unknown_preset():
     dataset = generate(_reference_spec(), PAD, CAM, WorldParams(), NoiseSpec(seed=2))
     with pytest.raises(ValueError, match="preset"):
         perturb_initialization(dataset, "warm")
+
+
+def _assert_flight_of_batch(batch, b, alone):
+    """Flight b of a batched dataset holds every bit of the flight simulated alone."""
+    truth, samples, meas = batch.ground_truth, batch.imu_samples, batch.pixel_measurements
+    pairs = [
+        (truth.poses.R[b], alone.ground_truth.poses.R),
+        (truth.poses.v[b], alone.ground_truth.poses.v),
+        (truth.poses.p[b], alone.ground_truth.poses.p),
+        (truth.landmarks[b], alone.ground_truth.landmarks),
+        (samples.omega[b], alone.imu_samples.omega),
+        (samples.accel[b], alone.imu_samples.accel),
+        (samples.dt[b], alone.imu_samples.dt),
+        (meas.frame_index, alone.pixel_measurements.frame_index),
+        (meas.landmark_id, alone.pixel_measurements.landmark_id),
+        (meas.uv[b], alone.pixel_measurements.uv),
+        (batch.cam.focal, alone.cam.focal),
+        (batch.cam.principal_point, alone.cam.principal_point),
+        (batch.world.gravity, alone.world.gravity),
+        (batch.imu_dt, alone.imu_dt),
+        (batch.camera_dt, alone.camera_dt),
+    ]
+    for got, want in pairs:
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.parametrize("n,N", checks.STACKED_SHAPES)
+def test_batched_generate_matches_each_flight_alone(n, N):
+    rng = np.random.default_rng(100 * n + N)
+    drawn = [checks._random_flight(rng, n, N) for _ in range(3)]
+    batch = checks._simulate(*zip(*drawn))
+    assert batch.ground_truth.poses.R.shape == (3, n, 3, 3) and batch.imu_samples.dt.shape[0] == 3
+    for b, inputs in enumerate(drawn):
+        _assert_flight_of_batch(batch, b, checks._simulate(*inputs))
+
+
+def test_batched_generate_matches_reference_config_flights(monkeypatch):
+    # the CLI's generate inputs for the reference config at three seeds
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "generate", lambda *inputs: inputs)
+        drawn = [cli.dataset_from_config(cli.ExperimentConfig(seed=seed)) for seed in range(3)]
+    spec, landmarks, cam, world, noise = zip(*drawn)
+    batch = generate(spec, landmarks, cam[0], world[0], noise)
+    for b, inputs in enumerate(drawn):
+        _assert_flight_of_batch(batch, b, generate(*inputs))
+
+
+def _hover(duration=0.8, seed=0, p=(0.0, 0.0, -4.0), v=(0.0, 0.0, 0.0)):
+    spec = TrajectorySpec(
+        duration=duration,
+        initial_pose=PoseState(np.eye(3), np.array(v), np.array(p)),
+        accel_profile=Profile("constant", {"value": [0.0, 0.0, -9.81]}),
+    )
+    return spec, PAD, NoiseSpec(1e-4, 1e-5, seed)
+
+
+def _generate_batch(flights):
+    spec, landmarks, noise = zip(*flights)
+    return generate(spec, landmarks, CAM, WorldParams(), noise)
+
+
+def test_batched_generate_keeps_flights_of_one_shape():
+    # a duration that ends between two camera frames gives the same n
+    batch = _generate_batch([_hover(), _hover(duration=0.9, seed=1)])
+    assert batch.ground_truth.poses.R.shape == (2, 3, 3, 3)
+
+
+def test_batched_generate_names_the_first_flight_that_differs():
+    # flight 2 differs in N, but flight 1 comes first
+    flights = [_hover(), _hover(duration=1.2), (*_hover()[:1], PAD[:2], _hover()[2])]
+    with pytest.raises(ValueError, match="^flight 1 differs from flight 0 in n$"):
+        _generate_batch(flights)
+    # flight 1 falls through the pad between keyframes 2 and 3
+    flights = [_hover(), _hover(p=(0.0, 0.0, -0.5), v=(0.0, 0.0, 1.0)), _hover(p=(0.0, 0.0, 1.0))]
+    with pytest.raises(ValueError, match="^flight 1 differs from flight 0 in measurement pattern$"):
+        _generate_batch(flights)
+
+
+@pytest.mark.parametrize(
+    "flight, message",
+    [
+        ((_hover()[0], PAD + [0.0, 0.0, 1.0], NoiseSpec()), "flight 1 landmarks must all lie on the ground plane"),
+        ((_hover(duration=0.0)[0], PAD, NoiseSpec()), "flight 1 duration must be finite and > 0"),
+        ((_hover()[0], PAD, NoiseSpec(seed=-1)), "flight 1 noise.seed must be an integer >= 0"),
+        ((_hover()[0], PAD, NoiseSpec(pixel_noise_variance=np.nan)), "flight 1 noise.pixel_noise_variance must"),
+    ],
+)
+def test_batched_generate_names_the_flight_of_a_bad_input(flight, message):
+    with pytest.raises(ValueError, match="^" + message):
+        _generate_batch([_hover(), flight])
+
+
+def test_batched_generate_takes_one_entry_per_flight():
+    spec, landmarks, noise = _hover()
+    with pytest.raises(ValueError, match="^generate takes one or more flights, .* got 2, 1 and 2$"):
+        generate([spec, spec], [landmarks], CAM, WorldParams(), [noise, noise])
+
+
+def test_batched_generate_warns_of_each_flights_dropped_measurements(caplog):
+    below = _hover(p=(0.0, 0.0, 1.0))
+    with caplog.at_level(logging.WARNING):
+        batch = _generate_batch([below, below])
+    assert batch.pixel_measurements.uv.shape == (2, 0, 2)
+    for b in range(2):
+        assert sum(rec.message.startswith(f"flight {b} landmark") for rec in caplog.records) == 3 * len(PAD)
+
+
+def test_perturb_cold_on_a_batch_is_each_flights_cold_start():
+    rng = np.random.default_rng(4)
+    drawn = [checks._random_flight(rng, 3, 3) for _ in range(3)]
+    window = perturb_initialization(checks._simulate(*zip(*drawn)), "cold")
+    for b, inputs in enumerate(drawn):
+        alone = perturb_initialization(checks._simulate(*inputs), "cold")
+        for got, want in zip(
+            (window.poses.R[b], window.poses.v[b], window.poses.p[b], window.landmarks[b]),
+            (alone.poses.R, alone.poses.v, alone.poses.p, alone.landmarks),
+        ):
+            np.testing.assert_array_equal(got, want, strict=True)

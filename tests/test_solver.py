@@ -15,7 +15,6 @@ from padvio.sim import (
     generate,
     make_problem,
     perturb_initialization,
-    stack_datasets,
 )
 from padvio.solver import (
     TAIL,
@@ -513,7 +512,7 @@ def test_solve_builds_the_scatter_index_once(monkeypatch):
 
 def test_solve_rejects_a_batched_problem():
     rng = np.random.default_rng(0)
-    flights = stack_datasets([checks._random_flight(rng, 7, 3) for _ in range(3)])
+    flights = checks._simulate(*zip(*(checks._random_flight(rng, 7, 3) for _ in range(3))))
     batch = make_problem(flights, flights.ground_truth)
     with pytest.raises(ValueError, match=r"^solve takes one problem, not a batch of shape \(3,\)$"):
         solve(batch)
