@@ -229,9 +229,9 @@ def _parse(text: str) -> Dataset:
     R, v, p = np.split(keyframes, [9, 12], axis=1)
     # contiguous fields, as `sim.generate` makes them
     poses = PoseState(R.reshape(num_frames, 3, 3).copy(), v.copy(), p.copy())
-    for frame, rotation in enumerate(poses.R, start=1):
-        if not is_rotation(rotation):
-            raise DatasetFormatError(f"keyframe {frame} attitude is not a rotation matrix")
+    bad = ~is_rotation(poses.R)
+    if bad.any():
+        raise DatasetFormatError(f"keyframe {bad.argmax() + 1} attitude is not a rotation matrix")
 
     num_samples = _count(reader, "imu", num_frames - 1)
     if num_samples % (num_frames - 1):

@@ -89,7 +89,7 @@ class PoseState:
     p: np.ndarray
 
     def __len__(self) -> int:
-        if np.ndim(self.R) < 3:
+        if self.R.ndim < 3:
             raise TypeError("len() of a PoseState needs a stack of poses, R (..., n, 3, 3)")
         return self.R.shape[-3]
 
@@ -115,7 +115,8 @@ class WindowState:
     landmarks: np.ndarray  # (..., N, 3) world positions
 
     def __post_init__(self):
-        self.landmarks = np.atleast_2d(np.asarray(self.landmarks, dtype=float))
+        landmarks = np.asarray(self.landmarks, dtype=float)
+        self.landmarks = landmarks if landmarks.ndim >= 2 else landmarks.reshape(1, -1)  # np.atleast_2d
         if len(self.poses) < 2:
             raise ValueError("WindowState needs at least 2 poses")
         if self.landmarks.shape[-2] < 1 or self.landmarks.shape[-1] != 3:

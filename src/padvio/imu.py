@@ -28,7 +28,10 @@ evaluation of the relative motion, for the Gauss-Newton assembly. Both
 broadcast over leading axes: given K factors' fields stacked as dR (K,3,3),
 dv and dp (K,3), dt_total (K,), pose R (K,3,3) and v, p (K,3), they give
 (K, 9) residuals and (K, 9, 18) Jacobians. A single factor is the stack with
-no leading axes.
+no leading axes. The residual and Jacobian kernels run on every Gauss-Newton
+iteration, so they call only numpy ufuncs and array methods, not the
+Python-level wrappers around them; each replacement is the wrapper's own
+formula, so every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manifold import SMALL_ANGLE, exp_map, hat, log_map
+
+_EYE = np.eye(3)
+_NEG_EYE = -_EYE
+_EYE.flags.writeable = _NEG_EYE.flags.writeable = False
 
 
 @dataclass
@@ -143,21 +150,24 @@ def preintegrate(samples: ImuSample) -> PreintegratedDelta:
 
 def _relative_motion(delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams):
     """The (..., 9) residual and the terms its Jacobian reuses, over leading axes:
-    (residual, dt, R_i^T, R_i^T R_j, velocity term, position term)."""
+    (residual, dt, R_i^T, R_i^T R_j, [velocity term, position term] as the
+    columns of one (..., 3, 2) array)."""
     dt = np.asarray(delta.dt_total, dtype=float)
-    if not np.all(dt > 0.0):
+    if not (dt > 0.0).all():
         raise ValueError("imu_residual: delta.dt_total must be positive")
     g = np.asarray(world.gravity, dtype=float)
     step = dt[..., None]
-    Ri_T = np.swapaxes(pose_i.R, -1, -2)
+    Ri_T = pose_i.R.swapaxes(-1, -2)
     A = Ri_T @ pose_j.R
-    r_rot = log_map(np.swapaxes(delta.dR, -1, -2) @ A)
+    r_rot = log_map(delta.dR.swapaxes(-1, -2) @ A)
     vel = pose_j.v - pose_i.v - g * step
-    pos = pose_j.p - pose_i.p - pose_i.v * step - 0.5 * g * step * step
-    terms = Ri_T @ np.stack([vel, pos], axis=-1)
-    vel_term, pos_term = terms[..., 0], terms[..., 1]
-    residual = np.concatenate([r_rot, vel_term - delta.dv, pos_term - delta.dp], axis=-1)
-    return residual, dt, Ri_T, A, vel_term, pos_term
+    # the columns [vel, pos], as np.stack([vel, pos], axis=-1) gives them
+    columns = np.empty(vel.shape + (2,))
+    columns[..., 0] = vel
+    columns[..., 1] = pose_j.p - pose_i.p - pose_i.v * step - 0.5 * g * step * step
+    terms = Ri_T @ columns
+    residual = np.concatenate([r_rot, terms[..., 0] - delta.dv, terms[..., 1] - delta.dp], axis=-1)
+    return residual, dt, Ri_T, A, terms
 
 
 def imu_residual(delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams) -> np.ndarray:
@@ -169,7 +179,7 @@ def imu_residual(delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams) 
 def _inv_right_jacobian(phi: np.ndarray) -> np.ndarray:
     """Inverse right Jacobians of SO(3), (..., 3) to (..., 3, 3):
     Log(Exp(phi) Exp(eps)) ~ phi + Jr_inv(phi) eps."""
-    angle = np.linalg.norm(phi, axis=-1)
+    angle = np.sqrt(np.add.reduce(phi * phi, axis=-1))  # np.linalg.norm(phi, axis=-1)
     small = angle < SMALL_ANGLE
     safe = np.where(small, 1.0, angle)
     coef = np.where(
@@ -178,7 +188,7 @@ def _inv_right_jacobian(phi: np.ndarray) -> np.ndarray:
         1.0 / (safe * safe) - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe)),
     )
     S = hat(phi)
-    return np.eye(3) + 0.5 * S + coef[..., None, None] * (S @ S)
+    return _EYE + 0.5 * S + coef[..., None, None] * (S @ S)
 
 
 def imu_residual_jacobian(delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams):
@@ -189,17 +199,18 @@ def imu_residual_jacobian(delta: PreintegratedDelta, pose_i, pose_j, world: Worl
     matching the retraction R <- R Exp(dR), v <- v + dv, p <- p + R dp
     (pre-update R). Certified against central finite differences.
     """
-    residual, dt, Ri_T, A, vel_term, pos_term = _relative_motion(delta, pose_i, pose_j, world)
+    residual, dt, Ri_T, A, terms = _relative_motion(delta, pose_i, pose_j, world)
     Jr_inv = _inv_right_jacobian(residual[..., 0:3])
 
-    J = np.zeros(residual.shape[:-1] + (9, 18))
-    J[..., 0:3, 0:3] = -Jr_inv @ np.swapaxes(A, -1, -2)
+    lead = residual.shape[:-1]
+    J = np.zeros(lead + (9, 18))
+    J[..., 0:3, 0:3] = -Jr_inv @ A.swapaxes(-1, -2)
     J[..., 0:3, 9:12] = Jr_inv
-    J[..., 3:6, 0:3] = hat(vel_term)
+    # hat of the velocity term over hat of the position term, from one call
+    J[..., 3:9, 0:3] = hat(terms.swapaxes(-1, -2)).reshape(lead + (6, 3))
     J[..., 3:6, 3:6] = -Ri_T
     J[..., 3:6, 12:15] = Ri_T
-    J[..., 6:9, 0:3] = hat(pos_term)
     J[..., 6:9, 3:6] = -Ri_T * dt[..., None, None]
-    J[..., 6:9, 6:9] = -np.eye(3)
+    J[..., 6:9, 6:9] = _NEG_EYE
     J[..., 6:9, 15:18] = A
     return residual, J

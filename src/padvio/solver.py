@@ -378,7 +378,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
             # ValueError covers the log map degenerating when a diverging
             # iterate pushes a relative rotation to pi
             raise IterationError(err, iteration, cost_history, step_norms) from err
-        step_norms.append(float(np.linalg.norm(delta)))
+        step_norms.append(float(np.sqrt(delta.dot(delta))))  # np.linalg.norm(delta)
         window = boxplus(window, delta)
         if step_norms[-1] < config.convergence_tol:
             break

@@ -84,7 +84,7 @@ def _check_depth(z: np.ndarray, meas: PixelMeasurement | None = None) -> None:
     The measurement's fields broadcast against the depths, so (K,) detections
     seen from poses with extra leading axes, (B, K), name the right pair."""
     degenerate = np.abs(z) <= DEPTH_EPSILON
-    if np.any(degenerate):
+    if degenerate.any():
         index = int(np.flatnonzero(degenerate)[0])
         depth = float(np.ravel(z)[index])
         if meas is None:
@@ -98,7 +98,7 @@ def _check_depth(z: np.ndarray, meas: PixelMeasurement | None = None) -> None:
 def landmark_in_body(pose, landmark: np.ndarray) -> np.ndarray:
     """Landmark position in the observing body/camera frame: R^T (p_l - p)."""
     offset = np.asarray(landmark, dtype=float) - pose.p
-    return (np.swapaxes(pose.R, -1, -2) @ offset[..., None])[..., 0]
+    return (pose.R.swapaxes(-1, -2) @ offset[..., None])[..., 0]
 
 
 def _pinhole(cam: CameraModel, pt: np.ndarray) -> np.ndarray:
@@ -142,5 +142,5 @@ def photometric_jacobian(cam: CameraModel, pose, landmark: np.ndarray, meas: Pix
     J = np.empty(q.shape[:-1] + (2, 9))
     J[..., 0:3] = P @ hat(q)
     J[..., 3:6] = -P
-    J[..., 6:9] = P @ np.swapaxes(pose.R, -1, -2)
+    J[..., 6:9] = P @ pose.R.swapaxes(-1, -2)
     return _pinhole(cam, q) - np.asarray(meas.uv, dtype=float), J

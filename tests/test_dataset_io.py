@@ -188,6 +188,14 @@ def test_rejects_malformed_numbers(case):
         loads(corrupted)
 
 
+def test_names_the_first_keyframe_that_is_not_a_rotation():
+    text = dumps(_dataset())
+    for frame in (4, 3):
+        text = _edit_line(text, f"k {frame} ", _set(3, "0.5"))
+    with pytest.raises(DatasetFormatError, match="keyframe 3 attitude is not a rotation"):
+        loads(text)
+
+
 def _replace_record(text, old_prefix, new_prefix):
     assert ("\n" + old_prefix) in text
     return text.replace("\n" + old_prefix, "\n" + new_prefix, 1)

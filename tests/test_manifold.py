@@ -128,6 +128,24 @@ def test_is_rotation_rejects_bad_input():
     assert is_rotation(np.eye(3))
 
 
+def test_is_rotation_of_a_stack_matches_per_matrix_calls(rng):
+    R = exp_map(rng.uniform(-1.5, 1.5, (2, 5, 3)))
+    R[0, 1, 2, 0] = np.nan
+    R[0, 3, 1, 1] = np.inf
+    R[1, 0] = R[1, 0] * 1.001  # scaled
+    R[1, 2] = R[1, 2] @ np.diag([1.0, 1.0, -1.0])  # orthonormal with determinant -1
+    R[1, 4] = R[1, 4] + 2e-9  # outside the tolerance
+    stacked = is_rotation(R)
+    assert stacked.shape == (2, 5) and stacked.dtype == bool
+    singles = [[is_rotation(M) for M in row] for row in R]
+    assert all(type(single) is bool for row in singles for single in row)
+    np.testing.assert_array_equal(stacked, singles)
+    np.testing.assert_array_equal(stacked, [[True, False, True, False, True], [False, True, False, True, False]])
+    assert is_rotation(R[:, 1:2]).shape == (2, 1)
+    for shape in ((3,), (2, 3), (4, 3, 2)):
+        assert is_rotation(np.zeros(shape)) is False
+
+
 def _tangent_stack(rng):
     # a zero vector, one below SMALL_ANGLE, and generic ones, shaped (2, 4, 3)
     phi = rng.uniform(-1.5, 1.5, (8, 3))
