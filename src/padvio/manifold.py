@@ -36,6 +36,8 @@ _VEE_COLS = np.array([1, 2, 0])
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrices of (..., 3) vectors, so that hat(a) @ b == cross(a, b)."""
     v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"hat: expected (..., 3) vectors, got shape {v.shape}")
     S = np.zeros(v.shape[:-1] + (3, 3))
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     S[..., 2, 1], S[..., 0, 2], S[..., 1, 0] = x, y, z

@@ -15,6 +15,12 @@ def test_hat_zero():
     np.testing.assert_array_equal(hat(np.zeros(3)), np.zeros((3, 3)))
 
 
+def test_hat_rejects_vectors_of_another_length():
+    for shape in ((2,), (4,), (5, 4), ()):
+        with pytest.raises(ValueError, match="hat: expected"):
+            hat(np.ones(shape))
+
+
 def test_hat_matches_cross_product(rng):
     for _ in range(100):
         a, b = rng.standard_normal(3), rng.standard_normal(3)

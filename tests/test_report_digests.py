@@ -14,7 +14,10 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).parent / "data" / "make_report_digests.py"
-REGENERATE = f"if the change is meant to alter these bits, rerun PYTHONPATH=src python {SCRIPT.relative_to(Path(__file__).parents[1])}"
+REGENERATE = (
+    "if the change is meant to alter these bits, rerun "
+    f"PYTHONPATH=src python {SCRIPT.relative_to(Path(__file__).parents[1])}"
+)
 
 
 @pytest.fixture(scope="module")
