@@ -103,7 +103,7 @@ def is_rotation(R: np.ndarray, tol: float = 1e-9):
     if R.shape[-2:] != (3, 3):
         return False
     finite = np.isfinite(R).all(axis=(-2, -1))
-    R = np.where(finite[..., None, None], R, _EYE)  # test only the finite matrices
+    R = np.where(finite[..., None, None], R, _EYE)  # non-finite entries would warn in the products
     orthonormal = np.abs(R.swapaxes(-1, -2) @ R - _EYE).max(axis=(-2, -1)) < tol
     rotation = finite & orthonormal & (np.abs(np.linalg.det(R) - 1.0) <= tol)
     return bool(rotation) if rotation.ndim == 0 else rotation
