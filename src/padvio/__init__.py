@@ -41,7 +41,7 @@ from .imu import (
     integrate,
     preintegrate,
 )
-from .manifold import exp_map, hat, is_rotation, log_map, vee
+from .manifold import NearPiRotationError, exp_map, hat, is_rotation, log_map, vee
 from .sim import (
     Dataset,
     NoiseSpec,
@@ -79,6 +79,7 @@ __all__ = [
     "DegenerateDepthError",
     "ImuSample",
     "IterationError",
+    "NearPiRotationError",
     "NoiseSpec",
     "PixelMeasurement",
     "PoseState",

@@ -28,7 +28,8 @@ raised by the pixel factor, naming the first such measurement in sorted
 order. `assemble` returns the blocks with their column indices as a
 `BlockJacobian`; the dense (rows x dim) Jacobian is built only by its
 `toarray()`, for finite-difference certification and tests.
-`pose_boxplus` broadcasts too, so `boxplus` retracts poses 2..n in one call.
+`pose_boxplus` broadcasts too, so `boxplus` retracts poses 2..n in one call,
+written straight into the new window's arrays.
 
 What assembly needs besides the window's values, the gather indices, the
 factor columns and the weight diagonal, follows from the problem's shapes
@@ -146,7 +147,8 @@ class Problem:
 
     Construction rejects a window that is not finite, a delta count or
     shape, a uv shape or a measurement index that does not fit the window,
-    and sorts the measurements by (frame, landmark). The window, deltas and
+    and a delta dt_total that is not finite and > 0, and sorts the
+    measurements by (frame, landmark). The window, deltas and
     uv may carry leading batch axes (see the module docstring); the checks
     read their last axes."""
 
@@ -169,6 +171,10 @@ class Problem:
         deltas = np.shape(self.deltas.dt_total)[-1:]
         if deltas != (n - 1,):
             raise ValueError(f"problem has {deltas[0] if deltas else 1} deltas, expected {n - 1}")
+        dt = np.asarray(self.deltas.dt_total, dtype=float)
+        bad = ~((dt > 0.0) & np.isfinite(dt))
+        if bad.any():
+            raise ValueError(f"deltas dt_total must be finite and > 0, got {float(dt[bad].flat[0])!r}")
         for name, last in (("dR", (n - 1, 3, 3)), ("dv", (n - 1, 3)), ("dp", (n - 1, 3))):
             shape = np.shape(getattr(self.deltas, name))
             if shape[-len(last) :] != last:
@@ -213,30 +219,37 @@ class Problem:
         return self.shared(factor_layout)
 
 
-def pose_boxplus(pose: PoseState, delta: np.ndarray) -> PoseState:
+def pose_boxplus(pose: PoseState, delta: np.ndarray, out: PoseState | None = None) -> PoseState:
     """Retract (..., 9) increments [dR, dv, dp] onto poses with matching
     leading axes. The position increment is expressed in the body frame of
-    the pre-update attitude."""
+    the pre-update attitude. Given `out`, a `PoseState` of the broadcast
+    shape, the poses are written into its arrays."""
     delta = np.asarray(delta, dtype=float)
+    R, v, p = (None, None, None) if out is None else (out.R, out.v, out.p)  # None: numpy allocates
     return PoseState(
-        R=pose.R @ exp_map(delta[..., 0:3]),
-        v=pose.v + delta[..., 3:6],
-        p=pose.p + (pose.R @ delta[..., 6:9, None])[..., 0],
+        R=np.matmul(pose.R, exp_map(delta[..., 0:3]), out=R),
+        v=np.add(pose.v, delta[..., 3:6], out=v),
+        p=np.add(pose.p, (pose.R @ delta[..., 6:9, None])[..., 0], out=p),
     )
 
 
 def boxplus(window: WindowState, delta: np.ndarray) -> WindowState:
     """Retract (..., dim) increments onto the window, giving a window with
-    their leading axes (one per increment). Pose 1 is untouched."""
+    their leading axes (one per increment). Pose 1 is copied unchanged."""
     delta = np.asarray(delta, dtype=float)
     if delta.shape[-1:] != (window.dim,):
         raise ValueError(f"boxplus: increment shape {delta.shape} has the wrong length, want {window.dim}")
     n, lead = window.n, delta.shape[:-1]
-    moved = pose_boxplus(window.poses[1:], delta[..., : 9 * (n - 1)].reshape(lead + (n - 1, 9)))
-    batch = moved.v.shape[:-2]
+    R, v, p = window.poses.R, window.poses.v, window.poses.p
+    # np.broadcast_shapes costs microseconds, and a window without batch axes takes the increments'
+    batch = np.broadcast_shapes(v.shape[:-2], lead) if v.ndim > 2 else lead
     poses = PoseState(np.empty(batch + (n, 3, 3)), np.empty(batch + (n, 3)), np.empty(batch + (n, 3)))
-    poses[:1] = window.poses[:1]
-    poses[1:] = moved
+    poses.R[..., 0, :, :], poses.v[..., 0, :], poses.p[..., 0, :] = R[..., 0, :, :], v[..., 0, :], p[..., 0, :]
+    pose_boxplus(
+        PoseState(R[..., 1:, :, :], v[..., 1:, :], p[..., 1:, :]),
+        delta[..., : 9 * (n - 1)].reshape(lead + (n - 1, 9)),
+        out=PoseState(poses.R[..., 1:, :, :], poses.v[..., 1:, :], poses.p[..., 1:, :]),
+    )
     landmarks = window.landmarks + delta[..., 9 * (n - 1) :].reshape(lead + (-1, 3))
     return WindowState(poses, landmarks)
 
@@ -286,14 +299,16 @@ class _FactorInputs(NamedTuple):
 def _gather(problem: Problem) -> _FactorInputs:
     """Index the inputs of every factor out of the problem's stacked records,
     keeping the window's leading batch axes."""
-    poses, layout = problem.window.poses, problem.layout
+    R, v, p = problem.window.poses.R, problem.window.poses.v, problem.window.poses.p
+    layout = problem.layout
+    keyframes = layout.keyframe_index
     return _FactorInputs(
         deltas=problem.deltas,
-        pose_i=poses[:-1],
-        pose_j=poses[1:],
+        pose_i=PoseState(R[..., :-1, :, :], v[..., :-1, :], p[..., :-1, :]),
+        pose_j=PoseState(R[..., 1:, :, :], v[..., 1:, :], p[..., 1:, :]),
         meas=problem.measurements,
-        seen_from=poses[layout.keyframe_index],
-        landmarks=problem.window.landmarks[..., layout.landmark_index, :],
+        seen_from=PoseState(R.take(keyframes, axis=-3), v.take(keyframes, axis=-2), p.take(keyframes, axis=-2)),
+        landmarks=problem.window.landmarks.take(layout.landmark_index, axis=-2),
     )
 
 
@@ -377,10 +392,17 @@ def altitude_constraint(problem: Problem):
     Returns (fixed, c): fixed[i] = 9(n-1) + 3i + 2 indexes landmark i's z
     increment, c_i is its current altitude, so a step with delta[fixed] = -c
     lands every landmark on z = 0. A batched problem gives c (..., N).
+    `fixed` follows from the window's shape, so it is built once per problem
+    (see `Problem.shared`) and is read-only.
     """
+    return problem.shared(_altitude_entries), problem.window.landmarks[..., 2].copy()
+
+
+def _altitude_entries(problem: Problem) -> np.ndarray:
     window = problem.window
     fixed = 9 * (window.n - 1) + 3 * np.arange(window.num_landmarks) + 2
-    return fixed, window.landmarks[..., 2].copy()
+    fixed.flags.writeable = False
+    return fixed
 
 
 def min_landmarks(n: int) -> int:

@@ -25,6 +25,11 @@ SMALL_ANGLE = 1e-8
 # the (R - R^T) / (2 sin phi) formula degenerates.
 PI_MARGIN = 1e-6
 
+
+class NearPiRotationError(ValueError):
+    """log_map was given a rotation whose angle is within PI_MARGIN of pi."""
+
+
 _EYE = np.eye(3)
 _EYE.flags.writeable = False
 
@@ -82,7 +87,7 @@ def log_map(R: np.ndarray) -> np.ndarray:
     near_pi = angle >= np.pi - PI_MARGIN
     if near_pi.any():
         first = float(angle[near_pi].flat[0])
-        raise ValueError(
+        raise NearPiRotationError(
             f"log_map: rotation angle {first:.9f} rad is within {PI_MARGIN:g} of pi"
         )
     # half the vee of (R - R^T) equals sin(angle) * axis

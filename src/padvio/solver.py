@@ -26,6 +26,19 @@ the same order whatever the window length, so a kept entry has the same bits
 as in the dense H that `build_normal_system` gives.
 Damping alpha is constant for the whole run; iteration count is fixed unless
 a convergence tolerance is set.
+
+What an iteration reads from the problem's shapes is built once per problem,
+on first use, and kept through `Problem.shared`: the factor layout, the
+landmark altitude entries and the iteration plan, which holds the scatter
+index and the free entries of the step as an integer index (their checks run
+when it is built). `solve` keeps one working copy of the problem and moves
+it to each iterate, so each iteration computes only what the iterate
+changes: the factors' residuals and Jacobians, their products summed into H
+and g, the cost, the altitudes c, the step gathered and scattered through
+the free index with its multipliers, the step norm and the retraction.
+Only the estimator's own failures at an iterate (a degenerate projection
+depth, a singular step, a relative rotation near pi) abort the run with an
+IterationError; any other exception propagates as it is.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ import numpy as np
 
 from . import inputs
 from .graph import BlockJacobian, Problem, WindowState, altitude_constraint, assemble, boxplus
+from .manifold import NearPiRotationError
 from .vision import DegenerateDepthError
 
 TAIL = 8  # most keyframe blocks left to the dense tail of the chain reduction
@@ -174,8 +188,28 @@ def _scatter_index(columns, dim: int, poses: int = 0) -> _PackedIndex:
 
 
 def _problem_index(problem: Problem):
-    """The scatter index of the problem's normal equations; `Problem.shared` keeps it."""
+    """The scatter index of the problem's normal equations."""
     return _scatter_index(problem.layout.columns, problem.window.dim, problem.window.n - 1)
+
+
+class _IterationPlan(NamedTuple):
+    """What every Gauss-Newton iteration of a problem reads from its shapes
+    besides the factor layout and the altitude entries, which the problem
+    keeps itself: the scatter index of its normal equations and the free
+    entries of its step, with the landmark altitudes fixed and with nothing
+    fixed."""
+
+    index: _PackedIndex
+    free: np.ndarray  # the entries outside `altitude_constraint`'s fixed ones
+    every: np.ndarray  # every entry, the free ones when nothing is fixed
+
+
+def _iteration_plan(problem: Problem) -> _IterationPlan:
+    """The problem's iteration plan; `solve` keeps it through `Problem.shared`.
+    Building it runs `_free_entries`' checks of the altitude entries."""
+    index = _problem_index(problem)
+    dim, fixed = problem.window.dim, altitude_constraint(problem)[0]
+    return _IterationPlan(index, _free_entries(dim, 9 * index.poses, fixed), np.arange(dim))
 
 
 def _normal_system(residual, jacobian, weights, damping, index):
@@ -187,7 +221,7 @@ def _normal_system(residual, jacobian, weights, damping, index):
     and E."""
     # each factor's [B^T W B | B^T W e], (count, width, width + 1), from one
     # product, all in one buffer in factor order
-    products = np.empty(sum(b.shape[0] * b.shape[2] * (b.shape[2] + 1) for b, _ in jacobian.factors))
+    products = np.empty(index.positions.size)
     start = used = 0
     for blocks, _ in jacobian.factors:
         count, height, width = blocks.shape
@@ -211,13 +245,33 @@ def _normal_system(residual, jacobian, weights, damping, index):
     return NormalBlocks(band, E), g
 
 
-def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray):
+def _free_entries(dim: int, chain: int, fixed) -> np.ndarray:
+    """The entries of a dim-long increment outside `fixed`, ascending, as an
+    integer index. Raises RankDeficientError for a repeated fixed entry
+    (duplicate constraint rows) and ValueError for a fixed entry among the
+    first `chain`, the keyframe chain of a `NormalBlocks` H."""
+    fixed = np.asarray(fixed, dtype=np.intp)
+    free = np.ones(dim, dtype=bool)
+    free[fixed] = False
+    m = dim - int(np.count_nonzero(free))
+    if m != fixed.size:
+        raise RankDeficientError(dim + fixed.size, dim + m)
+    if not free[:chain].all():
+        raise ValueError("the keyframe chain's entries must be free")
+    return np.flatnonzero(free)
+
+
+def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray, free: np.ndarray | None = None):
     """Minimise the quadratic model with the increment entries `fixed` set to -c.
 
     The free entries solve H_ff delta_f = -(g_f + H_fc delta_c); the
     returned multipliers lambda = -(H[fixed] @ delta + g[fixed]) are those
     of the equivalent saddle-point system. With no fixed entries this is the
     plain solve H delta = -g. Returns (delta, lambda).
+
+    `free` is the integer index of the other entries, as `_free_entries`
+    gives it for H's layout, which also checks `fixed`; a caller that steps
+    many times with the same fixed entries builds it once and passes it.
 
     The step reads the layout from H. A dense H takes one dense solve of
     the free block. A `NormalBlocks` H, whose keyframe chain entries must
@@ -229,15 +283,10 @@ def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray):
     """
     fixed = np.asarray(fixed, dtype=np.intp)
     dim = H.shape[0]
-    free = np.ones(dim, dtype=bool)
-    free[fixed] = False
-    m = dim - int(np.count_nonzero(free))
-    if m != fixed.size:  # a repeated index: duplicate constraint rows
-        raise RankDeficientError(dim + fixed.size, dim + m)
     blocks = isinstance(H, NormalBlocks)
     chain = 9 * len(H.A) if blocks else 0
-    if not free[:chain].all():
-        raise ValueError("the keyframe chain's entries must be free")
+    if free is None:
+        free = _free_entries(dim, chain, fixed)
     delta = np.zeros(dim)
     delta[fixed] = -np.asarray(c, dtype=float)
     try:
@@ -245,17 +294,17 @@ def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray):
             C, E = H.C.reshape(chain, dim - chain), H.E
             delta_l = delta[chain:]  # a view, so it follows the solve below
             r = -(g + np.concatenate([C @ delta_l, E @ delta_l]))
-            rest = np.flatnonzero(free[chain:])
+            rest = free[chain:] - chain  # the chain's entries are free[:chain]
             delta[free] = _reduce_chain(H.A, H.B, H.C[:, :, rest], E[rest][:, rest], r[free])
             local = fixed - chain
             lam = -(delta[:chain] @ C[:, local] + E[local] @ delta_l + g[fixed])
         else:  # the product over full rows of H keeps the dense step's rounding
-            H_free = H[free]
+            H_free = H.take(free, axis=0)
             delta[free] = np.linalg.solve(H_free[:, free], -(g[free] + H_free @ delta))
             lam = -(H[fixed] @ delta + g[fixed])
     except np.linalg.LinAlgError:
         H_ff = np.asarray(H)[free][:, free]
-        raise RankDeficientError(dim - m, int(np.linalg.matrix_rank(H_ff))) from None
+        raise RankDeficientError(free.size, int(np.linalg.matrix_rank(H_ff))) from None
     return delta, lam
 
 
@@ -343,9 +392,10 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
     Deterministic: identical problem and config give bit-identical reports.
     A config field that breaks its `inputs` rule raises ValueError naming
     it. A problem with batch axes (from a batch of flights, see
-    `sim.generate`) raises ValueError naming their shape. Degenerate projection depth or a singular system
-    aborts the run with an IterationError naming the iterate and carrying
-    partial histories.
+    `sim.generate`) raises ValueError naming their shape. A degenerate
+    projection depth, a singular system or a relative rotation within
+    `manifold.PI_MARGIN` of pi aborts the run with an IterationError naming
+    the iterate and carrying partial histories; no other error is wrapped.
     """
     if config is None:
         config = SolverConfig()
@@ -362,21 +412,20 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
 
     cost_history: List[float] = []
     step_norms: List[float] = []
-    index = problem.shared(_problem_index)
+    plan = problem.shared(_iteration_plan)
+    fixed, c = np.zeros(0, dtype=np.intp), np.zeros(0)  # replaced each iteration under the constraint
+    free = plan.free if config.constrain_altitude else plan.every
+    current = problem.with_window(window)  # the working copy, moved to each iterate
     for iteration in range(1, iterations + 1):
-        current = problem.with_window(window)
+        current.window = window
         try:
             residual, jacobian, weights = assemble(current)
-            H, g = _normal_system(residual, jacobian, weights, config.damping, index)
+            H, g = _normal_system(residual, jacobian, weights, config.damping, plan.index)
             cost_history.append(float(residual @ (weights * residual)))
             if config.constrain_altitude:
                 fixed, c = altitude_constraint(current)
-            else:
-                fixed, c = np.zeros(0, dtype=np.intp), np.zeros(0)
-            delta, _ = constrained_step(H, g, fixed, c)
-        except (DegenerateDepthError, RankDeficientError, ValueError) as err:
-            # ValueError covers the log map degenerating when a diverging
-            # iterate pushes a relative rotation to pi
+            delta, _ = constrained_step(H, g, fixed, c, free)
+        except (DegenerateDepthError, RankDeficientError, NearPiRotationError) as err:
             raise IterationError(err, iteration, cost_history, step_norms) from err
         step_norms.append(float(np.sqrt(delta.dot(delta))))  # np.linalg.norm(delta)
         window = boxplus(window, delta)

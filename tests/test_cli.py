@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from padvio import checks, cli, sim
+from padvio import checks, cli, sim, solver
 from padvio.dataset_io import dumps, read_dataset, write_dataset
 from padvio.graph import PoseState, Problem, WindowState
 from padvio.imu import ImuSample, WorldParams
@@ -464,6 +464,20 @@ def test_estimate_solver_failure_exits_2_with_partial_file(tmp_path, capsys):
     header, rows = _read_csv(tmp_path / "convergence.csv")
     assert header == ["iteration", "cost", "step_norm"]
     assert rows == []  # aborted before the first cost was recorded
+
+
+def test_estimate_lets_a_fault_in_the_loop_through(tmp_path, monkeypatch, capsys):
+    # a ValueError from a fault inside the loop used to be reported as
+    # "solver failed: iteration 1 aborted", with exit 2
+    def broken(residual, jacobian, weights, damping, index):
+        raise ValueError("operands could not be broadcast together")
+
+    assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(solver, "_normal_system", broken)
+    assert cli.main(["estimate", str(tmp_path / "dataset.txt"), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "ValueError: operands could not be broadcast together" in err
+    assert "solver failed" not in err
 
 
 def test_estimate_solver_failure_removes_earlier_reports(tmp_path):

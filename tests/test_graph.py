@@ -267,6 +267,16 @@ def test_problem_rejects_delta_fields_of_another_count(name, value):
         Problem(_window(7, 1), deltas, _measurements([]), CameraModel(1.0), WorldParams())
 
 
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_problem_rejects_a_delta_time_that_is_not_positive(value):
+    # a zero or NaN dt_total used to build, and then fail the first iteration
+    # as if the iterate were at fault
+    deltas = _deltas(6)
+    deltas.dt_total[3] = value
+    with pytest.raises(ValueError, match=re.escape(f"deltas dt_total must be finite and > 0, got {value!r}")):
+        Problem(_window(7, 1), deltas, _measurements([]), CameraModel(1.0), WorldParams())
+
+
 def test_problem_rejects_uv_that_does_not_fit_the_detections():
     meas = PixelMeasurement(np.array([1, 2]), np.array([1, 1]), np.zeros((3, 2)))
     with pytest.raises(ValueError, match=re.escape("measurement uv has shape (3, 2), expected (..., 2, 2)")):

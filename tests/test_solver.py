@@ -7,6 +7,7 @@ import pytest
 from padvio import checks, graph, solver
 from padvio.graph import PoseState, Problem, WindowState, altitude_constraint, assemble, boxplus
 from padvio.imu import PreintegratedDelta, WorldParams
+from padvio.manifold import NearPiRotationError, exp_map
 from padvio.sim import (
     CameraModel,
     NoiseSpec,
@@ -197,7 +198,7 @@ def _saddle_point_step(H, g, fixed, c):
     return solution[:dim], solution[dim:]
 
 
-def _level_circle_dataset(n):
+def _level_circle_dataset(n, seed=7):
     # a level circle 4 m above the pad keeps every marker in view for long windows
     spec = TrajectorySpec(
         duration=0.4 * (n - 1),
@@ -206,7 +207,7 @@ def _level_circle_dataset(n):
         accel_profile=Profile("constant", {"value": [0.00125, 0.0, -9.81]}),
     )
     landmarks = np.array([[0.577, 0.0, 0.0], [-0.289, 0.5, 0.0], [-0.289, -0.5, 0.0]])
-    return generate(spec, landmarks, CameraModel(1.0), WorldParams(), NoiseSpec(1e-4, 1e-5, 7))
+    return generate(spec, landmarks, CameraModel(1.0), WorldParams(), NoiseSpec(1e-4, 1e-5, seed))
 
 
 def _oracle_window(name):
@@ -436,6 +437,122 @@ def test_solve_wraps_degenerate_depth_with_iterate_context():
     assert err.cost_history == [] and err.step_norms == []
 
 
+def test_solve_wraps_a_near_pi_iterate_with_iterate_context():
+    # pose 2 turned by almost pi against pose 1 takes the IMU residual's log
+    # map to its near-pi rejection at the first iterate
+    dataset = _reference_dataset(seed=24)
+    problem = make_problem(dataset, dataset.ground_truth.copy())
+    R = problem.window.poses.R
+    R[1] = R[0] @ problem.deltas.dR[0] @ exp_map([np.pi - 1e-8, 0.0, 0.0])
+    with pytest.raises(IterationError) as excinfo:
+        solve(problem, SolverConfig(max_iterations=5))
+    err = excinfo.value
+    assert err.iteration == 1
+    assert isinstance(err.cause, NearPiRotationError)
+    assert str(err.cause).startswith("log_map: rotation angle ")
+    assert err.cost_history == [] and err.step_norms == []
+
+
+def test_solve_lets_other_value_errors_through(monkeypatch):
+    # only the estimator's own failures are an aborted iterate; any other
+    # ValueError raised in the loop is a fault, and propagates as it is
+    def broken(residual, jacobian, weights, damping, index):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(solver, "_normal_system", broken)
+    dataset = _reference_dataset(seed=25)
+    problem = make_problem(dataset, perturb_initialization(dataset, "cold"))
+    with pytest.raises(ValueError, match="^operands could not be broadcast together$"):
+        solve(problem, SolverConfig(max_iterations=5))
+
+
+def _public_loop(problem, config):
+    """The Gauss-Newton loop built from the public pieces: (cost history,
+    step norms, final window, the error that stopped it or None)."""
+    # build_normal_system's dense H is solve's layout up to TAIL + 1
+    # keyframes; past that the step runs on the block layout
+    index = solver._problem_index(problem)
+    window, costs, norms = problem.window, [], []
+    for _ in range(config.max_iterations):
+        current = problem.with_window(window)
+        try:
+            r, J, w = assemble(current)
+            if index.poses:
+                H, g = solver._normal_system(r, J, w, config.damping, index)
+            else:
+                H, g = build_normal_system(current, config.damping)
+            costs.append(float(r @ (w * r)))
+            if config.constrain_altitude:
+                fixed, c = altitude_constraint(current)
+            else:
+                fixed, c = np.zeros(0, dtype=np.intp), np.zeros(0)
+            delta, _ = constrained_step(H, g, fixed, c)
+        except (DegenerateDepthError, RankDeficientError, NearPiRotationError) as err:
+            return costs, norms, window, err
+        norms.append(float(np.linalg.norm(delta)))
+        window = boxplus(window, delta)
+        if norms[-1] < config.convergence_tol:
+            break
+    return costs, norms, window, None
+
+
+def _assert_same_window(a, b):
+    for x, y in ((a.poses.R, b.poses.R), (a.poses.v, b.poses.v), (a.poses.p, b.poses.p), (a.landmarks, b.landmarks)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _cold_problem(n, seed):
+    # n = 7 lays out no keyframe chain, n = 12 runs one reduction level and
+    # n = 30 two; no seed here is one of the report digests'
+    dataset = _reference_dataset(seed=seed) if n == 7 else _level_circle_dataset(n, seed)
+    return make_problem(dataset, perturb_initialization(dataset, "cold"))
+
+
+@pytest.mark.parametrize("constrain", [True, False], ids=["constrained", "free"])
+@pytest.mark.parametrize("n, seed, iterations", [(7, 21, 50), (12, 22, 15), (30, 23, 8)])
+def test_solve_is_the_loop_of_its_public_pieces(n, seed, iterations, constrain):
+    problem = _cold_problem(n, seed)
+    config = SolverConfig(max_iterations=iterations, constrain_altitude=constrain)
+    costs, norms, window, error = _public_loop(problem, config)
+    assert error is None and len(costs) == iterations
+    report = solve(problem, config)
+    assert report.cost_history == costs and report.step_norms == norms
+    assert report.iterations_run == iterations
+    _assert_same_window(report.final_window, window)
+
+
+def test_solve_stops_early_where_the_public_loop_does():
+    problem = _cold_problem(7, 26)
+    config = SolverConfig(max_iterations=50, convergence_tol=1e-6)
+    costs, norms, window, _ = _public_loop(problem, config)
+    report = solve(problem, config)
+    assert 1 < report.iterations_run < 50
+    assert report.cost_history == costs and report.step_norms == norms
+    _assert_same_window(report.final_window, window)
+
+
+@pytest.mark.parametrize("n, seed", [(7, 27), (12, 28)])
+def test_solve_aborts_with_the_histories_of_the_public_loop(monkeypatch, n, seed):
+    # the fourth assembly fails: the partial histories are the first three iterates'
+    problem = _cold_problem(n, seed)
+    config = SolverConfig(max_iterations=10)
+    calls = []
+
+    def failing(problem):
+        calls.append(None)
+        if len(calls) == 4:
+            raise DegenerateDepthError(0.0, 2, 1)
+        return assemble(problem)
+
+    monkeypatch.setattr(solver, "assemble", failing)
+    with pytest.raises(IterationError) as excinfo:
+        solve(problem, config)
+    err = excinfo.value
+    costs, norms, _, _ = _public_loop(problem, replace(config, max_iterations=3))
+    assert err.iteration == 4 and isinstance(err.cause, DegenerateDepthError)
+    assert err.cost_history == costs and err.step_norms == norms
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -477,9 +594,10 @@ def test_solve_rejects_nan_convergence_tol():
 def test_solve_builds_the_scatter_index_once(monkeypatch):
     # the index picks the layout, the only switch on the window length:
     # n = 7 and 9 lay out no keyframe chain, so E is the dense H, and n = 10
-    # and 30 the block system; the factor layout it is built from is built
-    # once per problem too
-    calls, built, layouts, factor_layouts = [], [], [], []
+    # and 30 the block system; the iteration plan that holds it, and the
+    # factor layout it is built from, are built once per problem too, and a
+    # second solve of a problem builds none of them again
+    calls, built, layouts, factor_layouts, plans = [], [], [], [], []
 
     def counting(columns, dim, poses):
         calls.append(poses)
@@ -491,23 +609,31 @@ def test_solve_builds_the_scatter_index_once(monkeypatch):
         factor_layouts.append(problem.window.n)
         return factor_layout(problem)
 
-    def recording(H, g, fixed, c):
+    def counting_plans(problem):
+        plans.append(problem.window.n)
+        return iteration_plan(problem)
+
+    def recording(H, g, fixed, c, free):
         layouts.append(type(H))
-        return step(H, g, fixed, c)
+        return step(H, g, fixed, c, free)
 
     scatter_index, step, factor_layout = solver._scatter_index, solver.constrained_step, graph.factor_layout
+    iteration_plan = solver._iteration_plan
     monkeypatch.setattr(solver, "_scatter_index", counting)
     monkeypatch.setattr(solver, "constrained_step", recording)
     monkeypatch.setattr(graph, "factor_layout", counting_layouts)
+    monkeypatch.setattr(solver, "_iteration_plan", counting_plans)
     datasets = (_reference_dataset(), _level_circle_dataset(9), _level_circle_dataset(10), _level_circle_dataset(30))
     for dataset in datasets:
         problem = make_problem(dataset, perturb_initialization(dataset, "cold"))
         report = solve(problem, SolverConfig(max_iterations=5))
         assert report.iterations_run == 5
+        assert solve(problem, SolverConfig(max_iterations=1, constrain_altitude=False)).iterations_run == 1
     assert calls == [6, 8, 9, 29]
     assert built == [0, 0, 9, 29]
     assert factor_layouts == [7, 9, 10, 30]
-    assert layouts == 10 * [np.ndarray] + 10 * [NormalBlocks]
+    assert plans == [7, 9, 10, 30]
+    assert layouts == 12 * [np.ndarray] + 12 * [NormalBlocks]
 
 
 def test_solve_rejects_a_batched_problem():
