@@ -182,7 +182,7 @@ def solver_config(config: ExperimentConfig) -> SolverConfig:
 
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
-    dataset_io.write_text(path, "\n".join(lines) + "\n")
+    dataset_io.write_text(path, ["\n".join(lines) + "\n"])
 
 
 def write_convergence(path: Path, cost_history, step_norms) -> None:

@@ -1,3 +1,10 @@
+import os
+
+# pin BLAS to one thread before numpy starts it, as importing padvio does:
+# the golden report digests are one-thread bits
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 

@@ -265,6 +265,25 @@ def test_estimate_dataset_with_nan_pixel_exits_1(tmp_path, capsys):
     assert "bad dataset file" in err and "non-finite" in err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (b"\np 1 1 ", b"\n\xc3\xa9 1 1 ", "non-ASCII byte 0xc3 at byte offset "),
+        (b"\ncamera focal 1.0\n", b"\ncamera focal 1_0.0\n", "malformed camera focal record: '1_0.0'"),
+    ],
+    ids=["non-ascii-byte", "underscore-in-focal"],
+)
+def test_estimate_dataset_outside_the_file_grammar_exits_1(tmp_path, capsys, old, new, message):
+    assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "dataset.txt"
+    data = path.read_bytes()
+    assert old in data
+    path.write_bytes(data.replace(old, new, 1))
+    assert cli.main(["estimate", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"bad dataset file: {message}" in err and "Traceback" not in err
+
+
 def test_missing_dataset_exits_1(tmp_path, capsys):
     assert cli.main(["estimate", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]) == 1
     assert "dataset" in capsys.readouterr().err

@@ -1,8 +1,13 @@
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from padvio import cli
 from padvio.dataset_io import DatasetFormatError, dumps, loads, read_dataset, write_dataset, write_text
-from padvio.imu import WorldParams
+from padvio.imu import ImuSample, WorldParams
 from padvio.sim import CameraModel, NoiseSpec, Profile, TrajectorySpec, generate, triangle_landmarks
 
 
@@ -62,6 +67,62 @@ def test_file_round_trip(tmp_path):
     restored = read_dataset(path)
     assert len(restored.imu_samples.dt) == len(original.imu_samples.dt)
     assert dumps(restored) == dumps(original)
+
+
+def _random_floats(rng, count):
+    """Finite floats of every exponent: random bit patterns, subnormals among
+    them, plus the edge values that repr and the reader must keep."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+    subnormals = rng.integers(1, 2**52, size=count // 8, dtype=np.uint64).view(np.float64)
+    bits = rng.integers(0, 2**64, size=2 * count, dtype=np.uint64).view(np.float64)
+    return rng.permutation(np.concatenate([edges, subnormals, bits[np.isfinite(bits)]])[:count])
+
+
+def test_file_round_trip_keeps_the_bits_of_every_float(tmp_path):
+    count = 3000  # samples, a multiple of the 3 keyframe intervals
+    omega, accel, dt = np.split(_random_floats(np.random.default_rng(7), 7 * count), [3 * count, 6 * count])
+    dt = np.abs(dt)
+    dt[dt == 0.0] = 5e-324  # the reader rejects a dt that is not > 0
+    samples = ImuSample(omega.reshape(count, 3), accel.reshape(count, 3), dt)
+    original = replace(_dataset(), imu_samples=samples)
+    path = tmp_path / "dataset.txt"
+    write_dataset(original, path)
+    restored = read_dataset(path)
+    for field in ("omega", "accel", "dt"):
+        assert getattr(restored.imu_samples, field).tobytes() == getattr(samples, field).tobytes()
+    assert path.read_text(encoding="ascii") == dumps(original)
+
+
+def test_dataset_io_peak_memory_stays_near_the_file_size(tmp_path):
+    # 11,600 samples, a 1.5 MB file; holding every line or every field as a
+    # Python object costs 4x the file to write and 7.8x to read
+    config = replace(cli.load_config(str(Path(__file__).parent / "data" / "level_circle_n30.json")), imu_dt=0.001)
+    dataset = cli.dataset_from_config(config)
+    assert len(dataset.imu_samples.dt) == 11600
+    path = tmp_path / "dataset.txt"
+    peaks = []
+    for run in (lambda: write_dataset(dataset, path), lambda: read_dataset(path)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert peaks[0] < size
+    assert peaks[1] < 3.5 * size
+
+
+def test_read_dataset_names_the_offset_of_a_non_ascii_byte(tmp_path):
+    path = tmp_path / "dataset.txt"
+    write_dataset(_dataset(), path)
+    data = path.read_bytes()
+    offset = data.rindex(b"\np ") + 1  # past the text layer's first 8 KiB chunk
+    assert offset > 8192
+    path.write_bytes(data[:offset] + b"\xb5" + data[offset + 1 :])
+    line = data.count(b"\n", 0, offset) + 1
+    with pytest.raises(DatasetFormatError, match=rf"^non-ASCII byte 0xb5 at byte offset {offset} \(line {line}\)$"):
+        read_dataset(path)
 
 
 def test_write_text_replaces_instead_of_truncating(tmp_path):
@@ -171,6 +232,14 @@ MALFORMED = {
         "landmarks record has 2 values, expected 1",
     ),
     "one-keyframe": (lambda t: _edit_line(t, "keyframes ", _set(1, "1")), "keyframes count 1 is below 2"),
+    # float() and int() read underscores, which the writer never writes
+    "underscore-in-focal": (
+        lambda t: _edit_line(t, "camera focal", _set(2, "1_0.0")),
+        "malformed camera focal record: '1_0.0'",
+    ),
+    "underscore-in-count": (lambda t: _edit_line(t, "landmarks ", _set(1, "0_3")), "malformed landmarks record: '0_3'"),
+    "underscore-in-imu-value": (lambda t: _edit_line(t, "i ", _set(4, "1_0.0")), "malformed i record: 'i .* 1_0.0 "),
+    "underscore-in-landmark-id": (lambda t: _edit_line(t, "l 1 ", _set(1, "0_1")), "malformed l record: 'l 0_1 "),
     "appended-garbage-record": (
         lambda t: t + "garbage record 1 2 3\n",
         "extra record after the pixel section: 'garbage record 1 2 3'",
