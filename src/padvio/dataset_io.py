@@ -49,9 +49,10 @@ from __future__ import annotations
 
 import io
 import re
+import warnings
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, List, NoReturn, Optional, Sequence
+from typing import Iterable, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,11 +133,17 @@ def write_text(path, chunks: Iterable[str]) -> None:
 
     Truncating a non-empty file in place makes ext4 (auto_da_alloc) flush
     its data on close, tens of ms per write; unlinking first avoids that.
-    No fsync: padvio does not promise durable output.
+    No fsync: padvio does not promise durable output. The first chunk is
+    made before the old file is removed; an error while a later chunk is
+    made leaves the chunks before it, which for a dataset is a file that
+    does not read, as its counts come before their rows.
     """
     path = Path(path)
+    chunks = iter(chunks)
+    first = next(chunks, "")
     path.unlink(missing_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as file:
+        file.write(first)
         file.writelines(chunks)
 
 
@@ -153,7 +160,14 @@ def _table(lines: List[str], dtype) -> np.ndarray:
     file's number grammar."""
     if not lines:  # loadtxt warns on empty input
         return np.empty(0, dtype)
-    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    with warnings.catch_warnings():
+        # numpy 1.23 deprecated, and later removed, reading "1.5" in an integer
+        # field as 1 with only this warning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+        except DeprecationWarning as err:
+            raise ValueError(str(err)) from None
 
 
 def _numbers(what: str, fields: List[str], dtype=float) -> np.ndarray:
@@ -201,10 +215,10 @@ class _Reader:
     def next(self, expect: str) -> List[str]:
         return _fields(next(self.lines, None), expect)
 
-    def section(self, expect: str, count: int, ids: int, width: int) -> np.ndarray:
+    def section(self, expect: str, count: int, ids: int, width: int) -> Tuple[np.ndarray, List[str]]:
         """The next `count` lines, each an `expect` record of `ids` ids and
         `width` values, as (count,) records with an "ids" (ids,) int field
-        and a "values" (width,) float field."""
+        and a "values" (width,) float field, and the lines themselves."""
         dtype = np.dtype([("key", f"U{len(expect) + 1}"), ("ids", np.intp, (ids,)), ("values", float, (width,))])
         lines = list(islice(self.lines, count))
         try:
@@ -213,7 +227,7 @@ class _Reader:
             table = None
         if table is None or len(table) != count or np.any(table["key"] != expect):
             _name_first_bad_line(lines, expect, ids, width, dtype)
-        return table
+        return table, lines
 
 
 def _indices(ids: np.ndarray, count: int, what: str, unique: bool = False) -> np.ndarray:
@@ -230,13 +244,15 @@ def _indices(ids: np.ndarray, count: int, what: str, unique: bool = False) -> np
     return ids - 1
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """The (count, width) values, which must all be finite."""
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        row = " ".join(map(repr, values[~finite][0].tolist()))
-        raise DatasetFormatError(f"{what} record has a non-finite value: {row}")
-    return values
+def _finite(values: np.ndarray, what: str, lines: Sequence[str], skip: int) -> np.ndarray:
+    """The (count, width) values read from `lines`, which must all be
+    finite; the error shows the first bad line's fields after its first
+    `skip` as the file has them."""
+    # max and min carry a nan or an infinity through, with no mask as large as the table
+    if np.isfinite(values.max(initial=0.0)) and np.isfinite(values.min(initial=0.0)):
+        return values
+    fields = lines[np.isfinite(values).all(axis=1).argmin()].split()[skip:]
+    raise DatasetFormatError(f"{what} record has a non-finite value: {' '.join(fields)}")
 
 
 def _keyed(reader: _Reader, record: str, key: str, count: int) -> np.ndarray:
@@ -247,7 +263,7 @@ def _keyed(reader: _Reader, record: str, key: str, count: int) -> np.ndarray:
     if len(fields) != count + 1:
         raise DatasetFormatError(f"{record} {key} record has {len(fields) - 1} values, expected {count}")
     what = f"{record} {key}"
-    return _finite(_numbers(what, fields[1:])[None], what)[0]
+    return _finite(_numbers(what, fields[1:])[None], what, [" ".join(fields)], 1)[0]
 
 
 def _positive(values: np.ndarray, what: str) -> np.ndarray:
@@ -306,14 +322,18 @@ def _parse(reader: _Reader) -> Dataset:
     camera_dt = float(_positive(_keyed(reader, "timing", "camera_dt", 1), "timing camera_dt")[0])
 
     num_landmarks = _count(reader, "landmarks", 1)
-    table = reader.section("l", num_landmarks, 1, 3)
+    table, lines = reader.section("l", num_landmarks, 1, 3)
     landmarks = np.empty((num_landmarks, 3))
-    landmarks[_indices(table["ids"][:, 0], num_landmarks, "landmark", unique=True)] = _finite(table["values"], "l")
+    landmarks[_indices(table["ids"][:, 0], num_landmarks, "landmark", unique=True)] = _finite(
+        table["values"], "l", lines, 2
+    )
 
     num_frames = _count(reader, "keyframes", 2)
-    table = reader.section("k", num_frames, 1, 15)
+    table, lines = reader.section("k", num_frames, 1, 15)
     keyframes = np.empty((num_frames, 15))
-    keyframes[_indices(table["ids"][:, 0], num_frames, "keyframe", unique=True)] = _finite(table["values"], "k")
+    keyframes[_indices(table["ids"][:, 0], num_frames, "keyframe", unique=True)] = _finite(
+        table["values"], "k", lines, 2
+    )
     R, v, p = np.split(keyframes, [9, 12], axis=1)
     # contiguous fields, as `sim.generate` makes them
     poses = PoseState(R.reshape(num_frames, 3, 3).copy(), v.copy(), p.copy())
@@ -326,16 +346,19 @@ def _parse(reader: _Reader) -> Dataset:
         raise DatasetFormatError(
             f"imu count {num_samples} is not a multiple of the {num_frames - 1} keyframe intervals"
         )
-    omega, accel, dt = np.split(_finite(reader.section("i", num_samples, 0, 7)["values"], "i"), [3, 6], axis=1)
+    table, lines = reader.section("i", num_samples, 0, 7)
+    values = _finite(table["values"], "i", lines, 1)
+    del lines  # the largest section's text: free it before copying the columns out
+    omega, accel, dt = np.split(values, [3, 6], axis=1)
     samples = ImuSample(omega.copy(), accel.copy(), dt[:, 0].copy())
     _positive(samples.dt, "imu sample dt")
 
     num_pixels = _count(reader, "pixels", 0)
-    table = reader.section("p", num_pixels, 2, 2)
+    table, lines = reader.section("p", num_pixels, 2, 2)
     measurements = PixelMeasurement(
         _indices(table["ids"][:, 0], num_frames, "pixel keyframe") + 1,
         _indices(table["ids"][:, 1], num_landmarks, "pixel landmark") + 1,
-        _finite(table["values"], "p").copy(),
+        _finite(table["values"], "p", lines, 3).copy(),
     )
     extra = next(reader.lines, None)
     if extra is not None:

@@ -1,10 +1,6 @@
-import os
-
-# pin BLAS to one thread before numpy starts it, as importing padvio does:
-# the golden report digests are one-thread bits
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-
+# imported before numpy: padvio pins BLAS to one thread, which BLAS reads
+# when numpy starts it; the golden report digests are one-thread bits
+import padvio  # noqa: F401
 import numpy as np
 import pytest
 

@@ -22,15 +22,12 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import tempfile
 from pathlib import Path
 
-# pin BLAS to one thread before numpy starts it, as importing padvio does, so
-# that the digests are the bits `padvio estimate` writes
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-
+# imported before numpy: padvio pins BLAS to one thread, which BLAS reads
+# when numpy starts it; the digests are the bits `padvio estimate` writes
+import padvio  # noqa: F401
 import numpy as np
 
 from padvio import cli

@@ -1,11 +1,12 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from padvio import cli
+from padvio import cli, dataset_io
 from padvio.dataset_io import DatasetFormatError, dumps, loads, read_dataset, write_dataset, write_text
 from padvio.imu import ImuSample, WorldParams
 from padvio.sim import CameraModel, NoiseSpec, Profile, TrajectorySpec, generate, triangle_landmarks
@@ -135,6 +136,34 @@ def test_write_text_replaces_instead_of_truncating(tmp_path):
     assert path.read_bytes() == b"new\n"
 
 
+def test_a_failed_write_leaves_no_file_that_reads(tmp_path, monkeypatch):
+    path = tmp_path / "dataset.txt"
+    write_dataset(_dataset(), path)
+
+    def no_text():
+        raise RuntimeError("no text")
+        yield
+
+    # the first chunk is made before the old file is removed
+    with pytest.raises(RuntimeError, match="no text"):
+        write_text(path, no_text())
+    assert path.read_text(encoding="ascii") == dumps(_dataset())
+
+    records = dataset_io._records
+
+    def fail_at_pixels(key, ids, values):
+        if key == "p":
+            raise RuntimeError("disk full")
+        yield from records(key, ids, values)
+
+    monkeypatch.setattr(dataset_io, "_records", fail_at_pixels)
+    with pytest.raises(RuntimeError, match="disk full"):
+        write_dataset(_dataset(seed=1), path)
+    assert path.read_text(encoding="ascii").endswith("\npixels 12\n")
+    with pytest.raises(DatasetFormatError, match="unexpected end of file, expected 'p' record"):
+        read_dataset(path)
+
+
 def test_write_text_replaces_symlink_with_regular_file(tmp_path):
     target = tmp_path / "target.txt"
     target.write_bytes(b"target\n")
@@ -240,6 +269,16 @@ MALFORMED = {
     "underscore-in-count": (lambda t: _edit_line(t, "landmarks ", _set(1, "0_3")), "malformed landmarks record: '0_3'"),
     "underscore-in-imu-value": (lambda t: _edit_line(t, "i ", _set(4, "1_0.0")), "malformed i record: 'i .* 1_0.0 "),
     "underscore-in-landmark-id": (lambda t: _edit_line(t, "l 1 ", _set(1, "0_1")), "malformed l record: 'l 0_1 "),
+    # an id or a count is an integer: numpy's deprecated fallback would read 3.0 as 3
+    "fraction-in-count": (lambda t: _edit_line(t, "landmarks ", _set(1, "3.0")), "malformed landmarks record: '3.0'"),
+    "fraction-in-landmark-id": (lambda t: _edit_line(t, "l 1 ", _set(1, "1.5")), "malformed l record: 'l 1.5 "),
+    "fraction-in-pixel-frame": (lambda t: _edit_line(t, "p ", _set(1, "1.0")), "malformed p record: 'p 1.0 "),
+    # a non-finite value is shown as the file has it
+    "overflowing-landmark": (
+        lambda t: _edit_line(t, "l 1 ", _set(2, "1e500")),
+        "l record has a non-finite value: 1e500 ",
+    ),
+    "nan-focal": (lambda t: _edit_line(t, "camera focal", _set(2, "NaN")), "camera focal record has a non-finite value: NaN$"),
     "appended-garbage-record": (
         lambda t: t + "garbage record 1 2 3\n",
         "extra record after the pixel section: 'garbage record 1 2 3'",
@@ -255,6 +294,25 @@ def test_rejects_malformed_numbers(case):
     assert corrupted != text
     with pytest.raises(DatasetFormatError, match=message):
         loads(corrupted)
+
+
+def test_an_integer_read_via_a_float_is_malformed(monkeypatch):
+    # numpy 1.23 to its removal read "3.0" in an integer field as 3 with only a
+    # DeprecationWarning; stand in for that fallback on a numpy without it
+    loadtxt = np.loadtxt
+
+    def loadtxt_with_fallback(lines, dtype, **kwargs):
+        if np.dtype(dtype) == np.intp:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return np.array([3])
+        return loadtxt(lines, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_with_fallback)
+    text = _edit_line(dumps(_dataset()), "landmarks ", _set(1, "3.0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # as outside __main__
+        with pytest.raises(DatasetFormatError, match="^malformed landmarks record: '3.0'$"):
+            loads(text)
 
 
 def test_names_the_first_keyframe_that_is_not_a_rotation():
