@@ -24,22 +24,26 @@ the fields. The file is ASCII: another byte is an error naming its offset.
 
 Numbers. Every number field, in the keyed records, the counts and the
 tables alike, is read by one parser, `np.loadtxt`'s C reader. A value reads
-as Python's `float` reads it, bit for bit, but without `_` digit separators;
-`nan` and `inf` read and are then rejected. An id or a count is a decimal
-integer with an optional sign. padvio writes each value as its `repr`, the
-shortest text that reads back as the same float, and each id and count as a
-plain decimal integer.
+as Python's `float` reads it, bit for bit, but without `_` digit
+separators; `nan`, `inf` and `1e500` read and are then rejected, the error
+showing the record's text. An id or a count is a decimal integer with an
+optional sign; `3.0` is an error, also on a numpy that would read it as 3
+with a warning. padvio writes each value as its `repr`, the shortest text
+that reads back as the same float, and each id and count as a plain decimal
+integer.
 
 Streaming. `write_dataset` writes the file as it formats it: the header,
 then each table in blocks of `BLOCK` rows, one `%` template per block over
 Python floats. `dumps` joins the same chunks, so the file and the text
-cannot differ. `read_dataset` iterates the file's non-blank lines and reads
-each table section with one `np.loadtxt` call into records of a key, the
-integer ids and the float values. Only when that call fails, or a key or
-the row count is wrong, does a loop over the section's lines name the first
-bad one. `loads` runs the same parser over the lines of a string. Record ids
-place the rows, so `l`, `k` and `p` lines may come in any order. The dataset
-holds the sections as stacked records (see `sim.Dataset`).
+cannot differ. A write that fails part way leaves the chunks made so far, a
+file that does not read: each count comes before its rows. `read_dataset`
+iterates the file's non-blank lines and reads each table section with one
+`np.loadtxt` call into records of a key, the integer ids and the float
+values. Only when that call fails, or a key or the row count is wrong, does
+a loop over the section's lines name the first bad one. `loads` runs the
+same parser over the lines of a string. Record ids place the rows, so `l`,
+`k` and `p` lines may come in any order. The dataset holds the sections as
+stacked records (see `sim.Dataset`).
 
 Every file padvio writes, this one and the CLI reports, goes through
 `write_text`, which replaces the file instead of rewriting it in place.
