@@ -34,16 +34,19 @@ integer.
 
 Streaming. `write_dataset` writes the file as it formats it: the header,
 then each table in blocks of `BLOCK` rows, one `%` template per block over
-Python floats. `dumps` joins the same chunks, so the file and the text
-cannot differ. A write that fails part way leaves the chunks made so far, a
-file that does not read: each count comes before its rows. `read_dataset`
-iterates the file's non-blank lines and reads each table section with one
-`np.loadtxt` call into records of a key, the integer ids and the float
-values. Only when that call fails, or a key or the row count is wrong, does
-a loop over the section's lines name the first bad one. `loads` runs the
-same parser over the lines of a string. Record ids place the rows, so `l`,
-`k` and `p` lines may come in any order. The dataset holds the sections as
-stacked records (see `sim.Dataset`).
+Python floats. A value column whose entries in a block share one bit
+pattern, such as the `dt` of every simulated `i` table, goes into that
+block's template once as its `repr` text, so the bytes are those of
+formatting each value. `dumps` joins the same chunks, so the file and the
+text cannot differ. A write that fails part way leaves the chunks made so
+far, a file that does not read: each count comes before its rows.
+`read_dataset` iterates the file's non-blank lines and reads each table
+section with one `np.loadtxt` call into records of a key, the integer ids
+and the float values. Only when that call fails, or a key or the row count
+is wrong, does a loop over the section's lines name the first bad one.
+`loads` runs the same parser over the lines of a string. Record ids place
+the rows, so `l`, `k` and `p` lines may come in any order. The dataset
+holds the sections as stacked records (see `sim.Dataset`).
 
 Every file padvio writes, this one and the CLI reports, goes through
 `write_text`, which replaces the file instead of rewriting it in place.
@@ -86,12 +89,21 @@ def _records(key: str, ids: Sequence[np.ndarray], values: Sequence[np.ndarray]) 
     `ids` are (count,) integer columns and `values` (count,) or (count, k)
     float columns. A block is one float array, so its ids are floats (exact
     below 2**53) that `%d` prints as integers; `%r` prints a value's `repr`.
+    A value column whose entries in the block share one bit pattern (the
+    `dt` of an `i` table) goes into the template once as its `repr` text;
+    bits, not `==`, so that `0.0` and `-0.0` keep their own text.
     """
     columns = [*ids, *values]
     for start in range(0, len(columns[0]), BLOCK):
         block = np.column_stack([column[start : start + BLOCK] for column in columns]).astype(float, copy=False)
-        row = " ".join([key] + ["%d"] * len(ids) + ["%r"] * (block.shape[1] - len(ids))) + "\n"
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+        bits = block.view(np.int64)
+        constant = (bits == bits[0]).all(axis=0)
+        constant[: len(ids)] = False
+        fields = [key] + ["%d"] * len(ids)
+        fields += [repr(x) if same else "%r" for x, same in zip(block[0, len(ids) :].tolist(), constant[len(ids) :])]
+        if constant.any():
+            block = block[:, ~constant]
+        yield ((" ".join(fields) + "\n") * len(block)) % tuple(block.ravel().tolist())
 
 
 def _chunks(dataset: Dataset) -> Iterator[str]:

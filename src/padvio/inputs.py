@@ -38,6 +38,9 @@ def boolean(value, name: str):
 
 def finite_array(value):
     """value as a float array if every entry is a finite real, else None."""
+    if isinstance(value, np.ndarray) and value.dtype.type is np.float64:
+        array = value.astype(float)  # no float64 overflows the cast
+        return array if np.isfinite(array).all() else None
     if isinstance(value, np.ndarray) and np.issubdtype(value.dtype, np.floating):
         # converted first, so a longdouble past the float range becomes inf and fails
         with np.errstate(over="ignore"):

@@ -94,6 +94,40 @@ def test_file_round_trip_keeps_the_bits_of_every_float(tmp_path):
     assert path.read_text(encoding="ascii") == dumps(original)
 
 
+def _per_value_lines(key, ids, values):
+    """A table's lines formatted one value at a time: each id as `%d`, each value as its repr."""
+    columns = [np.asarray(column, dtype=float).reshape(len(column), -1) for column in values]
+    return "".join(
+        " ".join([key] + ["%d" % column[i] for column in ids] + [repr(x) for c in columns for x in c[i].tolist()])
+        + "\n"
+        for i in range(len(columns[0]))
+    )
+
+
+_BLOCK = dataset_io.BLOCK
+_VARYING = np.random.default_rng(3).normal(size=(2 * _BLOCK, 2))
+
+
+@pytest.mark.parametrize(
+    "key,ids,values",
+    [
+        # constant in the first block, not in the second
+        ("i", [], [_VARYING, np.r_[np.full(_BLOCK + 1, 0.001), 0.002, np.full(_BLOCK - 2, 0.001)]]),
+        # a block of 0.0 with one -0.0, then a block of -0.0 alone
+        ("i", [], [np.r_[np.zeros(_BLOCK - 1), -0.0, np.full(_BLOCK, -0.0)], np.zeros((2 * _BLOCK, 3))]),
+        # the last block holds one row, so every column of it is constant
+        ("l", [np.arange(1, _BLOCK + 2)], [_VARYING[: _BLOCK + 1], np.zeros(_BLOCK + 1)]),
+        ("i", [], [_VARYING[:1], np.full(1, 0.5)]),
+        # a constant id column still prints as an integer
+        ("p", [np.full(_BLOCK + 1, 3), np.arange(_BLOCK + 1)], [_VARYING[: _BLOCK + 1]]),
+    ],
+    ids=["constant-in-one-block", "signed-zeros", "one-row-block", "one-row-table", "constant-id"],
+)
+def test_records_keep_the_bytes_of_per_value_repr(key, ids, values):
+    # a column constant within a block goes into that block's template once
+    assert "".join(dataset_io._records(key, ids, values)) == _per_value_lines(key, ids, values)
+
+
 def test_dataset_io_peak_memory_stays_near_the_file_size(tmp_path):
     # 11,600 samples, a 1.5 MB file; holding every line or every field as a
     # Python object costs 4x the file to write and 7.8x to read

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,30 @@ def test_finite_array_returns_a_float_copy(value):
     assert array.dtype == np.float64
     np.testing.assert_array_equal(array, np.asarray(value, dtype=float))
     assert array is not value
+
+
+def _finite_float_array(value):
+    # every float dtype through one conversion, whose overflow gives inf
+    with np.errstate(over="ignore"):
+        array = value.astype(float)
+    return array if np.isfinite(array).all() else None
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.longdouble])
+@pytest.mark.parametrize(
+    "entries",
+    [[1.5, -2.0, 0.0], [1.0, np.nan], [np.inf, 1.0], [-np.inf], ["1e400", 1.0]],
+    ids=["finite", "nan", "inf", "-inf", "1e400"],
+)
+def test_finite_array_of_each_float_dtype_matches_one_conversion(dtype, entries):
+    # "1e400" is finite only as a longdouble wider than float64; other dtypes read it as inf
+    with np.errstate(over="ignore"):
+        value = np.array(entries, dtype=dtype)
+    want = _finite_float_array(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = finite_array(value)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()

@@ -1,4 +1,6 @@
+import dataclasses
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from padvio.sim import (
 )
 from padvio.vision import DEPTH_EPSILON, landmark_in_body, project
 
+DATA = Path(__file__).parent / "data"
 PAD = triangle_landmarks(1.0)
 CAM = CameraModel(1.0)
 
@@ -446,25 +449,46 @@ def _assert_flight_of_batch(batch, b, alone):
         np.testing.assert_array_equal(got, want, strict=True)
 
 
-@pytest.mark.parametrize("n,N", checks.STACKED_SHAPES)
-def test_batched_generate_matches_each_flight_alone(n, N):
-    rng = np.random.default_rng(100 * n + N)
-    drawn = [checks._random_flight(rng, n, N) for _ in range(3)]
-    batch = checks._simulate(*zip(*drawn))
-    assert batch.ground_truth.poses.R.shape == (3, n, 3, 3) and batch.imu_samples.dt.shape[0] == 3
-    for b, inputs in enumerate(drawn):
-        _assert_flight_of_batch(batch, b, checks._simulate(*inputs))
-
-
-def test_batched_generate_matches_reference_config_flights(monkeypatch):
-    # the CLI's generate inputs for the reference config at three seeds
-    with monkeypatch.context() as patch:
+def _config_flights(config):
+    """The CLI's generate inputs for the config at seeds 0-2."""
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "generate", lambda *inputs: inputs)
-        drawn = [cli.dataset_from_config(cli.ExperimentConfig(seed=seed)) for seed in range(3)]
+        return [cli.dataset_from_config(dataclasses.replace(config, seed=seed)) for seed in range(3)]
+
+
+def _assert_batch_matches_each_flight_alone(drawn):
     spec, landmarks, cam, world, noise = zip(*drawn)
     batch = generate(spec, landmarks, cam[0], world[0], noise)
+    assert batch.ground_truth.poses.R.shape[0] == batch.imu_samples.dt.shape[0] == len(drawn)
     for b, inputs in enumerate(drawn):
         _assert_flight_of_batch(batch, b, generate(*inputs))
+
+
+def _random_flights(n, N):
+    rng = np.random.default_rng(100 * n + N)
+    drawn = [checks._random_flight(rng, n, N) for _ in range(3)]
+    return [(spec, landmarks, CameraModel(500.0), WorldParams(), noise) for spec, landmarks, noise in drawn]
+
+
+def _sinusoid_flights_at_1khz():
+    # 2,400 IMU steps: a flight alone steps its attitude through ndarray.dot, a batch through np.matmul
+    drawn = _config_flights(cli.load_config(str(DATA / "sinusoid_moving.json"), imu_dt=0.001))
+    spec = drawn[0][0]
+    assert round(spec.duration / spec.imu_dt) == 2400
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "flights",
+    [pytest.param(lambda n=n, N=N: _random_flights(n, N), id=f"{n}-{N}") for n, N in checks.STACKED_SHAPES]
+    + [pytest.param(_sinusoid_flights_at_1khz, id="sinusoid-1kHz")],
+)
+def test_batched_generate_matches_each_flight_alone(flights):
+    _assert_batch_matches_each_flight_alone(flights())
+
+
+def test_batched_generate_matches_reference_config_flights():
+    _assert_batch_matches_each_flight_alone(_config_flights(cli.ExperimentConfig()))
 
 
 def _hover(duration=0.8, seed=0, p=(0.0, 0.0, -4.0), v=(0.0, 0.0, 0.0)):
