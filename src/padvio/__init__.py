@@ -54,6 +54,7 @@ from .sim import (
 )
 from .solver import (
     IterationError,
+    NonFiniteError,
     RankDeficientError,
     SolveReport,
     SolverConfig,
@@ -81,6 +82,7 @@ __all__ = [
     "IterationError",
     "NearPiRotationError",
     "NoiseSpec",
+    "NonFiniteError",
     "PixelMeasurement",
     "PoseState",
     "PreintegratedDelta",

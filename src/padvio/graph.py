@@ -36,7 +36,10 @@ factor columns and the weight diagonal, follows from the problem's shapes
 and sorted measurements alone. `Problem.layout` builds it on first use, as a
 `FactorLayout`, and keeps it for the problem and every `with_window` copy,
 so a Gauss-Newton loop builds it once and a problem that is never evaluated
-never builds it.
+never builds it. `Problem.imu_terms`, the IMU factors' dt, g dt and
+g dt^2 / 2 (`imu.GravityTerms`), follow from the deltas and gravity alone
+and are kept the same way; `stacked_residual` and `assemble` pass them to
+the IMU factor.
 
 A window may carry leading batch axes before its keyframe and landmark
 axes: poses R (..., n, 3, 3), v and p (..., n, 3), landmarks (..., N, 3).
@@ -69,7 +72,14 @@ from typing import Callable, ClassVar, NamedTuple, Tuple
 import numpy as np
 
 from . import inputs
-from .imu import PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
+from .imu import (
+    GravityTerms,
+    PreintegratedDelta,
+    WorldParams,
+    gravity_terms,
+    imu_residual,
+    imu_residual_jacobian,
+)
 from .manifold import exp_map
 from .vision import POSE_ENTRIES, CameraModel, PixelMeasurement, photometric_jacobian, photometric_residual
 
@@ -150,7 +160,9 @@ class Problem:
     and a delta dt_total that is not finite and > 0, and sorts the
     measurements by (frame, landmark). The window, deltas and
     uv may carry leading batch axes (see the module docstring); the checks
-    read their last axes."""
+    read their last axes. Only the window is swapped after construction
+    (`with_window`): what `shared` keeps follows from the other fields, so
+    another problem is built with `dataclasses.replace`."""
 
     window: WindowState
     deltas: PreintegratedDelta
@@ -208,7 +220,8 @@ class Problem:
     def shared(self, build: Callable[["Problem"], object]):
         """build(self), run on this problem's first call with that `build` and
         then kept for it and every `with_window` copy of it. Only for what
-        follows from the shapes and the measurements, not the window's values."""
+        follows from the shapes, the measurements, the deltas and the world's
+        gravity, not the window's values."""
         if build not in self._shared:
             self._shared[build] = build(self)
         return self._shared[build]
@@ -217,6 +230,19 @@ class Problem:
     def layout(self) -> "FactorLayout":
         """The problem's `FactorLayout`, built on first use (see `shared`)."""
         return self.shared(factor_layout)
+
+    @property
+    def imu_terms(self) -> GravityTerms:
+        """The deltas' `imu.gravity_terms`, built on first use (see `shared`)
+        and read-only."""
+        return self.shared(_read_only_gravity_terms)
+
+
+def _read_only_gravity_terms(problem: Problem) -> GravityTerms:
+    terms = gravity_terms(problem.deltas, problem.world)
+    for array in terms:
+        array.flags.writeable = False
+    return terms
 
 
 def pose_boxplus(pose: PoseState, delta: np.ndarray, out: PoseState | None = None) -> PoseState:
@@ -289,6 +315,7 @@ class _FactorInputs(NamedTuple):
     """Every factor's inputs, stacked along a leading axis per factor type."""
 
     deltas: PreintegratedDelta  # n-1 deltas
+    imu_terms: GravityTerms  # the deltas' `Problem.imu_terms`
     pose_i: PoseState  # poses 1..n-1
     pose_j: PoseState  # poses 2..n
     meas: PixelMeasurement  # K measurements sorted by (frame, landmark)
@@ -304,6 +331,7 @@ def _gather(problem: Problem) -> _FactorInputs:
     keyframes = layout.keyframe_index
     return _FactorInputs(
         deltas=problem.deltas,
+        imu_terms=problem.imu_terms,
         pose_i=PoseState(R[..., :-1, :, :], v[..., :-1, :], p[..., :-1, :]),
         pose_j=PoseState(R[..., 1:, :, :], v[..., 1:, :], p[..., 1:, :]),
         meas=problem.measurements,
@@ -317,7 +345,7 @@ def stacked_residual(problem: Problem) -> np.ndarray:
 
     A problem with leading batch axes gives (..., rows) residuals."""
     f = _gather(problem)
-    imu = imu_residual(f.deltas, f.pose_i, f.pose_j, problem.world)
+    imu = imu_residual(f.deltas, f.pose_i, f.pose_j, problem.world, f.imu_terms)
     pixel = photometric_residual(problem.cam, f.seen_from, f.landmarks, f.meas)
     lead = imu.shape[:-2]
     return np.concatenate([imu.reshape(lead + (-1,)), pixel.reshape(lead + (-1,))], axis=-1)
@@ -377,7 +405,7 @@ def assemble(problem: Problem):
     with those axes; the (rows,) weights are shared by the batch. The
     weights and the column indices are the problem's `layout`, read-only."""
     f = _gather(problem)
-    imu_r, imu_J = imu_residual_jacobian(f.deltas, f.pose_i, f.pose_j, problem.world)
+    imu_r, imu_J = imu_residual_jacobian(f.deltas, f.pose_i, f.pose_j, problem.world, f.imu_terms)
     pixel_r, pixel_J = photometric_jacobian(problem.cam, f.seen_from, f.landmarks, f.meas)
     lead = imu_r.shape[:-2]
     residual = np.concatenate([imu_r.reshape(lead + (-1,)), pixel_r.reshape(lead + (-1,))], axis=-1)

@@ -28,19 +28,28 @@ evaluation of the relative motion, for the Gauss-Newton assembly. Both
 broadcast over leading axes: given K factors' fields stacked as dR (K,3,3),
 dv and dp (K,3), dt_total (K,), pose R (K,3,3) and v, p (K,3), they give
 (K, 9) residuals and (K, 9, 18) Jacobians. A single factor is the stack with
-no leading axes. The residual and Jacobian kernels run on every Gauss-Newton
-iteration, so they call only numpy ufuncs and array methods, not the
-Python-level wrappers around them; each replacement is the wrapper's own
-formula, so every result keeps its bits.
+no leading axes.
+
+The residual and Jacobian kernels run on every Gauss-Newton iteration, so
+they compute only what the iterate changes. What follows from the deltas and
+gravity alone, dt, g dt and g dt^2 / 2 (`GravityTerms`), does not change
+with the iterate: a caller that evaluates the same deltas many times passes
+them as `terms`, built once by `gravity_terms`, which also checks dt; given
+no terms, each call builds them. The three skew matrices of the Jacobian,
+of r_rot (for the inverse right Jacobian) and of the velocity and position
+terms, come from one `hat` call. The kernels call only numpy ufuncs and
+array methods, not the Python-level wrappers around them; each replacement
+is the wrapper's own formula, so every result keeps its bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .manifold import SMALL_ANGLE, exp_map, hat, log_map
+from .manifold import _by_angle, exp_map, hat, log_map
 
 _EYE = np.eye(3)
 _NEG_EYE = -_EYE
@@ -156,69 +165,100 @@ def preintegrate(samples: ImuSample) -> PreintegratedDelta:
     return integrate(PreintegratedDelta(), samples)
 
 
-def _relative_motion(delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams):
-    """The (..., 9) residual and the terms its Jacobian reuses, over leading axes:
-    (residual, dt, R_i^T, R_i^T R_j, [velocity term, position term] as the
-    columns of one (..., 3, 2) array)."""
-    dt = np.asarray(delta.dt_total, dtype=float)
+class GravityTerms(NamedTuple):
+    """What a stack of IMU factors reads from its deltas and gravity alone,
+    with the deltas' leading axes."""
+
+    dt: np.ndarray  # (..., 1) dt_total, to scale a 3-vector
+    g_dt: np.ndarray  # (..., 3) g dt
+    half_g_dt2: np.ndarray  # (..., 3) g dt^2 / 2, as 0.5 * g * dt * dt
+    dt_block: np.ndarray  # (..., 1, 1) dt_total, to scale a 3x3 block
+
+
+def gravity_terms(delta: PreintegratedDelta, world: WorldParams) -> GravityTerms:
+    """The deltas' `GravityTerms` under the world's gravity, from a copy of
+    dt_total. Rejects a dt_total that is not > 0."""
+    dt = np.array(delta.dt_total, dtype=float)
     if not (dt > 0.0).all():
         raise ValueError("imu_residual: delta.dt_total must be positive")
     g = np.asarray(world.gravity, dtype=float)
     step = dt[..., None]
+    return GravityTerms(step, g * step, 0.5 * g * step * step, dt[..., None, None])
+
+
+def _relative_motion(delta: PreintegratedDelta, pose_i, pose_j, terms: GravityTerms):
+    """The (..., 9) residual and the terms its Jacobian reuses, over leading axes:
+    (residual, R_i^T, R_i^T R_j, [velocity term, position term] as the
+    columns of one (..., 3, 2) array)."""
     Ri_T = pose_i.R.swapaxes(-1, -2)
     A = Ri_T @ pose_j.R
     r_rot = log_map(delta.dR.swapaxes(-1, -2) @ A)
-    vel = pose_j.v - pose_i.v - g * step
+    vel = pose_j.v - pose_i.v - terms.g_dt
     # the columns [vel, pos], as np.stack([vel, pos], axis=-1) gives them
     columns = np.empty(vel.shape + (2,))
     columns[..., 0] = vel
-    columns[..., 1] = pose_j.p - pose_i.p - pose_i.v * step - 0.5 * g * step * step
-    terms = Ri_T @ columns
-    residual = np.concatenate([r_rot, terms[..., 0] - delta.dv, terms[..., 1] - delta.dp], axis=-1)
-    return residual, dt, Ri_T, A, terms
+    columns[..., 1] = pose_j.p - pose_i.p - pose_i.v * terms.dt - terms.half_g_dt2
+    motion = Ri_T @ columns
+    residual = np.concatenate([r_rot, motion[..., 0] - delta.dv, motion[..., 1] - delta.dp], axis=-1)
+    return residual, Ri_T, A, motion
 
 
-def imu_residual(delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams) -> np.ndarray:
+def imu_residual(
+    delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams, terms: GravityTerms | None = None
+) -> np.ndarray:
     """Stacked (..., 9) residuals [r_rot; r_vel; r_pos]; zero when the two
-    states match the preintegrated measurement exactly."""
-    return _relative_motion(delta, pose_i, pose_j, world)[0]
+    states match the preintegrated measurement exactly. `terms` are the
+    deltas' `gravity_terms` under `world`, built here when not given."""
+    if terms is None:
+        terms = gravity_terms(delta, world)
+    return _relative_motion(delta, pose_i, pose_j, terms)[0]
 
 
-def _inv_right_jacobian(phi: np.ndarray) -> np.ndarray:
-    """Inverse right Jacobians of SO(3), (..., 3) to (..., 3, 3):
-    Log(Exp(phi) Exp(eps)) ~ phi + Jr_inv(phi) eps."""
+def _jr_inv_taylor(angle):
+    return (np.full_like(angle, 1.0 / 12.0),)
+
+
+def _jr_inv_exact(angle):
+    return (1.0 / (angle * angle) - (1.0 + np.cos(angle)) / (2.0 * angle * np.sin(angle)),)
+
+
+def _inv_right_jacobian(phi: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Inverse right Jacobians of SO(3), (..., 3) to (..., 3, 3), from phi
+    and S = hat(phi): Log(Exp(phi) Exp(eps)) ~ phi + Jr_inv(phi) eps."""
     angle = np.sqrt(np.add.reduce(phi * phi, axis=-1))  # np.linalg.norm(phi, axis=-1)
-    small = angle < SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    coef = np.where(
-        small,
-        1.0 / 12.0,
-        1.0 / (safe * safe) - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe)),
-    )
-    S = hat(phi)
+    (coef,) = _by_angle(angle, _jr_inv_taylor, _jr_inv_exact)
     return _EYE + 0.5 * S + coef[..., None, None] * (S @ S)
 
 
-def imu_residual_jacobian(delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams):
+def imu_residual_jacobian(
+    delta: PreintegratedDelta, pose_i, pose_j, world: WorldParams, terms: GravityTerms | None = None
+):
     """The (..., 9) residuals of imu_residual and their (..., 9, 18) Jacobians
     w.r.t. the boxplus increments of both poses, from one evaluation.
 
     Column blocks are [dR_i, dv_i, dp_i, dR_j, dv_j, dp_j], each 3 wide,
     matching the retraction R <- R Exp(dR), v <- v + dv, p <- p + R dp
-    (pre-update R). Certified against central finite differences.
+    (pre-update R). Certified against central finite differences. `terms`
+    are as in `imu_residual`.
     """
-    residual, dt, Ri_T, A, terms = _relative_motion(delta, pose_i, pose_j, world)
-    Jr_inv = _inv_right_jacobian(residual[..., 0:3])
-
+    if terms is None:
+        terms = gravity_terms(delta, world)
+    residual, Ri_T, A, motion = _relative_motion(delta, pose_i, pose_j, terms)
     lead = residual.shape[:-1]
+    # r_rot, the velocity term and the position term as rows, skewed by one hat call
+    vectors = np.empty(lead + (3, 3))
+    vectors[..., 0, :] = residual[..., 0:3]
+    vectors[..., 1:, :] = motion.swapaxes(-1, -2)
+    skews = hat(vectors)
+    Jr_inv = _inv_right_jacobian(residual[..., 0:3], skews[..., 0, :, :])
+
     J = np.zeros(lead + (9, 18))
     J[..., 0:3, 0:3] = -Jr_inv @ A.swapaxes(-1, -2)
     J[..., 0:3, 9:12] = Jr_inv
-    # hat of the velocity term over hat of the position term, from one call
-    J[..., 3:9, 0:3] = hat(terms.swapaxes(-1, -2)).reshape(lead + (6, 3))
+    J[..., 3:9, 0:3] = skews[..., 1:, :, :].reshape(lead + (6, 3))
     J[..., 3:6, 3:6] = -Ri_T
     J[..., 3:6, 12:15] = Ri_T
-    J[..., 6:9, 3:6] = -Ri_T * dt[..., None, None]
+    J[..., 6:9, 3:6] = -Ri_T * terms.dt_block
     J[..., 6:9, 6:9] = _NEG_EYE
     J[..., 6:9, 15:18] = A
     return residual, J

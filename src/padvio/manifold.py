@@ -5,8 +5,9 @@ world). Tangent vectors are 3-vectors in radians (axis times angle).
 
 `hat`, `exp_map` and `log_map` broadcast over leading axes: a (..., 3) stack
 of tangent vectors maps to a (..., 3, 3) stack of matrices and back, and a
-single vector or matrix is the stack with no leading axes. Branches such as
-the small-angle Taylor series are chosen per element.
+single vector or matrix is the stack with no leading axes. The small-angle
+Taylor series is chosen per element, and only the formulas some element takes
+are evaluated (`_by_angle`).
 
 These maps run on every Gauss-Newton iteration, so they call only numpy
 ufuncs and array methods, not the Python-level wrappers around them
@@ -33,9 +34,9 @@ class NearPiRotationError(ValueError):
 _EYE = np.eye(3)
 _EYE.flags.writeable = False
 
-# the entries (i, j) and (j, i) whose difference is twice the vee of R - R^T
-_VEE_ROWS = np.array([2, 0, 1])
-_VEE_COLS = np.array([1, 2, 0])
+# in a flattened 3x3, the entries (2,1), (0,2), (1,0) and then (1,2), (2,0),
+# (0,1), whose differences are twice the vee of R - R^T
+_VEE_ENTRIES = np.array([7, 2, 3, 5, 6, 1])
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -60,15 +61,38 @@ def vee(S: np.ndarray) -> np.ndarray:
     return np.array([S[2, 1], S[0, 2], S[1, 0]])
 
 
+def _by_angle(angle, taylor, exact):
+    """The coefficients taylor(angle) where angle < SMALL_ANGLE and exact(angle)
+    elsewhere; each function returns a tuple of arrays shaped like angle.
+
+    Only the formulas some angle takes run. With both taken, the exact one
+    runs on 1.0 in place of each small angle, so that it divides by no zero,
+    and np.where selects; selecting copies bits, so the coefficients have
+    the same bits whichever formulas run."""
+    small = angle < SMALL_ANGLE
+    if not small.any():
+        return exact(angle)
+    if small.all():
+        return taylor(angle)
+    both = zip(taylor(angle), exact(np.where(small, 1.0, angle)))
+    return tuple(np.where(small, t, e) for t, e in both)
+
+
+def _exp_taylor(angle):
+    # second-order Taylor of sin(a)/a and (1 - cos a)/a^2
+    square = angle * angle
+    return 1.0 - square / 6.0, 0.5 - square / 24.0
+
+
+def _exp_exact(angle):
+    return np.sin(angle) / angle, (1.0 - np.cos(angle)) / (angle * angle)
+
+
 def exp_map(phi: np.ndarray) -> np.ndarray:
     """Rodrigues formula, (..., 3) rotation vectors to (..., 3, 3) rotation matrices."""
     phi = np.asarray(phi, dtype=float)
     angle = np.sqrt(np.add.reduce(phi * phi, axis=-1))  # np.linalg.norm(phi, axis=-1)
-    small = angle < SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    # second-order Taylor of sin(a)/a and (1 - cos a)/a^2 below SMALL_ANGLE
-    a = np.where(small, 1.0 - angle * angle / 6.0, np.sin(safe) / safe)
-    b = np.where(small, 0.5 - angle * angle / 24.0, (1.0 - np.cos(safe)) / (safe * safe))
+    a, b = _by_angle(angle, _exp_taylor, _exp_exact)
     S = hat(phi)
     return _EYE + a[..., None, None] * S + b[..., None, None] * (S @ S)
 
@@ -91,11 +115,18 @@ def log_map(R: np.ndarray) -> np.ndarray:
             f"log_map: rotation angle {first:.9f} rad is within {PI_MARGIN:g} of pi"
         )
     # half the vee of (R - R^T) equals sin(angle) * axis
-    u = 0.5 * (R[..., _VEE_ROWS, _VEE_COLS] - R[..., _VEE_COLS, _VEE_ROWS])
-    small = angle < SMALL_ANGLE
-    safe = np.where(small, 1.0, angle)
-    scale = np.where(small, 1.0 + angle * angle / 6.0, safe / np.sin(safe))
+    entries = R.reshape(R.shape[:-2] + (9,)).take(_VEE_ENTRIES, axis=-1)
+    u = 0.5 * (entries[..., :3] - entries[..., 3:])
+    (scale,) = _by_angle(angle, _log_taylor, _log_exact)
     return u * scale[..., None]
+
+
+def _log_taylor(angle):
+    return (1.0 + angle * angle / 6.0,)  # second-order Taylor of a / sin(a)
+
+
+def _log_exact(angle):
+    return (angle / np.sin(angle),)
 
 
 def is_rotation(R: np.ndarray, tol: float = 1e-9):

@@ -37,12 +37,14 @@ changes: the factors' residuals and Jacobians, their products summed into H
 and g, the cost, the altitudes c, the step gathered and scattered through
 the free index with its multipliers, the step norm and the retraction.
 Only the estimator's own failures at an iterate (a degenerate projection
-depth, a singular step, a relative rotation near pi) abort the run with an
-IterationError; any other exception propagates as it is.
+depth, a singular step, a relative rotation near pi, a cost or step norm
+that is not finite) abort the run with an IterationError; any other
+exception propagates as it is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
@@ -79,6 +81,18 @@ class RankDeficientError(RuntimeError):
     def __init__(self, size: int, rank: int):
         self.deficiency = size - rank
         super().__init__(f"linear system of size {size} is rank deficient by {self.deficiency}")
+
+
+class NonFiniteError(ArithmeticError):
+    """The cost or the step norm at an iterate is not finite: the solve
+    overflowed or diverged."""
+
+
+def _finite(name: str, value: float) -> float:
+    """value, or NonFiniteError naming it when it is not finite."""
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{name} is not finite: {value}")
+    return value
 
 
 class IterationError(RuntimeError):
@@ -393,9 +407,11 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
     A config field that breaks its `inputs` rule raises ValueError naming
     it. A problem with batch axes (from a batch of flights, see
     `sim.generate`) raises ValueError naming their shape. A degenerate
-    projection depth, a singular system or a relative rotation within
-    `manifold.PI_MARGIN` of pi aborts the run with an IterationError naming
-    the iterate and carrying partial histories; no other error is wrapped.
+    projection depth, a singular system, a relative rotation within
+    `manifold.PI_MARGIN` of pi or a cost or step norm that is not finite
+    (`NonFiniteError`) aborts the run with an IterationError naming the
+    iterate and carrying the finite histories up to it; no other error is
+    wrapped.
     """
     if config is None:
         config = SolverConfig()
@@ -420,14 +436,15 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
         current.window = window
         try:
             residual, jacobian, weights = assemble(current)
+            cost_history.append(_finite("cost", float(residual @ (weights * residual))))
             H, g = _normal_system(residual, jacobian, weights, config.damping, plan.index)
-            cost_history.append(float(residual @ (weights * residual)))
             if config.constrain_altitude:
                 fixed, c = altitude_constraint(current)
             delta, _ = constrained_step(H, g, fixed, c, free)
-        except (DegenerateDepthError, RankDeficientError, NearPiRotationError) as err:
+            step_norm = _finite("step norm", float(np.sqrt(delta.dot(delta))))  # np.linalg.norm(delta)
+        except (DegenerateDepthError, RankDeficientError, NearPiRotationError, NonFiniteError) as err:
             raise IterationError(err, iteration, cost_history, step_norms) from err
-        step_norms.append(float(np.sqrt(delta.dot(delta))))  # np.linalg.norm(delta)
+        step_norms.append(step_norm)
         window = boxplus(window, delta)
         if step_norms[-1] < config.convergence_tol:
             break

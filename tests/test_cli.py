@@ -512,6 +512,25 @@ def test_estimate_solver_failure_removes_earlier_reports(tmp_path):
         assert not (out / name).exists()
 
 
+def test_estimate_overflowing_solve_exits_2(tmp_path, capsys):
+    # the first step's norm overflows under this weight; the run used to exit
+    # 0 with cost "-> nan" and a pose_errors.csv of NaN
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--out", str(tmp_path)]) == 0
+    assert cli.main(["estimate", str(tmp_path / "dataset.txt"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    cfg = _write_config(tmp_path, photometric_weight=1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        status = cli.main(["estimate", str(tmp_path / "dataset.txt"), "--config", cfg, "--out", str(out)])
+    assert status == 2
+    assert capsys.readouterr().err == "solver failed: iteration 1 aborted: step norm is not finite: inf\n"
+    header, rows = _read_csv(out / "convergence.csv")
+    assert header == ["iteration", "cost", "step_norm"]
+    assert len(rows) == 1 and rows[0][0] == "1" and math.isfinite(float(rows[0][1])) and rows[0][2] == ""
+    for name in ("pose_errors.csv", "landmark_errors.csv", "summary.csv"):
+        assert not (out / name).exists()
+
+
 def test_estimate_unmeasured_marker_without_damping_exits_2(tmp_path, capsys, caplog):
     # with marker 3 never seen and no damping, the first step's system is rank deficient
     out = tmp_path / "out"

@@ -7,14 +7,21 @@ the Python-level wrappers around them (`np.linalg.norm`, `np.clip`,
 replacement is the wrapper's own formula, so every output must have the
 reference's bits, signed zeros included. A rewrite that reorders a sum or
 fuses a multiply-add (`einsum`, FMA) changes some last bits and fails here.
+
+The kernels also skip work the references do: the SO(3) maps evaluate only
+the small-angle branches some element takes, and `assemble` passes the IMU
+factor its problem's gravity terms, built once. Neither may change a bit.
 """
 
 import numpy as np
 import pytest
 
-from padvio.graph import PoseState
-from padvio.imu import PreintegratedDelta, WorldParams, _inv_right_jacobian, imu_residual_jacobian
+from padvio import checks
+from padvio.cli import ExperimentConfig, dataset_from_config
+from padvio.graph import PoseState, assemble, boxplus, stacked_residual
+from padvio.imu import PreintegratedDelta, WorldParams, _inv_right_jacobian, imu_residual, imu_residual_jacobian
 from padvio.manifold import PI_MARGIN, SMALL_ANGLE, exp_map, hat, log_map
+from padvio.sim import make_problem, perturb_initialization
 
 # --- the wrapper-based formulas, as the kernels had them ---------------------
 
@@ -101,10 +108,10 @@ def reference_imu_residual_jacobian(delta, pose_i, pose_j, world):
 
 
 def assert_same_bits(got, expected):
+    """Same shape, dtype and bytes: signed zeros and NaNs included."""
     got, expected = np.asarray(got), np.asarray(expected)
     assert got.shape == expected.shape and got.dtype == expected.dtype
-    assert np.array_equal(got, expected)
-    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def _tangents(rng):
@@ -168,9 +175,65 @@ def test_log_map_rejects_a_near_pi_rotation_with_the_same_error(rng):
 
 
 def test_inv_right_jacobian_keeps_every_bit(phi):
-    assert_same_bits(_inv_right_jacobian(phi), reference_inv_right_jacobian(phi))
+    assert_same_bits(_inv_right_jacobian(phi, hat(phi)), reference_inv_right_jacobian(phi))
     for v in phi[0]:
-        assert_same_bits(_inv_right_jacobian(v), reference_inv_right_jacobian(v))
+        assert_same_bits(_inv_right_jacobian(v, hat(v)), reference_inv_right_jacobian(v))
+
+
+def _branch_tangents(rng, branch):
+    """(4, 5, 3) rotation vectors whose angles are all at or past
+    SMALL_ANGLE ("none"), all below it ("every"), or both ("some"); a
+    "+nan" branch adds a NaN vector, whose angle is not below. Each stack
+    holds -0.0 entries."""
+    directions = rng.standard_normal((20, 3))
+    directions /= np.sqrt((directions * directions).sum(axis=-1, keepdims=True))
+    angles = {
+        "none": rng.uniform(0.0, 2.5, 20) + SMALL_ANGLE,
+        "every": rng.uniform(0.0, 0.99 * SMALL_ANGLE, 20),
+    }
+    angles["some"] = np.where(np.arange(20) % 3 == 0, angles["every"], angles["none"])
+    phi = directions * angles[branch.removesuffix("+nan")][:, None]
+    phi[1, 0] = phi[7, 2] = -0.0
+    if branch == "every":
+        phi[0] = -0.0
+    if branch.endswith("+nan"):
+        phi[5, 1] = np.nan
+    return phi.reshape(4, 5, 3)
+
+
+BRANCHES = ["none", "every", "some", "none+nan", "some+nan"]
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_exp_map_keeps_every_bit_on_each_branch(rng, branch):
+    phi = _branch_tangents(rng, branch)
+    assert_same_bits(exp_map(phi), reference_exp_map(phi))
+    for v in phi[1]:
+        assert_same_bits(exp_map(v), reference_exp_map(v))
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_inv_right_jacobian_keeps_every_bit_on_each_branch(rng, branch):
+    phi = _branch_tangents(rng, branch)
+    assert_same_bits(_inv_right_jacobian(phi, hat(phi)), reference_inv_right_jacobian(phi))
+    for v in phi[1]:
+        assert_same_bits(_inv_right_jacobian(v, hat(v)), reference_inv_right_jacobian(v))
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_log_map_keeps_every_bit_on_each_branch(rng, branch):
+    # small angles of the exponentials round to an arccos of exactly 0; the
+    # NaN vector gives a matrix of NaN
+    R = reference_exp_map(_branch_tangents(rng, branch))
+    angle = np.arccos(np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0))
+    small = angle < SMALL_ANGLE
+    assert (small.any(), small.all()) == {"none": (False, False), "every": (True, True)}.get(
+        branch.removesuffix("+nan"), (True, False)
+    )
+    assert np.isnan(R).any() == branch.endswith("+nan")
+    assert_same_bits(log_map(R), reference_log_map(R))
+    for M in R[1]:
+        assert_same_bits(log_map(M), reference_log_map(M))
 
 
 def _factors(rng, lead):
@@ -206,3 +269,62 @@ def test_imu_residual_jacobian_rejects_a_dt_total_that_is_not_positive(rng, bad_
         reference_imu_residual_jacobian(delta, pose_i, pose_j, WorldParams())
     with pytest.raises(ValueError, match="delta.dt_total must be positive"):
         imu_residual_jacobian(delta, pose_i, pose_j, WorldParams())
+
+
+# --- the IMU factor inside assembly, with its problem's gravity terms --------
+
+
+def _reference_problem():
+    config = ExperimentConfig()
+    dataset = dataset_from_config(config)
+    return make_problem(dataset, perturb_initialization(dataset, config.init))
+
+
+def _certification_problems():
+    """A batch of three flights as `checks.certify_stacked` builds it, and
+    that batch at a (2, 3) stack of perturbed windows, as its central
+    differences evaluate it."""
+    rng = np.random.default_rng(7)
+    drawn = [checks._random_flight(rng, 3, 3) for _ in range(3)]
+    flights = checks._simulate(*zip(*drawn))
+    batch = make_problem(flights, boxplus(flights.ground_truth, rng.normal(0.0, 0.02, (3, 27))))
+    perturbed = batch.with_window(boxplus(batch.window, rng.normal(0.0, 1e-6, (2, 1, 27))))
+    return batch, perturbed
+
+
+def _imu_factors(problem):
+    R, v, p = problem.window.poses.R, problem.window.poses.v, problem.window.poses.p
+    before = PoseState(R[..., :-1, :, :], v[..., :-1, :], p[..., :-1, :])
+    after = PoseState(R[..., 1:, :, :], v[..., 1:, :], p[..., 1:, :])
+    return problem.deltas, before, after, problem.world
+
+
+@pytest.mark.parametrize("which", ["reference", "certification batch", "certification differences"])
+def test_assembly_with_the_problems_gravity_terms_keeps_every_bit(which):
+    if which == "reference":
+        problem = _reference_problem()
+    else:
+        problem = _certification_problems()[which != "certification batch"]
+    factors = _imu_factors(problem)
+    expected_residual, expected_J = imu_residual_jacobian(*factors)
+    rows = expected_residual.shape[-2] * 9
+    residual, jacobian, _ = assemble(problem)
+    assert_same_bits(residual[..., :rows], expected_residual.reshape(expected_residual.shape[:-2] + (rows,)))
+    assert_same_bits(jacobian.factors[0][0], expected_J)
+    assert_same_bits(stacked_residual(problem)[..., :rows], residual[..., :rows])
+    assert_same_bits(imu_residual(*factors), expected_residual)
+
+
+def test_gravity_terms_are_read_only_and_shared_by_window_copies():
+    batch, perturbed = _certification_problems()
+    terms = batch.imu_terms
+    assert perturbed.imu_terms is terms
+    assert batch.with_window(batch.window).imu_terms is terms
+    for array in terms:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+    # the terms hold a copy of the deltas' dt_total, which stays writeable
+    assert batch.deltas.dt_total.flags.writeable
+    assert not np.shares_memory(terms.dt, batch.deltas.dt_total)
+    assert_same_bits(terms.dt[..., 0], batch.deltas.dt_total)

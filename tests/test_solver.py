@@ -20,6 +20,7 @@ from padvio.sim import (
 from padvio.solver import (
     TAIL,
     IterationError,
+    NonFiniteError,
     NormalBlocks,
     RankDeficientError,
     SolverConfig,
@@ -550,6 +551,46 @@ def test_solve_aborts_with_the_histories_of_the_public_loop(monkeypatch, n, seed
     err = excinfo.value
     costs, norms, _, _ = _public_loop(problem, replace(config, max_iterations=3))
     assert err.iteration == 4 and isinstance(err.cause, DegenerateDepthError)
+    assert err.cost_history == costs and err.step_norms == norms
+
+
+def test_solve_aborts_at_a_step_norm_that_overflows():
+    # a photometric weight of 1e200 takes the first step's norm past the
+    # largest double; the run used to go on and return a window of NaN
+    dataset = _reference_dataset(seed=29)
+    problem = make_problem(dataset, perturb_initialization(dataset, "cold"), photometric_weight=1e200)
+    residual, _, weights = assemble(problem)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IterationError) as excinfo:
+        solve(problem, SolverConfig(max_iterations=5))
+    err = excinfo.value
+    assert err.iteration == 1 and isinstance(err.cause, NonFiniteError)
+    assert str(err) == "iteration 1 aborted: step norm is not finite: inf"
+    # the first cost is finite and kept; the step that overflowed is not
+    assert err.cost_history == [float(residual @ (weights * residual))] and err.step_norms == []
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_solve_aborts_at_the_first_cost_that_is_not_finite(monkeypatch, bad):
+    # the third assembly gives a residual that is not finite: the histories
+    # are the first two iterates', and the cost is named
+    problem = _cold_problem(7, 30)
+    config = SolverConfig(max_iterations=10)
+    calls = []
+
+    def diverging(problem):
+        calls.append(None)
+        residual, jacobian, weights = assemble(problem)
+        if len(calls) == 3:
+            residual[4] = bad
+        return residual, jacobian, weights
+
+    monkeypatch.setattr(solver, "assemble", diverging)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IterationError) as excinfo:
+        solve(problem, config)
+    err = excinfo.value
+    costs, norms, _, _ = _public_loop(problem, replace(config, max_iterations=2))
+    assert err.iteration == 3 and isinstance(err.cause, NonFiniteError)
+    assert str(err.cause) == f"cost is not finite: {float(bad)}"
     assert err.cost_history == costs and err.step_norms == norms
 
 
