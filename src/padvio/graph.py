@@ -38,8 +38,9 @@ and sorted measurements alone. `Problem.layout` builds it on first use, as a
 so a Gauss-Newton loop builds it once and a problem that is never evaluated
 never builds it. `Problem.imu_terms`, the IMU factors' dt, g dt and
 g dt^2 / 2 (`imu.GravityTerms`), follow from the deltas and gravity alone
-and are kept the same way; `stacked_residual` and `assemble` pass them to
-the IMU factor.
+and are kept the same way, but checked on each use against the bits of
+dt_total and gravity they were built from; `stacked_residual` and
+`assemble` pass them to the IMU factor.
 
 A window may carry leading batch axes before its keyframe and landmark
 axes: poses R (..., n, 3, 3), v and p (..., n, 3), landmarks (..., N, 3).
@@ -220,8 +221,7 @@ class Problem:
     def shared(self, build: Callable[["Problem"], object]):
         """build(self), run on this problem's first call with that `build` and
         then kept for it and every `with_window` copy of it. Only for what
-        follows from the shapes, the measurements, the deltas and the world's
-        gravity, not the window's values."""
+        follows from the shapes and the measurements, not the window's values."""
         if build not in self._shared:
             self._shared[build] = build(self)
         return self._shared[build]
@@ -233,16 +233,26 @@ class Problem:
 
     @property
     def imu_terms(self) -> GravityTerms:
-        """The deltas' `imu.gravity_terms`, built on first use (see `shared`)
-        and read-only."""
-        return self.shared(_read_only_gravity_terms)
+        """The deltas' `imu.gravity_terms` under the world's gravity,
+        read-only. Kept like what `shared` builds, but each use compares the
+        bits of dt_total and gravity with those the terms were built from and
+        rebuilds them on a change, so a reassigned `deltas` or `world`, or a
+        write into their arrays, is seen."""
+        source = (_bits(self.deltas.dt_total), _bits(self.world.gravity))
+        kept = self._shared.get("imu_terms")
+        if kept is None or kept[0] != source:
+            terms = gravity_terms(self.deltas, self.world)
+            for array in terms:
+                array.flags.writeable = False
+            kept = self._shared["imu_terms"] = (source, terms)
+        return kept[1]
 
 
-def _read_only_gravity_terms(problem: Problem) -> GravityTerms:
-    terms = gravity_terms(problem.deltas, problem.world)
-    for array in terms:
-        array.flags.writeable = False
-    return terms
+def _bits(value) -> tuple:
+    """The shape and bytes of value as a float array, equal for two values
+    exactly when every result computed from them has the same bits."""
+    value = np.asarray(value, dtype=float)
+    return value.shape, value.tobytes()
 
 
 def pose_boxplus(pose: PoseState, delta: np.ndarray, out: PoseState | None = None) -> PoseState:

@@ -37,7 +37,10 @@ with the iterate: a caller that evaluates the same deltas many times passes
 them as `terms`, built once by `gravity_terms`, which also checks dt; given
 no terms, each call builds them. The three skew matrices of the Jacobian,
 of r_rot (for the inverse right Jacobian) and of the velocity and position
-terms, come from one `hat` call. The kernels call only numpy ufuncs and
+terms, come from one `hat` call, and the inverse right Jacobian takes its
+small-angle coefficient through `manifold.by_angle`, as `exp_map` and
+`log_map` do, so only the exact formula runs when no angle is below
+`manifold.SMALL_ANGLE`. The kernels call only numpy ufuncs and
 array methods, not the Python-level wrappers around them; each replacement
 is the wrapper's own formula, so every result keeps its bits.
 """
@@ -49,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .manifold import _by_angle, exp_map, hat, log_map
+from .manifold import by_angle, exp_map, hat, log_map
 
 _EYE = np.eye(3)
 _NEG_EYE = -_EYE
@@ -172,7 +175,6 @@ class GravityTerms(NamedTuple):
     dt: np.ndarray  # (..., 1) dt_total, to scale a 3-vector
     g_dt: np.ndarray  # (..., 3) g dt
     half_g_dt2: np.ndarray  # (..., 3) g dt^2 / 2, as 0.5 * g * dt * dt
-    dt_block: np.ndarray  # (..., 1, 1) dt_total, to scale a 3x3 block
 
 
 def gravity_terms(delta: PreintegratedDelta, world: WorldParams) -> GravityTerms:
@@ -183,7 +185,7 @@ def gravity_terms(delta: PreintegratedDelta, world: WorldParams) -> GravityTerms
         raise ValueError("imu_residual: delta.dt_total must be positive")
     g = np.asarray(world.gravity, dtype=float)
     step = dt[..., None]
-    return GravityTerms(step, g * step, 0.5 * g * step * step, dt[..., None, None])
+    return GravityTerms(step, g * step, 0.5 * g * step * step)
 
 
 def _relative_motion(delta: PreintegratedDelta, pose_i, pose_j, terms: GravityTerms):
@@ -226,7 +228,7 @@ def _inv_right_jacobian(phi: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Inverse right Jacobians of SO(3), (..., 3) to (..., 3, 3), from phi
     and S = hat(phi): Log(Exp(phi) Exp(eps)) ~ phi + Jr_inv(phi) eps."""
     angle = np.sqrt(np.add.reduce(phi * phi, axis=-1))  # np.linalg.norm(phi, axis=-1)
-    (coef,) = _by_angle(angle, _jr_inv_taylor, _jr_inv_exact)
+    (coef,) = by_angle(angle, _jr_inv_taylor, _jr_inv_exact)
     return _EYE + 0.5 * S + coef[..., None, None] * (S @ S)
 
 
@@ -258,7 +260,7 @@ def imu_residual_jacobian(
     J[..., 3:9, 0:3] = skews[..., 1:, :, :].reshape(lead + (6, 3))
     J[..., 3:6, 3:6] = -Ri_T
     J[..., 3:6, 12:15] = Ri_T
-    J[..., 6:9, 3:6] = -Ri_T * terms.dt_block
+    J[..., 6:9, 3:6] = -Ri_T * terms.dt[..., None]
     J[..., 6:9, 6:9] = _NEG_EYE
     J[..., 6:9, 15:18] = A
     return residual, J

@@ -6,8 +6,9 @@ world). Tangent vectors are 3-vectors in radians (axis times angle).
 `hat`, `exp_map` and `log_map` broadcast over leading axes: a (..., 3) stack
 of tangent vectors maps to a (..., 3, 3) stack of matrices and back, and a
 single vector or matrix is the stack with no leading axes. The small-angle
-Taylor series is chosen per element, and only the formulas some element takes
-are evaluated (`_by_angle`).
+Taylor series is chosen per element by `by_angle`, which the inverse right
+Jacobian in `imu` shares; when no element is small, only the exact formulas
+are evaluated.
 
 These maps run on every Gauss-Newton iteration, so they call only numpy
 ufuncs and array methods, not the Python-level wrappers around them
@@ -61,19 +62,17 @@ def vee(S: np.ndarray) -> np.ndarray:
     return np.array([S[2, 1], S[0, 2], S[1, 0]])
 
 
-def _by_angle(angle, taylor, exact):
+def by_angle(angle, taylor, exact):
     """The coefficients taylor(angle) where angle < SMALL_ANGLE and exact(angle)
     elsewhere; each function returns a tuple of arrays shaped like angle.
 
-    Only the formulas some angle takes run. With both taken, the exact one
-    runs on 1.0 in place of each small angle, so that it divides by no zero,
-    and np.where selects; selecting copies bits, so the coefficients have
-    the same bits whichever formulas run."""
+    When no angle is small only exact runs. Otherwise both run, exact on 1.0
+    in place of each small angle so that it divides by no zero, and np.where
+    selects; selecting copies bits, so the coefficients have the same bits
+    on either path."""
     small = angle < SMALL_ANGLE
     if not small.any():
         return exact(angle)
-    if small.all():
-        return taylor(angle)
     both = zip(taylor(angle), exact(np.where(small, 1.0, angle)))
     return tuple(np.where(small, t, e) for t, e in both)
 
@@ -92,7 +91,7 @@ def exp_map(phi: np.ndarray) -> np.ndarray:
     """Rodrigues formula, (..., 3) rotation vectors to (..., 3, 3) rotation matrices."""
     phi = np.asarray(phi, dtype=float)
     angle = np.sqrt(np.add.reduce(phi * phi, axis=-1))  # np.linalg.norm(phi, axis=-1)
-    a, b = _by_angle(angle, _exp_taylor, _exp_exact)
+    a, b = by_angle(angle, _exp_taylor, _exp_exact)
     S = hat(phi)
     return _EYE + a[..., None, None] * S + b[..., None, None] * (S @ S)
 
@@ -117,7 +116,7 @@ def log_map(R: np.ndarray) -> np.ndarray:
     # half the vee of (R - R^T) equals sin(angle) * axis
     entries = R.reshape(R.shape[:-2] + (9,)).take(_VEE_ENTRIES, axis=-1)
     u = 0.5 * (entries[..., :3] - entries[..., 3:])
-    (scale,) = _by_angle(angle, _log_taylor, _log_exact)
+    (scale,) = by_angle(angle, _log_taylor, _log_exact)
     return u * scale[..., None]
 
 

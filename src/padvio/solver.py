@@ -432,20 +432,24 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
     fixed, c = np.zeros(0, dtype=np.intp), np.zeros(0)  # replaced each iteration under the constraint
     free = plan.free if config.constrain_altitude else plan.every
     current = problem.with_window(window)  # the working copy, moved to each iterate
-    for iteration in range(1, iterations + 1):
-        current.window = window
-        try:
-            residual, jacobian, weights = assemble(current)
-            cost_history.append(_finite("cost", float(residual @ (weights * residual))))
-            H, g = _normal_system(residual, jacobian, weights, config.damping, plan.index)
-            if config.constrain_altitude:
-                fixed, c = altitude_constraint(current)
-            delta, _ = constrained_step(H, g, fixed, c, free)
-            step_norm = _finite("step norm", float(np.sqrt(delta.dot(delta))))  # np.linalg.norm(delta)
-        except (DegenerateDepthError, RankDeficientError, NearPiRotationError, NonFiniteError) as err:
-            raise IterationError(err, iteration, cost_history, step_norms) from err
-        step_norms.append(step_norm)
-        window = boxplus(window, delta)
-        if step_norms[-1] < config.convergence_tol:
-            break
+    # an overflow or NaN in an iterate's residual or step makes its cost or step
+    # norm non-finite, which NonFiniteError names; numpy's warnings would only
+    # print ahead of that cause
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, iterations + 1):
+            current.window = window
+            try:
+                residual, jacobian, weights = assemble(current)
+                cost_history.append(_finite("cost", float(residual @ (weights * residual))))
+                H, g = _normal_system(residual, jacobian, weights, config.damping, plan.index)
+                if config.constrain_altitude:
+                    fixed, c = altitude_constraint(current)
+                delta, _ = constrained_step(H, g, fixed, c, free)
+                step_norm = _finite("step norm", float(np.sqrt(delta.dot(delta))))  # np.linalg.norm(delta)
+            except (DegenerateDepthError, RankDeficientError, NearPiRotationError, NonFiniteError) as err:
+                raise IterationError(err, iteration, cost_history, step_norms) from err
+            step_norms.append(step_norm)
+            window = boxplus(window, delta)
+            if step_norms[-1] < config.convergence_tol:
+                break
     return SolveReport(cost_history, window, len(cost_history), step_norms)

@@ -8,9 +8,10 @@ replacement is the wrapper's own formula, so every output must have the
 reference's bits, signed zeros included. A rewrite that reorders a sum or
 fuses a multiply-add (`einsum`, FMA) changes some last bits and fails here.
 
-The kernels also skip work the references do: the SO(3) maps evaluate only
-the small-angle branches some element takes, and `assemble` passes the IMU
-factor its problem's gravity terms, built once. Neither may change a bit.
+The kernels also skip work the references do: the SO(3) maps skip the
+small-angle Taylor branch when no element takes it, and `assemble` passes
+the IMU factor its problem's gravity terms, built once and rebuilt only when
+dt_total or gravity change. Neither may change a bit.
 """
 
 import numpy as np
@@ -328,3 +329,46 @@ def test_gravity_terms_are_read_only_and_shared_by_window_copies():
     assert batch.deltas.dt_total.flags.writeable
     assert not np.shares_memory(terms.dt, batch.deltas.dt_total)
     assert_same_bits(terms.dt[..., 0], batch.deltas.dt_total)
+
+
+def _change_world(problem):
+    problem.world = WorldParams(np.array([0.5, -0.25, 9.0]))
+
+
+def _write_gravity(problem):
+    problem.world.gravity[0] = -0.0
+
+
+def _write_dt(problem):
+    problem.deltas.dt_total[..., 1] *= 1.5
+
+
+def _change_deltas(problem):
+    deltas = problem.deltas
+    problem.deltas = PreintegratedDelta(deltas.dR, deltas.dv, deltas.dp, deltas.dt_total * 0.75)
+
+
+@pytest.mark.parametrize("change", [_change_world, _write_gravity, _write_dt, _change_deltas])
+def test_gravity_terms_follow_a_change_of_dt_total_or_gravity(change):
+    # each problem gets its own world and deltas, so the writes stay in it
+    batch, _ = _certification_problems()
+    batch.world = WorldParams(batch.world.gravity.copy())
+    before = batch.imu_terms
+    assemble(batch)
+    change(batch)
+    copy = batch.with_window(batch.window)
+    factors = _imu_factors(copy)
+    expected_residual, expected_J = imu_residual_jacobian(*factors)
+    rows = expected_residual.shape[-2] * 9
+    residual, jacobian, _ = assemble(copy)
+    assert batch.imu_terms is not before and batch.imu_terms is copy.imu_terms
+    assert_same_bits(residual[..., :rows], expected_residual.reshape(expected_residual.shape[:-2] + (rows,)))
+    assert_same_bits(jacobian.factors[0][0], expected_J)
+
+
+def test_assembly_rejects_a_dt_total_written_to_zero_after_first_use():
+    problem = _reference_problem()
+    assemble(problem)
+    problem.deltas.dt_total[2] = 0.0
+    with pytest.raises(ValueError, match="delta.dt_total must be positive"):
+        assemble(problem)

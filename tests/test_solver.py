@@ -560,7 +560,7 @@ def test_solve_aborts_at_a_step_norm_that_overflows():
     dataset = _reference_dataset(seed=29)
     problem = make_problem(dataset, perturb_initialization(dataset, "cold"), photometric_weight=1e200)
     residual, _, weights = assemble(problem)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IterationError) as excinfo:
+    with pytest.raises(IterationError) as excinfo:
         solve(problem, SolverConfig(max_iterations=5))
     err = excinfo.value
     assert err.iteration == 1 and isinstance(err.cause, NonFiniteError)
@@ -585,7 +585,7 @@ def test_solve_aborts_at_the_first_cost_that_is_not_finite(monkeypatch, bad):
         return residual, jacobian, weights
 
     monkeypatch.setattr(solver, "assemble", diverging)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IterationError) as excinfo:
+    with pytest.raises(IterationError) as excinfo:
         solve(problem, config)
     err = excinfo.value
     costs, norms, _, _ = _public_loop(problem, replace(config, max_iterations=2))
