@@ -39,8 +39,7 @@ no terms, each call builds them. The three skew matrices of the Jacobian,
 of r_rot (for the inverse right Jacobian) and of the velocity and position
 terms, come from one `hat` call, and the inverse right Jacobian takes its
 small-angle coefficient through `manifold.by_angle`, as `exp_map` and
-`log_map` do, so only the exact formula runs when no angle is below
-`manifold.SMALL_ANGLE`. The kernels call only numpy ufuncs and
+`log_map` do, so only the formulas some angle takes run. The kernels call only numpy ufuncs and
 array methods, not the Python-level wrappers around them; each replacement
 is the wrapper's own formula, so every result keeps its bits.
 """

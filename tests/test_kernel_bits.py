@@ -21,7 +21,7 @@ from padvio import checks
 from padvio.cli import ExperimentConfig, dataset_from_config
 from padvio.graph import PoseState, assemble, boxplus, stacked_residual
 from padvio.imu import PreintegratedDelta, WorldParams, _inv_right_jacobian, imu_residual, imu_residual_jacobian
-from padvio.manifold import PI_MARGIN, SMALL_ANGLE, exp_map, hat, log_map
+from padvio.manifold import PI_MARGIN, SMALL_ANGLE, by_angle, exp_map, hat, log_map
 from padvio.sim import make_problem, perturb_initialization
 
 # --- the wrapper-based formulas, as the kernels had them ---------------------
@@ -235,6 +235,20 @@ def test_log_map_keeps_every_bit_on_each_branch(rng, branch):
     assert_same_bits(log_map(R), reference_log_map(R))
     for M in R[1]:
         assert_same_bits(log_map(M), reference_log_map(M))
+
+
+def _not_run(angle):
+    raise AssertionError("a formula no angle takes ran")
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_by_angle_runs_only_the_formulas_some_angle_takes(rng, branch):
+    angle = np.sqrt((_branch_tangents(rng, branch) ** 2).sum(axis=-1))
+    small = angle < SMALL_ANGLE
+    taylor = (lambda a: (a * 0.0 - 1.0,)) if small.any() else _not_run
+    exact = (lambda a: (a * 0.0 + 1.0,)) if not small.all() else _not_run
+    (coef,) = by_angle(angle, taylor, exact)
+    assert_same_bits(coef, np.where(small, -1.0, 1.0 + angle * 0.0))
 
 
 def _factors(rng, lead):
