@@ -221,7 +221,9 @@ class Problem:
     def shared(self, build: Callable[["Problem"], object]):
         """build(self), run on this problem's first call with that `build` and
         then kept for it and every `with_window` copy of it. Only for what
-        follows from the shapes and the measurements, not the window's values."""
+        follows from the shapes and the measurements, not the window's values.
+        `imu_terms` keeps what follows from the deltas and gravity in the same
+        cache, checked against them on each use."""
         if build not in self._shared:
             self._shared[build] = build(self)
         return self._shared[build]
