@@ -9,15 +9,17 @@ into one (2·dim, dim) array, and the residual, the factor functions and the
 retractions broadcast over its leading axis. The numeric Jacobian reads only
 residuals, so it stays independent of the analytic one.
 
-`certify_imu` and `certify_vision` stack all trials' draws, the camera's
-included, so each makes one residual and one Jacobian call for all trials.
-Their draw loops only draw numbers, a rotation as its rotation vector; the
-rotations and the products of the drawn values are formed once per check,
-on the stacks. `certify_stacked` draws trial t's flight inputs of shape
-t mod 4 and its window offset, then simulates the flights of each shape in
-one batched `sim.generate` call into one batched problem: one propagation
-and one preintegration of all their intervals, one `Problem` and one
-`boxplus` of the stacked offsets.
+`certify_imu` and `certify_vision` draw each input field for all trials in
+one generator call, in the order their docstrings state; a rotation is drawn
+as its rotation vector, all axes and then all angles (`_random_rotations`).
+The rotations and the products of the drawn values are formed once per
+check, on the stacks, so each check makes one residual and one Jacobian call
+for all trials, the camera's fields included. `certify_stacked` draws trial
+t's flight inputs of shape t mod 4 and its window offset, then simulates the
+flights of each shape in one batched `sim.generate` call into one batched
+problem: one propagation and one preintegration of all their intervals, one
+`Problem` and one `boxplus` of the stacked offsets. The check reads only the
+preintegrated deltas, so a flight takes one IMU sample per keyframe interval.
 Each shape then makes one residual call and one `assemble` call for all its
 trials. A shape that got no trial (fewer trials than shapes) has no entry
 in the report and prints as not run.
@@ -70,16 +72,16 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric).max(axis=(-2, -1)) / scale).max())
 
 
-def _random_rotation(rng: np.random.Generator, max_angle: float) -> np.ndarray:
-    """A rotation vector: a random axis times an angle below max_angle."""
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    return axis * rng.uniform(0.0, max_angle)
+def _random_rotations(rng: np.random.Generator, count: int, max_angle: float) -> np.ndarray:
+    """(count, 3) rotation vectors: random axes, then angles below max_angle."""
+    axes = rng.standard_normal((count, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    return axes * rng.uniform(0.0, max_angle, count)[:, None]
 
 
-def _random_pose(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One pose's draws: its attitude as a rotation vector, v and p."""
-    return _random_rotation(rng, 0.8), rng.normal(0.0, 1.0, 3), rng.normal(0.0, 2.0, 3)
+def _random_poses(rng: np.random.Generator, count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """count poses' draws: their attitudes as rotation vectors, then v, then p."""
+    return _random_rotations(rng, count, 0.8), rng.normal(0.0, 1.0, (count, 3)), rng.normal(0.0, 2.0, (count, 3))
 
 
 def _shape_name(n: int, N: int) -> str:
@@ -141,15 +143,17 @@ _VISION_ENTRIES = np.concatenate([POSE_ENTRIES, 9 + np.arange(3)])
 
 
 def certify_imu(rng: np.random.Generator, trials: int) -> Dict[str, float]:
-    draws = []
-    for _ in range(trials):
-        dR = _random_rotation(rng, 0.6)
-        dv, dp, dt = rng.normal(0.0, 1.0, 3), rng.normal(0.0, 1.0, 3), rng.uniform(0.1, 1.0)
-        R_i, v_i, p_i = _random_pose(rng)
-        # R_j = R_i dR X: keep the relative-rotation residual well inside the log map's domain
-        X = _random_rotation(rng, 0.3)
-        draws.append((dR, dv, dp, dt, R_i, v_i, p_i, X, rng.normal(0.0, 1.0, 3), rng.normal(0.0, 2.0, 3)))
-    dR, dv, dp, dt, R_i, v_i, p_i, X, v_j, p_j = (np.array(column) for column in zip(*draws))
+    """The IMU factor's block errors over `trials` draws. Each field is drawn
+    for all trials in one call, in this order: the delta's rotation vector,
+    dv, dp and dt, pose i (`_random_poses`), the rotation vector X of
+    R_j = R_i dR X, then v_j and p_j."""
+    dR = _random_rotations(rng, trials, 0.6)
+    dv, dp = rng.normal(0.0, 1.0, (trials, 3)), rng.normal(0.0, 1.0, (trials, 3))
+    dt = rng.uniform(0.1, 1.0, trials)
+    R_i, v_i, p_i = _random_poses(rng, trials)
+    # a small X keeps the relative-rotation residual well inside the log map's domain
+    X = _random_rotations(rng, trials, 0.3)
+    v_j, p_j = rng.normal(0.0, 1.0, (trials, 3)), rng.normal(0.0, 2.0, (trials, 3))
     dR, R_i, X = exp_map(np.stack([dR, R_i, X]))
     R_j = R_i @ dR @ X
     delta = PreintegratedDelta(dR, dv, dp, dt)
@@ -170,14 +174,16 @@ def certify_imu(rng: np.random.Generator, trials: int) -> Dict[str, float]:
 
 
 def certify_vision(rng: np.random.Generator, trials: int) -> Tuple[Dict[str, float], float]:
-    draws = []
-    for _ in range(trials):
-        focal, principal_point = rng.uniform(100.0, 800.0), rng.normal(0.0, 5.0, 2)
-        phi, v, p = _random_pose(rng)
-        # choose the camera-frame point directly so the depth stays safe
-        q = np.array([rng.normal(0.0, 1.0), rng.normal(0.0, 1.0), rng.uniform(1.0, 5.0)])
-        draws.append((focal, principal_point, phi, v, p, q, rng.normal(0.0, 50.0, 2)))
-    focal, principal_point, phi, v, p, q, uv = (np.array(column) for column in zip(*draws))
+    """The pixel factor's block errors over `trials` draws, and the largest
+    numeric entry of its velocity block. Each field is drawn for all trials in
+    one call, in this order: focal, principal point, the pose
+    (`_random_poses`), the camera-frame point's x and y, its depth, then the
+    measured uv."""
+    focal, principal_point = rng.uniform(100.0, 800.0, trials), rng.normal(0.0, 5.0, (trials, 2))
+    phi, v, p = _random_poses(rng, trials)
+    # choose the camera-frame point directly so the depth stays safe
+    q = np.column_stack([rng.normal(0.0, 1.0, (trials, 2)), rng.uniform(1.0, 5.0, trials)])
+    uv = rng.normal(0.0, 50.0, (trials, 2))
     R = exp_map(phi)
     landmark = p + (R @ q[..., None])[..., 0]
     cam, pose, meas = CameraModel(focal, principal_point), PoseState(R, v, p), PixelMeasurement(1, 1, uv)
@@ -195,11 +201,18 @@ def certify_vision(rng: np.random.Generator, trials: int) -> Tuple[Dict[str, flo
     return errors, float(np.abs(numeric[..., _VISION_COLS["dv"]]).max())
 
 
+# a stacked flight's keyframe interval and IMU step: the check reads only the
+# preintegrated deltas, so one IMU sample per interval certifies the same blocks
+_KEYFRAME_DT = 0.4
+
+
 def _random_flight(rng: np.random.Generator, n: int, N: int) -> Tuple[TrajectorySpec, np.ndarray, NoiseSpec]:
     """The inputs of a flight of n keyframes over N markers, its rates drawn
     near hover: its spec, landmarks and noise spec (see `_simulate`)."""
     spec = TrajectorySpec(
-        duration=0.4 * (n - 1),
+        duration=_KEYFRAME_DT * (n - 1),
+        imu_dt=_KEYFRAME_DT,
+        camera_dt=_KEYFRAME_DT,
         initial_pose=default_initial_pose(),
         angular_profile=Profile("constant", {"value": rng.normal(0.0, 0.1, 3)}),
         accel_profile=Profile(
@@ -239,13 +252,16 @@ def certify_stacked(rng: np.random.Generator, trials: int) -> Dict[str, float]:
 
 
 def run_certification(seed: int = 0, trials: int = 100) -> CertificationReport:
-    """Run all three certifications with independent seeded streams."""
+    """Run all three certifications, each on its own child of
+    `SeedSequence(seed)`: no two checks share a stream, at one seed or
+    across seeds."""
     inputs.integer(seed, "seed")
     inputs.integer(trials, "trials", 1)
+    imu_seed, vision_seed, stacked_seed = np.random.SeedSequence(seed).spawn(3)
     report = CertificationReport(trials=trials, seed=seed)
-    report.imu_block_errors = certify_imu(np.random.default_rng(seed), trials)
-    vision_errors, vel_abs = certify_vision(np.random.default_rng(seed + 1), trials)
+    report.imu_block_errors = certify_imu(np.random.default_rng(imu_seed), trials)
+    vision_errors, vel_abs = certify_vision(np.random.default_rng(vision_seed), trials)
     report.vision_block_errors = vision_errors
     report.vision_velocity_block_max_abs = vel_abs
-    report.stacked_errors = certify_stacked(np.random.default_rng(seed + 2), trials)
+    report.stacked_errors = certify_stacked(np.random.default_rng(stacked_seed), trials)
     return report

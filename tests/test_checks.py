@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from dataclasses import replace
@@ -21,18 +22,11 @@ from padvio.imu import PreintegratedDelta, WorldParams
 from padvio.sim import make_problem
 from padvio.vision import CameraModel, DegenerateDepthError, PixelMeasurement
 
-GOLDEN = Path(__file__).parent / "data" / "certification_seed0.json"
-
-
-def _central_difference_per_column(f, dim, h=checks.FD_STEP):
-    """Reference central differences: two single evaluations per column,
-    the columns stacked along the last axis."""
-    cols = []
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = h
-        cols.append((f(e) - f(-e)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+# the trial-by-trial, per-column reference that writes the golden table
+SCRIPT = Path(__file__).parent / "data" / "make_certification_table.py"
+_spec = importlib.util.spec_from_file_location("make_certification_table", SCRIPT)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 def _boxplus_single(window, delta):
@@ -51,40 +45,12 @@ def _assert_windows_equal(a, b):
     np.testing.assert_array_equal(a.landmarks, b.landmarks)
 
 
-def _random_problem(rng, n, N):
-    """Reference for one stacked trial, drawn in the same order: a flight
-    simulated on its own, its own problem at the truth, then the retracted
-    window offset."""
-    dataset = checks._simulate(*checks._random_flight(rng, n, N))
-    problem = make_problem(dataset, dataset.ground_truth.copy())
-    offset = rng.normal(0.0, 0.02, problem.window.dim)
-    return problem.with_window(boxplus(problem.window, offset))
-
-
-def _certify_stacked_trial_by_trial(rng, trials):
-    """Reference for `certify_stacked`: each trial's own problem, its own
-    finite differences and Jacobian, and each shape's largest error."""
-    errors = {}
-    for trial in range(trials):
-        n, N = shape = checks.STACKED_SHAPES[trial % len(checks.STACKED_SHAPES)]
-        problem = _random_problem(rng, n, N)
-        numeric = central_difference(
-            lambda d: stacked_residual(problem.with_window(boxplus(problem.window, d))), problem.window.dim
-        )
-        error = checks._relative_error(assemble(problem)[1].toarray(), numeric)
-        name = checks._shape_name(*shape)
-        errors[name] = max(errors.get(name, error), error)
-    # in STACKED_SHAPES order, as the report holds them
-    order = [checks._shape_name(n, N) for n, N in checks.STACKED_SHAPES]
-    return {name: errors[name] for name in order if name in errors}
-
-
 def test_batched_central_difference_matches_per_column_oracle_on_certify_closures(monkeypatch):
     dims = []
 
     def both(f, dim, h=checks.FD_STEP):
         batched = central_difference(f, dim, h)
-        np.testing.assert_array_equal(batched, _central_difference_per_column(f, dim, h))
+        np.testing.assert_array_equal(batched, reference.central_difference_per_column(f, dim, h))
         dims.append(dim)
         return batched
 
@@ -130,7 +96,8 @@ def test_run_certification_rejects_bad_seed(seed):
 
 
 def test_certification_matches_golden_table():
-    golden = json.loads(GOLDEN.read_text())
+    # the script writes the table from its reference, not from run_certification
+    golden = json.loads(reference.GOLDEN.read_text())
     report = run_certification(seed=golden["seed"], trials=golden["trials"])
     for table in ("imu_block_errors", "vision_block_errors", "stacked_errors"):
         expected, got = golden[table], getattr(report, table)
@@ -144,7 +111,7 @@ def test_certification_matches_golden_table():
 @pytest.mark.parametrize("n,N", [(2, 1), (7, 3)])
 def test_batched_boxplus_and_residual_match_row_by_row(n, N):
     rng = np.random.default_rng(n + N)
-    problem = _random_problem(rng, n, N)
+    problem = reference.random_problem(rng, n, N)
     window = problem.window
     D = rng.normal(0.0, 0.05, (5, window.dim))
     batch = boxplus(window, D)
@@ -161,7 +128,7 @@ def test_batched_boxplus_and_residual_match_row_by_row(n, N):
 
 def test_unbatched_boxplus_matches_pose_by_pose_retraction():
     rng = np.random.default_rng(11)
-    window = _random_problem(rng, 7, 3).window
+    window = reference.random_problem(rng, 7, 3).window
     for _ in range(5):
         delta = rng.normal(0.0, 0.1, window.dim)
         out = boxplus(window, delta)
@@ -193,7 +160,7 @@ def test_batched_stacked_residual_names_degenerate_depth_of_its_row():
 
 def test_with_window_keeps_measurements_and_checks_shape():
     rng = np.random.default_rng(2)
-    problem = _random_problem(rng, 3, 3)
+    problem = reference.random_problem(rng, 3, 3)
     moved = boxplus(problem.window, rng.normal(0.0, 0.01, problem.window.dim))
     swapped = problem.with_window(moved)
     assert swapped.window is moved and swapped.measurements is problem.measurements
@@ -201,7 +168,7 @@ def test_with_window_keeps_measurements_and_checks_shape():
         stacked_residual(swapped), stacked_residual(replace(problem, window=moved))
     )
     assert problem.window is not moved  # the original is left as it was
-    small = _random_problem(rng, 2, 3).window
+    small = reference.random_problem(rng, 2, 3).window
     with pytest.raises(ValueError, match="n=2"):
         problem.with_window(small)
 
@@ -210,7 +177,44 @@ def test_with_window_keeps_measurements_and_checks_shape():
 @pytest.mark.parametrize("trials", [1, 4, 7])
 def test_certify_stacked_matches_trial_by_trial_reference(seed, trials):
     got = checks.certify_stacked(np.random.default_rng(seed), trials)
-    assert got == _certify_stacked_trial_by_trial(np.random.default_rng(seed), trials)
+    assert got == reference.certify_stacked(np.random.default_rng(seed), trials)
+
+
+@pytest.mark.parametrize("check", ["certify_imu", "certify_vision"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("trials", [1, 4, 7])
+def test_per_factor_checks_match_trial_by_trial_reference(check, seed, trials):
+    # the batched draws and the stacked evaluation against each trial on its own
+    got = getattr(checks, check)(np.random.default_rng(seed), trials)
+    assert got == getattr(reference, check)(np.random.default_rng(seed), trials)
+
+
+def test_no_two_checks_share_a_stream_across_seeds(monkeypatch):
+    # seed s's vision check drew from seed s + 1's IMU stream, and its
+    # stacked check from seed s + 2's
+    first_draws = []
+
+    def recorder(result):
+        def check(rng, trials):
+            first_draws.append(tuple(rng.random(4)))
+            return result
+
+        return check
+
+    monkeypatch.setattr(checks, "certify_imu", recorder({}))
+    monkeypatch.setattr(checks, "certify_vision", recorder(({}, 0.0)))
+    monkeypatch.setattr(checks, "certify_stacked", recorder({}))
+    for seed in range(3):
+        run_certification(seed, trials=1)
+    assert len(first_draws) == 9 and len(set(first_draws)) == 9
+
+
+@pytest.mark.parametrize("n,N", checks.STACKED_SHAPES)
+def test_stacked_flights_take_one_imu_sample_per_keyframe_interval(n, N):
+    # the check reads only the preintegrated deltas, which need no 50 Hz flight
+    spec, landmarks, noise = checks._random_flight(np.random.default_rng(n + N), n, N)
+    assert spec.imu_dt == spec.camera_dt
+    assert checks._simulate(spec, landmarks, noise).imu_samples.dt.shape == (n - 1,)
 
 
 @pytest.mark.parametrize("n,N", checks.STACKED_SHAPES)
