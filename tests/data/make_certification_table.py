@@ -5,10 +5,11 @@
 The file holds the report of `run_certification(SEED, TRIALS)`, computed by
 the reference here and not by `padvio.checks`: every trial is evaluated on
 its own, and every finite-difference column from its own two residual calls.
-The reference draws what `padvio.checks` draws, in the order its docstrings
-state, from the same children of `SeedSequence(SEED)`. tests/test_checks.py
-holds the batched checks to this reference on other seeds and trial counts,
-and to the file bit for bit.
+The reference draws each field as `padvio.checks` does, its rotations and
+poses through the same `_random_rotations` and `_random_poses`, from the same
+children of `SeedSequence(SEED)`, and trial t reads row t of each draw.
+tests/test_checks.py holds the batched checks to this reference on other
+seeds and trial counts, and to the file bit for bit.
 
 A change that alters the tables on purpose reruns this script in the same
 commit and records the old and new tables in CHANGES.md. Given OUT, the
@@ -18,7 +19,6 @@ script writes there instead of over the committed file.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -51,33 +51,17 @@ def central_difference_per_column(f, dim, h=checks.FD_STEP):
     return np.stack(cols, axis=-1)
 
 
-def rotation_vectors(rng, count, max_angle):
-    """count rotation vectors: all axes, then all angles. Each axis's norm
-    sums its squares in index order, as a reduction over a row does; the
-    BLAS dot product of np.linalg.norm on one vector may differ in its last
-    bit."""
-    axes = rng.standard_normal((count, 3))
-    angles = rng.uniform(0.0, max_angle, count)
-    return [axis / math.sqrt(axis[0] * axis[0] + axis[1] * axis[1] + axis[2] * axis[2]) * angle
-            for axis, angle in zip(axes, angles)]
-
-
-def poses(rng, count):
-    """count poses' draws: their attitudes as rotation vectors, then v, then p."""
-    return rotation_vectors(rng, count, 0.8), rng.normal(0.0, 1.0, (count, 3)), rng.normal(0.0, 2.0, (count, 3))
-
-
 def _keep_worst(errors, name, error):
     errors[name] = max(errors.get(name, error), error)
 
 
 def certify_imu(rng, trials):
     """`checks.certify_imu`, one trial at a time."""
-    dR = rotation_vectors(rng, trials, 0.6)
+    dR = checks._random_rotations(rng, trials, 0.6)
     dv, dp = rng.normal(0.0, 1.0, (trials, 3)), rng.normal(0.0, 1.0, (trials, 3))
     dt = rng.uniform(0.1, 1.0, trials)
-    phi_i, v_i, p_i = poses(rng, trials)
-    X = rotation_vectors(rng, trials, 0.3)
+    phi_i, v_i, p_i = checks._random_poses(rng, trials)
+    X = checks._random_rotations(rng, trials, 0.3)
     v_j, p_j = rng.normal(0.0, 1.0, (trials, 3)), rng.normal(0.0, 2.0, (trials, 3))
     world = WorldParams()
     errors = {}
@@ -100,7 +84,7 @@ def certify_imu(rng, trials):
 def certify_vision(rng, trials):
     """`checks.certify_vision`, one trial at a time."""
     focal, principal_point = rng.uniform(100.0, 800.0, trials), rng.normal(0.0, 5.0, (trials, 2))
-    phi, v, p = poses(rng, trials)
+    phi, v, p = checks._random_poses(rng, trials)
     xy, depth = rng.normal(0.0, 1.0, (trials, 2)), rng.uniform(1.0, 5.0, trials)
     uv = rng.normal(0.0, 50.0, (trials, 2))
     errors, velocity_max_abs = {}, 0.0

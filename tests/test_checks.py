@@ -217,12 +217,30 @@ def test_stacked_flights_take_one_imu_sample_per_keyframe_interval(n, N):
     assert checks._simulate(spec, landmarks, noise).imu_samples.dt.shape == (n - 1,)
 
 
-@pytest.mark.parametrize("n,N", checks.STACKED_SHAPES)
-def test_batched_problem_matches_each_problem_bit_for_bit(n, N):
-    rng = np.random.default_rng(10 * n + N)
+# each stacked shape's flights at 50 Hz, so preintegration reduces 20 samples
+# per interval over the batch, and as `_random_flight` draws them, one sample
+# per interval
+_FLIGHT_RATES = [pytest.param(n, N, 0.02, id=f"{n}-{N}") for n, N in checks.STACKED_SHAPES] + [
+    pytest.param(n, N, None, id=f"{n}-{N}-one-sample") for n, N in checks.STACKED_SHAPES
+]
+
+
+def _random_flights_at(rng, n, N, imu_dt):
+    """Three `_random_flight` draws, their IMU step set to imu_dt unless it is None."""
     drawn = [checks._random_flight(rng, n, N) for _ in range(3)]
+    if imu_dt is not None:
+        for spec, _, _ in drawn:
+            spec.imu_dt = imu_dt
+    return drawn
+
+
+@pytest.mark.parametrize("n,N,imu_dt", _FLIGHT_RATES)
+def test_batched_problem_matches_each_problem_bit_for_bit(n, N, imu_dt):
+    rng = np.random.default_rng(10 * n + N)
+    drawn = _random_flights_at(rng, n, N, imu_dt)
     offsets = rng.normal(0.0, 0.02, (3, 9 * (n - 1) + 3 * N))
     stacked = checks._simulate(*zip(*drawn))
+    assert stacked.imu_samples.dt.shape == (3, (n - 1) * (1 if imu_dt is None else 20))
     flights = [checks._simulate(*inputs) for inputs in drawn]
     batch = make_problem(stacked, boxplus(stacked.ground_truth, offsets))
     problems = [make_problem(flight, boxplus(flight.ground_truth, offset)) for flight, offset in zip(flights, offsets)]

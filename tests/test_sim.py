@@ -464,9 +464,13 @@ def _assert_batch_matches_each_flight_alone(drawn):
         _assert_flight_of_batch(batch, b, generate(*inputs))
 
 
-def _random_flights(n, N):
+def _random_flights(n, N, imu_dt=None):
+    """Three `checks._random_flight` draws, their IMU step set to imu_dt unless it is None."""
     rng = np.random.default_rng(100 * n + N)
     drawn = [checks._random_flight(rng, n, N) for _ in range(3)]
+    if imu_dt is not None:
+        for spec, _, _ in drawn:
+            spec.imu_dt = imu_dt
     return [(spec, landmarks, CameraModel(500.0), WorldParams(), noise) for spec, landmarks, noise in drawn]
 
 
@@ -480,7 +484,10 @@ def _sinusoid_flights_at_1khz():
 
 @pytest.mark.parametrize(
     "flights",
-    [pytest.param(lambda n=n, N=N: _random_flights(n, N), id=f"{n}-{N}") for n, N in checks.STACKED_SHAPES]
+    # each stacked shape's flights at 50 Hz and as `checks._random_flight`
+    # draws them, one IMU sample per keyframe interval
+    [pytest.param(lambda n=n, N=N: _random_flights(n, N, 0.02), id=f"{n}-{N}") for n, N in checks.STACKED_SHAPES]
+    + [pytest.param(lambda n=n, N=N: _random_flights(n, N), id=f"{n}-{N}-one-sample") for n, N in checks.STACKED_SHAPES]
     + [pytest.param(_sinusoid_flights_at_1khz, id="sinusoid-1kHz")],
 )
 def test_batched_generate_matches_each_flight_alone(flights):
