@@ -14,15 +14,20 @@ one generator call, in the order their docstrings state; a rotation is drawn
 as its rotation vector, all axes and then all angles (`_random_rotations`).
 The rotations and the products of the drawn values are formed once per
 check, on the stacks, so each check makes one residual and one Jacobian call
-for all trials, the camera's fields included. `certify_stacked` draws trial
-t's flight inputs of shape t mod 4 and its window offset, then simulates the
-flights of each shape in one batched `sim.generate` call into one batched
-problem: one propagation and one preintegration of all their intervals, one
-`Problem` and one `boxplus` of the stacked offsets. The check reads only the
-preintegrated deltas, so a flight takes one IMU sample per keyframe interval.
-Each shape then makes one residual call and one `assemble` call for all its
-trials. A shape that got no trial (fewer trials than shapes) has no entry
-in the report and prints as not run.
+for all trials, the camera's fields included. `certify_stacked` draws each
+trial's flight inputs at `_FLIGHT_SHAPE`, the most keyframes and markers of
+any certified shape, then its window offset at its own shape, t mod 4. All
+trials' flights are simulated in one batched `sim.generate` call and
+preintegrated once (`make_problem`): one propagation and one preintegration
+of all their intervals. Simulation and preintegration step in order, so the
+first n keyframes, the first n - 1 deltas and the detections of the first N
+markers of a flight are a window of n keyframes over N markers; each shape's
+trials are cut to their shape this way (`_shape_problem`) into one batched
+`Problem`, which one `boxplus` moves to the stacked offsets. The check reads
+only the preintegrated deltas, so a flight takes one IMU sample per keyframe
+interval. Each shape then makes one residual call and one `assemble` call
+for all its trials. A shape that got no trial (fewer trials than shapes)
+has no entry in the report and prints as not run.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import inputs
-from .graph import PoseState, assemble, boxplus, pose_boxplus, stacked_residual
+from .graph import PoseState, Problem, WindowState, assemble, boxplus, pose_boxplus, stacked_residual
 from .imu import PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
 from .manifold import exp_map
 from .sim import (
@@ -205,10 +210,15 @@ def certify_vision(rng: np.random.Generator, trials: int) -> Tuple[Dict[str, flo
 # preintegrated deltas, so one IMU sample per interval certifies the same blocks
 _KEYFRAME_DT = 0.4
 
+# the keyframe and marker counts every trial's flight is simulated at: each
+# certified shape's window is a prefix of such a flight
+_FLIGHT_SHAPE: Tuple[int, int] = tuple(map(max, zip(*STACKED_SHAPES)))
+
 
 def _random_flight(rng: np.random.Generator, n: int, N: int) -> Tuple[TrajectorySpec, np.ndarray, NoiseSpec]:
     """The inputs of a flight of n keyframes over N markers, its rates drawn
-    near hover: its spec, landmarks and noise spec (see `_simulate`)."""
+    near hover: its spec, landmarks and noise spec (see `_simulate`).
+    `certify_stacked` draws every trial's flight at `_FLIGHT_SHAPE`."""
     spec = TrajectorySpec(
         duration=_KEYFRAME_DT * (n - 1),
         imu_dt=_KEYFRAME_DT,
@@ -225,24 +235,53 @@ def _random_flight(rng: np.random.Generator, n: int, N: int) -> Tuple[Trajectory
 
 
 def _simulate(spec, landmarks, noise) -> Dataset:
-    """The flight, or batch of flights, that `_random_flight` inputs describe."""
+    """The flight, or batch of flights, that `_random_flight` inputs describe.
+    `certify_stacked` simulates all its trials' flights in one call."""
     return generate(spec, landmarks, CameraModel(500.0), WorldParams(), noise)
 
 
+def _shape_problem(flights: Problem, rows: slice, n: int, N: int) -> Problem:
+    """The flights `rows` of a batched problem as windows of n keyframes over
+    N markers, at their truth: each flight's first n keyframes, first n - 1
+    deltas and the detections of its first N markers. Simulation and
+    preintegration step in order, so each is a window of that shape: at
+    zero noise, bit for bit the one its flight cut to n keyframes over its
+    first N markers gives."""
+    poses, deltas, meas = flights.window.poses, flights.deltas, flights.measurements
+    keyframes, intervals = (rows, slice(n)), (rows, slice(n - 1))
+    seen = np.flatnonzero((meas.frame_index <= n) & (meas.landmark_id <= N))
+    return Problem(
+        window=WindowState(
+            PoseState(poses.R[keyframes], poses.v[keyframes], poses.p[keyframes]),
+            flights.window.landmarks[rows, :N],
+        ),
+        deltas=PreintegratedDelta(
+            deltas.dR[intervals], deltas.dv[intervals], deltas.dp[intervals], deltas.dt_total[intervals]
+        ),
+        measurements=PixelMeasurement(meas.frame_index[seen], meas.landmark_id[seen], meas.uv[rows][:, seen]),
+        cam=flights.cam,
+        world=flights.world,
+    )
+
+
 def certify_stacked(rng: np.random.Generator, trials: int) -> Dict[str, float]:
-    drawn: Dict[Tuple[int, int], list] = {shape: [] for shape in STACKED_SHAPES}
+    """The stacked Jacobian's error per window shape over `trials` draws.
+    Trial t draws its flight's inputs at `_FLIGHT_SHAPE`, then its window
+    offset at its shape, `STACKED_SHAPES[t % 4]`."""
+    drawn, offsets = [], []
     for trial in range(trials):
-        n, N = shape = STACKED_SHAPES[trial % len(STACKED_SHAPES)]
+        n, N = STACKED_SHAPES[trial % len(STACKED_SHAPES)]
+        drawn.append(_random_flight(rng, *_FLIGHT_SHAPE))
         # each trial is evaluated off its truth by a window offset, so the
         # comparison point is generic
-        drawn[shape].append((*_random_flight(rng, n, N), rng.normal(0.0, 0.02, 9 * (n - 1) + 3 * N)))
+        offsets.append(rng.normal(0.0, 0.02, 9 * (n - 1) + 3 * N))
+    dataset = _simulate(*zip(*drawn))
+    flights = make_problem(dataset, dataset.ground_truth)
     errors = {}
-    for shape, drawn_trials in drawn.items():
-        if not drawn_trials:
-            continue
-        specs, landmarks, noises, offsets = zip(*drawn_trials)
-        flights = _simulate(specs, landmarks, noises)
-        batch = make_problem(flights, boxplus(flights.ground_truth, np.array(offsets)))
+    for k, shape in enumerate(STACKED_SHAPES[:trials]):
+        rows = slice(k, trials, len(STACKED_SHAPES))
+        batch = _shape_problem(flights, rows, *shape)
+        batch = batch.with_window(boxplus(batch.window, np.array(offsets[rows])))
         # the increments' axis goes before the trials' axis of the batch
         numeric = central_difference(
             lambda d: stacked_residual(batch.with_window(boxplus(batch.window, d[..., None, :]))), batch.window.dim

@@ -163,7 +163,8 @@ class Problem:
     uv may carry leading batch axes (see the module docstring); the checks
     read their last axes. Only the window is swapped after construction
     (`with_window`): what `shared` keeps follows from the other fields, so
-    another problem is built with `dataclasses.replace`."""
+    assigning any of them raises AttributeError naming it, and another
+    problem is built with `dataclasses.replace`."""
 
     window: WindowState
     deltas: PreintegratedDelta
@@ -175,7 +176,6 @@ class Problem:
     _shared: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._shared = {}
         inputs.real(self.photometric_weight, "photometric_weight", positive=True)
         for name in ("poses.R", "poses.v", "poses.p", "landmarks"):
             if not np.isfinite(operator.attrgetter(name)(self.window)).all():
@@ -204,6 +204,15 @@ class Problem:
                 f"out of range for n={n}, N={N}"
             )
         self.measurements = self.measurements[np.lexsort((ids, frames))]
+        self._shared = {}  # set last: from here on only the window may be assigned
+
+    def __setattr__(self, name: str, value) -> None:
+        if name != "window" and "_shared" in self.__dict__:
+            raise AttributeError(
+                f"Problem.{name} cannot be assigned after construction, since what the problem "
+                "keeps is built from it; build another problem with dataclasses.replace"
+            )
+        object.__setattr__(self, name, value)
 
     def with_window(self, window: WindowState) -> "Problem":
         """This problem at another window of the same n and N, which may carry
@@ -238,8 +247,8 @@ class Problem:
         """The deltas' `imu.gravity_terms` under the world's gravity,
         read-only. Kept like what `shared` builds, but each use compares the
         bits of dt_total and gravity with those the terms were built from and
-        rebuilds them on a change, so a reassigned `deltas` or `world`, or a
-        write into their arrays, is seen."""
+        rebuilds them on a change, so a write into their arrays, or a field
+        of the deltas or the world assigned anew, is seen."""
         source = (_bits(self.deltas.dt_total), _bits(self.world.gravity))
         kept = self._shared.get("imu_terms")
         if kept is None or kept[0] != source:

@@ -7,7 +7,8 @@ the reference here and not by `padvio.checks`: every trial is evaluated on
 its own, and every finite-difference column from its own two residual calls.
 The reference draws each field as `padvio.checks` does, its rotations and
 poses through the same `_random_rotations` and `_random_poses`, from the same
-children of `SeedSequence(SEED)`, and trial t reads row t of each draw.
+children of `SeedSequence(SEED)`, and trial t reads row t of each draw. A
+stacked trial simulates its own flight and cuts its own window out of it.
 tests/test_checks.py holds the batched checks to this reference on other
 seeds and trial counts, and to the file bit for bit.
 
@@ -28,7 +29,7 @@ import padvio  # noqa: F401
 import numpy as np
 
 from padvio import checks
-from padvio.graph import PoseState, assemble, boxplus, pose_boxplus, stacked_residual
+from padvio.graph import PoseState, Problem, WindowState, assemble, boxplus, pose_boxplus, stacked_residual
 from padvio.imu import PreintegratedDelta, WorldParams, imu_residual, imu_residual_jacobian
 from padvio.manifold import exp_map
 from padvio.sim import make_problem
@@ -106,10 +107,19 @@ def certify_vision(rng, trials):
 
 def random_problem(rng, n, N):
     """One stacked trial, drawn in `checks.certify_stacked`'s order: a flight
-    simulated on its own, its own problem at the truth, then the retracted
-    window offset."""
-    dataset = checks._simulate(*checks._random_flight(rng, n, N))
-    problem = make_problem(dataset, dataset.ground_truth.copy())
+    of `checks._FLIGHT_SHAPE` simulated on its own, its own problem at the
+    truth cut to its first n keyframes, first n - 1 deltas and the
+    detections of its first N markers, then the retracted window offset."""
+    dataset = checks._simulate(*checks._random_flight(rng, *checks._FLIGHT_SHAPE))
+    flight = make_problem(dataset, dataset.ground_truth.copy())
+    d, meas = flight.deltas, flight.measurements
+    problem = Problem(
+        window=WindowState(flight.window.poses[:n], flight.window.landmarks[:N]),
+        deltas=PreintegratedDelta(d.dR[: n - 1], d.dv[: n - 1], d.dp[: n - 1], d.dt_total[: n - 1]),
+        measurements=meas[(meas.frame_index <= n) & (meas.landmark_id <= N)],
+        cam=flight.cam,
+        world=flight.world,
+    )
     offset = rng.normal(0.0, 0.02, problem.window.dim)
     return problem.with_window(boxplus(problem.window, offset))
 

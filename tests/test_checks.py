@@ -1,13 +1,14 @@
 import importlib.util
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from padvio import checks
+from padvio import checks, imu, sim
 from padvio.checks import central_difference, run_certification
 from padvio.graph import (
     PoseState,
@@ -209,12 +210,87 @@ def test_no_two_checks_share_a_stream_across_seeds(monkeypatch):
     assert len(first_draws) == 9 and len(set(first_draws)) == 9
 
 
+def _record_calls(monkeypatch, module, name):
+    """The list that records the arguments and result of each call of
+    `module.name`, under every padvio module name that refers to it."""
+    original, calls = getattr(module, name), []
+
+    def recorded(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    for key, mod in list(sys.modules.items()):
+        if key == "padvio" or key.startswith("padvio."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, recorded)
+    return calls
+
+
 @pytest.mark.parametrize("n,N", checks.STACKED_SHAPES)
-def test_stacked_flights_take_one_imu_sample_per_keyframe_interval(n, N):
-    # the check reads only the preintegrated deltas, which need no 50 Hz flight
-    spec, landmarks, noise = checks._random_flight(np.random.default_rng(n + N), n, N)
-    assert spec.imu_dt == spec.camera_dt
-    assert checks._simulate(spec, landmarks, noise).imu_samples.dt.shape == (n - 1,)
+def test_stacked_flights_take_one_imu_sample_per_keyframe_interval(n, N, monkeypatch):
+    # the check reads only the preintegrated deltas, which need no 50 Hz
+    # flight; every shape is cut from flights of `_FLIGHT_SHAPE`
+    simulated = _record_calls(monkeypatch, checks, "_simulate")
+    certified = _record_calls(monkeypatch, checks, "assemble")
+    shapes = len(checks.STACKED_SHAPES)
+    checks.certify_stacked(np.random.default_rng(n + N), shapes)
+    [((specs, _, _), flights)] = simulated
+    assert all(spec.imu_dt == spec.camera_dt for spec in specs)
+    assert flights.imu_samples.dt.shape == (shapes, checks._FLIGHT_SHAPE[0] - 1)
+    ((batch,), _) = certified[checks.STACKED_SHAPES.index((n, N))]
+    assert (batch.window.n, batch.window.num_landmarks, len(batch.measurements)) == (n, N, n * N)
+    assert batch.deltas.dt_total.shape == (1, n - 1) and (batch.deltas.dt_total == checks._KEYFRAME_DT).all()
+
+
+@pytest.mark.parametrize("trials", [1, 4, 10])
+def test_certification_simulates_and_preintegrates_one_batch(trials, monkeypatch):
+    # one `generate` and one preintegration hold every trial's flight; each
+    # shape used to simulate and preintegrate its own batch
+    generated = _record_calls(monkeypatch, sim, "generate")
+    preintegrated = _record_calls(monkeypatch, imu, "preintegrate")
+    integrated = _record_calls(monkeypatch, imu, "integrate")
+    run_certification(seed=5, trials=trials)
+    assert len(generated) == len(preintegrated) == len(integrated) == 1
+    [((specs, landmarks, _, _, noises), _)] = generated
+    assert len(specs) == len(landmarks) == len(noises) == trials
+    [((samples,), _)] = preintegrated
+    assert samples.dt.shape == (trials, checks._FLIGHT_SHAPE[0] - 1, 1)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_each_shape_is_cut_from_its_flights_bit_for_bit(seed):
+    # at zero noise, each shape's problem cut from the batch is the problem of
+    # each of its flights simulated alone: the same spec cut to n keyframes,
+    # over the first N markers
+    rng = np.random.default_rng(seed)
+    shapes = len(checks.STACKED_SHAPES)
+    drawn = [checks._random_flight(rng, *checks._FLIGHT_SHAPE) for _ in range(2 * shapes + 1)]
+    for _, _, noise in drawn:
+        noise.imu_noise_variance = noise.pixel_noise_variance = 0.0
+    dataset = checks._simulate(*zip(*drawn))
+    flights = make_problem(dataset, dataset.ground_truth)
+    for k, (n, N) in enumerate(checks.STACKED_SHAPES):
+        rows = slice(k, len(drawn), shapes)
+        cut = checks._shape_problem(flights, rows, n, N)
+        _same_bits(cut.measurements.frame_index, np.repeat(np.arange(1, n + 1), N))
+        for b, (spec, landmarks, noise) in enumerate(drawn[rows]):
+            alone = checks._simulate(replace(spec, duration=checks._KEYFRAME_DT * (n - 1)), landmarks[:N], noise)
+            problem = make_problem(alone, alone.ground_truth)
+            for name in ("R", "v", "p"):
+                _same_bits(getattr(cut.window.poses, name)[b], getattr(problem.window.poses, name))
+            _same_bits(cut.window.landmarks[b], problem.window.landmarks)
+            for name in ("dR", "dv", "dp", "dt_total"):
+                _same_bits(getattr(cut.deltas, name)[b], getattr(problem.deltas, name))
+            _same_bits(cut.measurements.uv[b], problem.measurements.uv)
+            _same_bits(cut.measurements.frame_index, problem.measurements.frame_index)
+            _same_bits(cut.measurements.landmark_id, problem.measurements.landmark_id)
 
 
 # each stacked shape's flights at 50 Hz, so preintegration reduces 20 samples

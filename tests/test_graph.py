@@ -7,6 +7,7 @@ import pytest
 
 from padvio import graph
 from padvio.checks import central_difference
+from padvio.cli import ExperimentConfig, dataset_from_config
 from padvio.graph import (
     PoseState,
     Problem,
@@ -436,6 +437,52 @@ def test_layout_is_built_on_first_use_and_shared_by_window_copies(monkeypatch):
     # a problem rebuilt with other measurements gets its own layout
     assert replace(problem, measurements=problem.measurements[1:]).layout is not problem.layout
     assert len(calls) == 2
+
+
+def _default_problem():
+    config = ExperimentConfig()
+    dataset = dataset_from_config(config)
+    return make_problem(dataset, perturb_initialization(dataset, config.init))
+
+
+def _cost(problem):
+    residual, _, weights = assemble(problem)
+    return float(residual @ (weights * residual))
+
+
+@pytest.mark.parametrize("kept", ["all 21, landmark ids reversed", "11 of 21"])
+def test_problem_rejects_measurements_assigned_after_first_use(kept):
+    # the layout built at the first assemble was kept: 21 detections with
+    # their ids reversed gave its stale cost 1057.40 instead of 1952.49, and
+    # 11 of them numpy's broadcast error, which names no cause
+    problem = _default_problem()
+    assemble(problem)
+    meas = problem.measurements
+    if kept == "11 of 21":
+        other = meas[::2]
+    else:
+        other = PixelMeasurement(meas.frame_index, meas.landmark_id[::-1].copy(), meas.uv)
+    with pytest.raises(AttributeError, match=r"^Problem\.measurements cannot be assigned after construction"):
+        problem.measurements = other
+    assert problem.measurements is meas
+    rebuilt = replace(problem, measurements=other)
+    assert rebuilt.layout is not problem.layout
+    np.testing.assert_array_equal(assemble(rebuilt)[0], stacked_residual(rebuilt))
+    if kept != "11 of 21":
+        assert round(_cost(rebuilt), 2) == 1952.49
+
+
+@pytest.mark.parametrize("name", ["deltas", "measurements", "cam", "world", "photometric_weight", "_shared"])
+def test_only_the_window_is_assigned_after_construction(name):
+    problem = _default_problem()
+    before = _cost(problem)
+    with pytest.raises(AttributeError, match=rf"^Problem\.{name} cannot be assigned"):
+        setattr(problem, name, getattr(problem, name))
+    # the window stays assignable: solve moves its working copy from iterate to iterate
+    moved = problem.with_window(problem.window)
+    moved.window = boxplus(problem.window, np.full(problem.window.dim, 1e-3))
+    assert _cost(moved) != before and _cost(problem) == before
+    assert replace(problem, photometric_weight=1.0).photometric_weight == 1.0
 
 
 def test_min_landmarks_values():
