@@ -2,7 +2,11 @@
 
 Each analytic block is compared against central differences of the matching
 residual taken through the boxplus retraction. The relative error of a block
-is max|J_analytic - J_numeric| / max(1, max|J_numeric|).
+is max|J_analytic - J_numeric| / max(1, max|J_numeric|). A per-factor check
+reduces its whole block grid at once (`_block_errors`): |analytic - numeric|
+and |numeric| are reshaped to (T, row blocks, rows, column blocks, columns),
+and their maxima divided; these operations are exact, so each entry holds
+the bits of its own block's error.
 
 A check evaluates its residual once: the 2·dim increments ±h·e_k are stacked
 into one (2·dim, dim) array, and the residual, the factor functions and the
@@ -19,14 +23,16 @@ trial's flight inputs at `_FLIGHT_SHAPE`, the most keyframes and markers of
 any certified shape, then its window offset at its own shape, t mod 4. All
 trials' flights are simulated in one batched `sim.generate` call and
 preintegrated once (`make_problem`): one propagation and one preintegration
-of all their intervals. Simulation and preintegration step in order, so the
-first n keyframes, the first n - 1 deltas and the detections of the first N
-markers of a flight are a window of n keyframes over N markers; each shape's
-trials are cut to their shape this way (`_shape_problem`) into one batched
-`Problem`, which one `boxplus` moves to the stacked offsets. The check reads
-only the preintegrated deltas, so a flight takes one IMU sample per keyframe
-interval. Each shape then makes one residual call and one `assemble` call
-for all its trials. A shape that got no trial (fewer trials than shapes)
+of all their intervals. Their inputs are float64 arrays, floats and int
+seeds, so `generate` checks them in one pass over the batch and evaluates
+their profiles in one broadcast. Simulation and preintegration step in
+order, so the first n keyframes, the first n - 1 deltas and the detections
+of the first N markers of a flight are a window of n keyframes over N
+markers; each shape's trials are cut to their shape this way
+(`_shape_problem`) into one batched `Problem`, which one `boxplus` moves to
+the stacked offsets. The check reads only the preintegrated deltas, so a
+flight takes one IMU sample per keyframe interval. Each shape then makes
+one residual call and one `assemble` call for all its trials. A shape that got no trial (fewer trials than shapes)
 has no entry in the report and prints as not run.
 """
 
@@ -75,6 +81,18 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """The largest relative error of (..., rows, cols) blocks over their leading axes."""
     scale = np.maximum(1.0, np.abs(numeric).max(axis=(-2, -1)))
     return float((np.abs(analytic - numeric).max(axis=(-2, -1)) / scale).max())
+
+
+def _block_errors(analytic: np.ndarray, numeric: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Each rows x cols block's `_relative_error` over the leading axes of
+    (..., R, C) Jacobians, as an (R / rows, C / cols) grid, from one
+    reduction of the whole: max, abs, subtract and divide are exact, so
+    every entry holds the bits of that block's own `_relative_error`."""
+    *lead, R, C = numeric.shape
+    blocks = (*lead, R // rows, rows, C // cols, cols)
+    scale = np.maximum(1.0, np.abs(numeric).reshape(blocks).max(axis=(-3, -1)))
+    errors = np.abs(analytic - numeric).reshape(blocks).max(axis=(-3, -1)) / scale
+    return errors.reshape(-1, R // rows, C // cols).max(axis=0)
 
 
 def _random_rotations(rng: np.random.Generator, count: int, max_angle: float) -> np.ndarray:
@@ -137,6 +155,8 @@ class CertificationReport:
         return out
 
 
+# each block's rows or columns by name, in order: the checks read the names
+# in their grid order (`_block_errors`), the trial-by-trial reference the slices
 _IMU_ROWS = {"r_rot": slice(0, 3), "r_vel": slice(3, 6), "r_pos": slice(6, 9)}
 _POSE_COLS = {
     "dR_i": slice(0, 3), "dv_i": slice(3, 6), "dp_i": slice(6, 9),
@@ -171,11 +191,8 @@ def certify_imu(rng: np.random.Generator, trials: int) -> Dict[str, float]:
 
     numeric = central_difference(residual_at, 18)
     _, analytic = imu_residual_jacobian(delta, pose_i, pose_j, world)
-    return {
-        f"{rname}/{cname}": _relative_error(analytic[..., rows, cols], numeric[..., rows, cols])
-        for rname, rows in _IMU_ROWS.items()
-        for cname, cols in _POSE_COLS.items()
-    }
+    names = [f"{rname}/{cname}" for rname in _IMU_ROWS for cname in _POSE_COLS]
+    return dict(zip(names, map(float, _block_errors(analytic, numeric, 3, 3).ravel())))
 
 
 def certify_vision(rng: np.random.Generator, trials: int) -> Tuple[Dict[str, float], float]:
@@ -202,7 +219,7 @@ def certify_vision(rng: np.random.Generator, trials: int) -> Tuple[Dict[str, flo
     # so its analytic block is zero and its numeric block must be too
     analytic = np.zeros_like(numeric)
     analytic[..., _VISION_ENTRIES] = photometric_jacobian(cam, pose, landmark, meas)[1]
-    errors = {name: _relative_error(analytic[..., c], numeric[..., c]) for name, c in _VISION_COLS.items()}
+    errors = dict(zip(_VISION_COLS, map(float, _block_errors(analytic, numeric, 2, 3)[0])))
     return errors, float(np.abs(numeric[..., _VISION_COLS["dv"]]).max())
 
 

@@ -27,6 +27,15 @@ broadcasts over that axis: it preintegrates all B·(n-1) intervals in one
 call and gives a batched `Problem` (see `graph`). It is the one place a
 batch is built; a single flight is the batch code with no flight axis.
 
+A batch's inputs are checked once per batch: each rule of `inputs` runs
+once over the stacked fields (one `is_rotation` on the (B, 3, 3) initial
+attitudes, one finiteness and ground-plane check on the (B, N, 3)
+landmarks), and the profiles of one name are evaluated in one broadcast of
+their stacked parameters. Only when a flight fails, or an input is not a
+float64 array, a float or an int seed, does a loop check flight by flight,
+so the first bad flight and field are named as before. Per flight, what
+is left is its generator and its draws.
+
 Motion profiles are declarative (a profile name plus parameters) so a whole
 scenario fits in a config file. Known profile names:
 
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Sequence
 
@@ -74,6 +84,15 @@ def _as3(value, what: str) -> np.ndarray:
 _PROFILE_PARAMS = {"constant": ("value",), "sinusoid": ("base", "amplitude", "frequency", "phase")}
 
 
+def _profile_values(name: str, params, t: np.ndarray) -> np.ndarray:
+    """The named profile at the times t (..., 1), from its parameters in
+    `_PROFILE_PARAMS` order, each broadcasting against t."""
+    if name == "constant":
+        return np.broadcast_to(params[0], np.broadcast_shapes(np.shape(params[0]), t.shape)).copy()
+    base, amp, freq, phase = params
+    return base + amp * np.sin(2.0 * np.pi * freq * t + phase)
+
+
 def evaluate_profile(profile: Profile, t) -> np.ndarray:
     """The profile at time t (s): a 3-vector, or (..., 3) for an array of times.
     An unknown name, params that are not a mapping, or a parameter the
@@ -86,12 +105,51 @@ def evaluate_profile(profile: Profile, t) -> np.ndarray:
     unknown = sorted(set(profile.params) - set(known))
     if unknown:
         raise ValueError(f"unknown {profile.name} profile parameter {unknown[0]!r} (known: {', '.join(known)})")
-    t = np.asarray(t, dtype=float)[..., None]
     params = [_as3(profile.params.get(name, 0.0), name) for name in known]
-    if profile.name == "constant":
-        return np.broadcast_to(params[0], t.shape[:-1] + (3,)).copy()
-    base, amp, freq, phase = params
-    return base + amp * np.sin(2.0 * np.pi * freq * t + phase)
+    return _profile_values(profile.name, params, np.asarray(t, dtype=float)[..., None])
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _is_float64(value, shape: tuple) -> bool:
+    """Whether value is a float64 ndarray of that shape, which a batch stacks
+    without converting: anything else takes the per-flight rules."""
+    return type(value) is np.ndarray and value.dtype == _FLOAT64 and value.shape == shape
+
+
+def _stacked_params(profiles: Sequence[Profile]):
+    """(P, B, 3): the P parameters of B profiles of one name, in
+    `_PROFILE_PARAMS` order, if every profile has that name, a dict of
+    params it reads, and each parameter a float or a float64 3-vector, all
+    finite; else None."""
+    name = profiles[0].name
+    known = _PROFILE_PARAMS.get(name) if type(name) is str else None
+    if known is None:
+        return None
+    params = np.empty((len(known), len(profiles), 3))
+    for b, profile in enumerate(profiles):
+        if type(profile.name) is not str or profile.name != name or type(profile.params) is not dict:
+            return None
+        if not profile.params.keys() <= set(known):
+            return None
+        for i, key in enumerate(known):
+            value = profile.params.get(key, 0.0)
+            if not (type(value) is float or _is_float64(value, (3,))):
+                return None
+            params[i, b] = value
+    return params if np.isfinite(params).all() else None
+
+
+def _evaluate_profiles(profiles: Sequence[Profile], t: np.ndarray) -> np.ndarray:
+    """(B, S, 3): each of B profiles at the S times t, bit for bit what
+    `evaluate_profile` gives it. Profiles that `_stacked_params` reads are
+    evaluated in one broadcast of their stacked parameters against t; any
+    other batch profile by profile, so the first bad one raises its error."""
+    params = _stacked_params(profiles)
+    if params is None:
+        return np.array([evaluate_profile(profile, t) for profile in profiles])
+    return _profile_values(profiles[0].name, params[:, :, None, :], t[:, None])
 
 
 def default_initial_pose() -> PoseState:
@@ -173,6 +231,76 @@ def _checked_flight(spec: TrajectorySpec, landmarks, noise: NoiseSpec, name: str
     return landmarks, R0, v0, p0, k, num_frames
 
 
+def _checked_batch(flights):
+    """Every flight's inputs checked in one pass, by the rules of
+    `_checked_flight`: (landmarks (B, N, 3), R0 (B, 3, 3), v0 and p0 (B, 3),
+    and the IMU steps per keyframe interval and keyframe count n the flights
+    share). Each array rule runs once on the stacked arrays. None when a
+    flight fails a rule or differs from flight 0 in N, timing or n, or when
+    an input is not what the pass reads (float64 arrays, float times and
+    variances, int seeds); the per-flight loop then names the first bad
+    flight and field."""
+    specs, landmark_sets, noises = zip(*flights)
+    poses = [spec.initial_pose for spec in specs]
+    first = landmark_sets[0]
+    if not (type(first) is np.ndarray and first.ndim == 2 and len(first) >= 1 and first.shape[1] == 3):
+        return None
+    fields = [
+        (landmark_sets, first.shape),
+        ([pose.R for pose in poses], (3, 3)),
+        ([pose.v for pose in poses] + [pose.p for pose in poses], (3,)),
+    ]
+    if not all(_is_float64(array, shape) for arrays, shape in fields for array in arrays):
+        return None
+    times = [x for spec in specs for x in (spec.duration, spec.imu_dt, spec.camera_dt)]
+    variances = [x for noise in noises for x in (noise.imu_noise_variance, noise.pixel_noise_variance)]
+    seeds = [noise.seed for noise in noises]
+    # a NaN fails both comparisons, an infinity the upper one
+    if not (
+        set(map(type, times + variances)) == {float} and set(map(type, seeds)) == {int}
+        and all(0.0 < x <= sys.float_info.max for x in times)
+        and all(0.0 <= x <= sys.float_info.max for x in variances)
+        and min(seeds) >= 0 and len({(spec.imu_dt, spec.camera_dt) for spec in specs}) == 1
+    ):
+        return None
+    landmarks, R0, v0_p0 = (np.array(arrays) for arrays, _ in fields)
+    if not (
+        np.isfinite(landmarks).all() and not landmarks[..., 2].any()
+        and is_rotation(R0).all() and np.isfinite(v0_p0).all()
+    ):
+        return None
+    # every flight passed every rule before it and has flight 0's timing, so
+    # the per-flight loop would raise this for flight 0 too
+    k = steps_per_frame(specs[0].camera_dt, specs[0].imu_dt)
+    frame_counts = {math.floor(spec.duration / spec.camera_dt + 1e-9) + 1 for spec in specs}
+    if len(frame_counts) != 1 or min(frame_counts) < 2:
+        return None
+    return landmarks, R0, v0_p0[: len(specs)], v0_p0[len(specs) :], k, frame_counts.pop()
+
+
+def _checked_flights(flights, names):
+    """The flights' inputs, checked, as `_checked_batch` gives them. A batch
+    that pass does not take is checked flight by flight (`_checked_flight`),
+    then flight by flight against flight 0 in the fields they share, so
+    the first flight and field that fail raise ValueError."""
+    checked = _checked_batch(flights)
+    if checked is not None:
+        return checked
+    checked = [_checked_flight(*flight, name) for flight, name in zip(flights, names)]
+    landmark_sets, R0, v0, p0, ks, frame_counts = zip(*checked)
+    shared = {
+        "n": frame_counts,
+        "N": [len(lm) for lm in landmark_sets],
+        "IMU sample count": [(n - 1) * k for n, k in zip(frame_counts, ks)],
+        "timing": [(spec.imu_dt, spec.camera_dt) for spec, _, _ in flights],
+    }
+    for b in range(1, len(flights)):
+        for field_name, values in shared.items():
+            if values[b] != values[0]:
+                raise ValueError(f"flight {b} differs from flight 0 in {field_name}")
+    return (*map(np.array, (landmark_sets, R0, v0, p0)), ks[0], frame_counts[0])
+
+
 def generate(
     spec: TrajectorySpec | Sequence[TrajectorySpec],
     landmarks,
@@ -197,9 +325,10 @@ def generate(
     The same seed always yields a bit-identical dataset. Landmarks whose
     ground-truth depth is non-positive at a keyframe are reported and dropped
     from the measurement list, never fatal. Each input is checked by its
-    rule in `inputs`, and the initial attitude must be a rotation; a
-    failure raises ValueError naming the field (after "flight b " in a
-    batch).
+    rule in `inputs`, and the initial attitude must be a rotation, once
+    over the batch's stacked fields; a failure raises ValueError naming the
+    first bad flight ("flight b " in a batch) and field, in the order a
+    flight-by-flight check finds them.
     """
     single = isinstance(spec, TrajectorySpec)
     if single:
@@ -215,42 +344,30 @@ def generate(
     g = inputs.vector(world.gravity, "world.gravity", 3)
     inputs.vector(cam.principal_point, "cam.principal_point", 2)
     inputs.real(cam.focal, "cam.focal", positive=True)
-    checked = [_checked_flight(*flight, name) for flight, name in zip(flights, names)]
+    landmarks, R0, v0, p0, k, num_frames = _checked_flights(flights, names)
     specs, _, noises = zip(*flights)
-    landmark_sets, R0, v0, p0, ks, frame_counts = zip(*checked)
-    shared = {
-        "n": frame_counts,
-        "N": [len(lm) for lm in landmark_sets],
-        "IMU sample count": [(n - 1) * k for n, k in zip(frame_counts, ks)],
-        "timing": [(s.imu_dt, s.camera_dt) for s in specs],
-    }
-    for b in range(1, len(flights)):
-        for field_name, values in shared.items():
-            if values[b] != values[0]:
-                raise ValueError(f"flight {b} differs from flight 0 in {field_name}")
 
-    def flight_axis(arrays) -> np.ndarray:
-        # one flight's array as it is, or a batch's arrays stacked on a leading axis
-        return arrays[0] if single else np.stack(arrays)
+    def flight_axis(array: np.ndarray) -> np.ndarray:
+        # a batch's stacked array, or one flight's without its flight axis
+        return array[0] if single else array
 
-    k, num_frames = ks[0], frame_counts[0]
     num_steps = (num_frames - 1) * k
     # each flight's own stream draws its gyro, then its accel, then its pixel noise
     rngs = [np.random.default_rng(n.seed) for n in noises]
-    imu_scales = [math.sqrt(n.imu_noise_variance) for n in noises]
-    gyro_noise = flight_axis([s * rng.standard_normal((num_steps, 3)) for s, rng in zip(imu_scales, rngs)])
-    accel_noise = flight_axis([s * rng.standard_normal((num_steps, 3)) for s, rng in zip(imu_scales, rngs)])
+    imu_scales = np.array([math.sqrt(n.imu_noise_variance) for n in noises])[:, None, None]
+    gyro_noise = flight_axis(imu_scales * np.array([rng.standard_normal((num_steps, 3)) for rng in rngs]))
+    accel_noise = flight_axis(imu_scales * np.array([rng.standard_normal((num_steps, 3)) for rng in rngs]))
 
     dt = specs[0].imu_dt
     times = np.arange(num_steps) * dt
-    omegas = flight_axis([evaluate_profile(s.angular_profile, times) for s in specs])
-    accels = flight_axis([evaluate_profile(s.accel_profile, times) for s in specs])
+    omegas = flight_axis(_evaluate_profiles([s.angular_profile for s in specs], times))
+    accels = flight_axis(_evaluate_profiles([s.accel_profile for s in specs], times))
     samples = ImuSample(omegas + gyro_noise, accels + accel_noise, np.full(np.shape(omegas)[:-1], dt))
 
     R, v, p = propagate(flight_axis(R0), flight_axis(v0), flight_axis(p0), omegas, accels, samples.dt, g)
     keyframes = PoseState(R[..., ::k, :, :].copy(), v[..., ::k, :].copy(), p[..., ::k, :].copy())
 
-    landmarks = flight_axis(landmark_sets)
+    landmarks = flight_axis(landmarks)
     truth = WindowState(keyframes, landmarks)
     # every landmark from every keyframe: poses (..., n, 1) against landmarks (..., 1, N)
     q = landmark_in_body(keyframes[np.arange(num_frames)[:, None]], landmarks[..., None, :, :])
@@ -266,9 +383,8 @@ def generate(
             raise ValueError(f"flight {b} differs from flight 0 in measurement pattern")
     exact_uv = project(cam, q[..., pattern, :])
     frames, ids = np.nonzero(pattern)
-    pixel_noise = flight_axis(
-        [math.sqrt(n.pixel_noise_variance) * rng.standard_normal((len(frames), 2)) for n, rng in zip(noises, rngs)]
-    )
+    pixel_scales = np.array([math.sqrt(n.pixel_noise_variance) for n in noises])[:, None, None]
+    pixel_noise = flight_axis(pixel_scales * np.array([rng.standard_normal((len(frames), 2)) for rng in rngs]))
     measurements = PixelMeasurement(frames + 1, ids + 1, exact_uv + pixel_noise)
     return Dataset(truth, samples, measurements, cam, world, specs[0].imu_dt, specs[0].camera_dt)
 

@@ -378,3 +378,54 @@ def test_max_error_reads_only_the_checks_that_ran():
     assert report.max_error == 2e-5 and not report.passed
     assert report.lines()[-1] == "  FAIL (max 2.000e-05, threshold 1e-05)"
     assert sum(line.endswith("not run") for line in report.lines()) == len(checks.STACKED_SHAPES)
+
+
+@pytest.mark.parametrize(
+    "check, jacobian, nan_at, nan_block",
+    [
+        # trial 2, row 4 (r_vel), column 10 (dR_j)
+        ("certify_imu", "imu_residual_jacobian", (2, 4, 10), "r_vel/dR_j"),
+        # trial 1, row 0, the pixel Jacobian's column 7: landmark column 1 (dp_l)
+        ("certify_vision", "photometric_jacobian", (1, 0, 7), "dp_l"),
+    ],
+)
+def test_block_tables_hold_each_blocks_relative_error_bit_for_bit(check, jacobian, nan_at, nan_block, monkeypatch):
+    # the table comes from one reduction of the block grid; the reference takes
+    # `_relative_error` of each block, and a NaN must stay in its block
+    original = getattr(checks, jacobian)
+
+    def with_nan(*args):
+        result = original(*args)
+        result[1][nan_at] = np.nan
+        return result
+
+    monkeypatch.setattr(checks, jacobian, with_nan)
+    jacobians = _record_calls(monkeypatch, checks, jacobian)
+    numerics = _record_calls(monkeypatch, checks, "central_difference")
+    report = run_certification(seed=4, trials=5)
+    [(_, (_, analytic))] = jacobians
+    numeric = numerics[0 if check == "certify_imu" else 1][1]
+    if check == "certify_imu":
+        got = report.imu_block_errors
+        blocks = {f"{r}/{c}": (rows, cols) for r, rows in checks._IMU_ROWS.items() for c, cols in checks._POSE_COLS.items()}
+    else:
+        got = report.vision_block_errors
+        analytic, pixel = np.zeros_like(numeric), analytic
+        analytic[..., checks._VISION_ENTRIES] = pixel
+        blocks = {name: (slice(None), cols) for name, cols in checks._VISION_COLS.items()}
+    want = {name: checks._relative_error(analytic[..., r, c], numeric[..., r, c]) for name, (r, c) in blocks.items()}
+    assert list(got) == list(want)
+    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+    assert [name for name, err in got.items() if math.isnan(err)] == [nan_block]
+    assert math.isnan(report.max_error) and not report.passed
+
+
+def test_certification_flights_take_the_array_pass(monkeypatch):
+    # the ten flights of a `certify` operation are checked in one pass over
+    # their stacked inputs and their profiles evaluated in one broadcast
+    def per_flight(*args):
+        raise AssertionError("a certification flight took the per-flight path")
+
+    monkeypatch.setattr(sim, "_checked_flight", per_flight)
+    monkeypatch.setattr(sim, "evaluate_profile", per_flight)
+    assert run_certification(seed=11, trials=10).passed

@@ -569,3 +569,169 @@ def test_perturb_cold_on_a_batch_is_each_flights_cold_start():
             (alone.poses.R, alone.poses.v, alone.poses.p, alone.landmarks),
         ):
             np.testing.assert_array_equal(got, want, strict=True)
+
+
+def _with(flight, field, value):
+    """flight with one field set: "landmarks", "initial_pose.<R|v|p>", "noise.<field>" or a spec field."""
+    spec, landmarks, noise = flight
+    if field == "landmarks":
+        return spec, value, noise
+    if field.startswith("noise."):
+        return spec, landmarks, dataclasses.replace(noise, **{field[len("noise."):]: value})
+    if field.startswith("initial_pose."):
+        pose = dataclasses.replace(spec.initial_pose, **{field[len("initial_pose."):]: value})
+        return dataclasses.replace(spec, initial_pose=pose), landmarks, noise
+    return dataclasses.replace(spec, **{field: value}), landmarks, noise
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    # each rule of `sim._checked_flight`, in the order it checks them
+    [
+        ("landmarks", PAD + [0.0, 0.0, 1.0], "flight 0 landmarks must all lie on the ground plane z = 0"),
+        ("landmarks", np.vstack([PAD[:2], [np.nan, 0.0, 0.0]]), "flight 0 landmarks must be an (N, 3) array"),
+        ("initial_pose.R", 2.0 * np.eye(3), "flight 0 initial_pose.R must be a rotation matrix"),
+        ("initial_pose.v", np.array([0.0, np.nan, 0.0]), "flight 0 initial_pose.v must be a finite 3-vector"),
+        ("initial_pose.p", np.array([0.0, 0.0, -np.inf]), "flight 0 initial_pose.p must be a finite 3-vector"),
+        ("duration", 0.0, "flight 0 duration must be finite and > 0"),
+        ("imu_dt", float("nan"), "flight 0 imu_dt must be finite and > 0"),
+        ("camera_dt", -0.4, "flight 0 camera_dt must be finite and > 0"),
+        ("noise.imu_noise_variance", float("inf"), "flight 0 noise.imu_noise_variance must be finite and >= 0"),
+        ("noise.pixel_noise_variance", -1.0, "flight 0 noise.pixel_noise_variance must be finite and >= 0"),
+        ("noise.seed", -1, "flight 0 noise.seed must be an integer >= 0"),
+        ("camera_dt", 0.45, "camera_dt 0.45 must be an integer multiple of imu_dt 0.02"),
+        ("duration", 0.2, "flight 0 duration must cover at least one camera interval"),
+    ],
+)
+def test_batch_names_the_first_flight_and_field_that_fail(field, bad, message):
+    bad_flight = _with(_hover(), field, bad)
+    with pytest.raises(ValueError) as alone:
+        sim._checked_flight(*bad_flight, "flight 0 ")
+    assert str(alone.value).startswith(message)
+    batches = [
+        # flight 1's landmarks, the first field checked, fail too; the
+        # per-flight loop checks all of flight 0 first
+        [bad_flight, _with(_hover(seed=1), "landmarks", PAD + [0.0, 0.0, 1.0])],
+        # the array pass must find flight 0's value when flight 1 is good,
+        # and when flight 1 fails the same rule
+        [bad_flight, _hover(seed=1)],
+        [bad_flight, _with(_hover(seed=1), field, bad)],
+    ]
+    for flights in batches:
+        with pytest.raises(ValueError) as info:
+            _generate_batch(flights)
+        assert str(info.value) == str(alone.value)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        Profile("sinusoid", {"amplitude": np.array([np.nan, 0.0, 0.0])}),
+        Profile("constant", {"value": float("inf")}),
+        Profile("constant", {"valeu": np.zeros(3)}),
+        Profile("spline", {"value": np.zeros(3)}),
+    ],
+)
+def test_batch_raises_the_error_of_a_bad_profile(profile):
+    # flight 1's rates fail, whether flight 0's have their name or the other
+    with pytest.raises(ValueError) as alone:
+        evaluate_profile(profile, 0.0)
+    spec, landmarks, noise = _hover(seed=1)
+    for name in ("constant", "sinusoid"):
+        flight_0 = _with(_hover(), "angular_profile", Profile(name))
+        flights = [flight_0, (dataclasses.replace(spec, angular_profile=profile), landmarks, noise)]
+        with pytest.raises(ValueError) as info:
+            _generate_batch(flights)
+        assert str(info.value) == str(alone.value)
+
+
+def _exact_flights():
+    """Three flights of float64 arrays, float times and variances and int
+    seeds, which the array pass and the profile broadcast read; every value
+    is exact in float32, and R, p, the duration and the pixel noise
+    variance are integral."""
+    landmarks = np.array([[0.5, 0.0, 0.0], [-0.25, 0.5, 0.0], [-0.25, -0.5, 0.0]])
+    flights = []
+    for b in range(3):
+        sinusoid = {
+            "base": np.array([0.0625 * b, 0.0, -0.125]),
+            "amplitude": np.array([0.125, 0.25, 0.0625]),
+            "frequency": np.array([0.75, 1.25, 0.25]),
+            "phase": np.array([0.0, 1.0, -2.0]),
+        }
+        spec = TrajectorySpec(
+            duration=2.0,
+            imu_dt=0.1,
+            initial_pose=PoseState(np.eye(3), np.array([0.25 * b, 0.0, 0.0]), np.array([0.0, 1.0, -4.0])),
+            angular_profile=Profile("sinusoid", sinusoid),
+            accel_profile=Profile("constant", {"value": np.array([0.25, -0.125, -9.75])}),
+        )
+        flights.append((spec, landmarks.copy(), NoiseSpec(1e-4, 1.0, 20 + b)))
+    return flights
+
+
+def _converted(flight, convert):
+    """flight with every array, its profile parameters' too, passed through convert."""
+    spec, landmarks, noise = flight
+    pose = spec.initial_pose
+    profiles = {
+        name: Profile(profile.name, {key: convert(value) for key, value in profile.params.items()})
+        for name, profile in (("angular_profile", spec.angular_profile), ("accel_profile", spec.accel_profile))
+    }
+    spec = dataclasses.replace(spec, initial_pose=PoseState(*map(convert, (pose.R, pose.v, pose.p))), **profiles)
+    return spec, convert(landmarks), noise
+
+
+def _with_ints(flight):
+    """flight with R, p, the duration and the pixel noise variance as Python ints."""
+    spec, landmarks, noise = flight
+    pose = PoseState([[1, 0, 0], [0, 1, 0], [0, 0, 1]], spec.initial_pose.v, [0, 1, -4])
+    spec = dataclasses.replace(spec, duration=2, initial_pose=pose)
+    return spec, landmarks, dataclasses.replace(noise, pixel_noise_variance=1)
+
+
+def _with_constant_rates(flights):
+    """flights with flight 1's angular profile constant, the others' sinusoids."""
+    spec, landmarks, noise = flights[1]
+    rates = Profile("constant", {"value": np.array([0.125, 0.0, -0.25])})
+    return [flights[0], (dataclasses.replace(spec, angular_profile=rates), landmarks, noise), flights[2]]
+
+
+def _count_calls(monkeypatch, name):
+    """The list of argument tuples of each call of `sim.<name>` from here on."""
+    original, calls = getattr(sim, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sim, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "variant, checked, evaluated",
+    [
+        pytest.param(lambda flights: [_converted(f, np.ndarray.tolist) for f in flights], 3, 6, id="lists"),
+        pytest.param(lambda flights: [_with_ints(f) for f in flights], 3, 0, id="ints"),
+        pytest.param(lambda flights: [_converted(f, lambda a: a.astype(np.float32)) for f in flights], 3, 6, id="float32"),
+        pytest.param(_with_constant_rates, 0, 3, id="mixed-profiles"),
+    ],
+)
+def test_batch_off_the_array_pass_keeps_every_bit(variant, checked, evaluated, monkeypatch):
+    # the float64 batch takes the array pass and one broadcast per profile kind;
+    # a variant takes the per-flight rules (`_checked_flight` per flight) or
+    # evaluates each profile (`evaluate_profile` per flight and kind)
+    flights = _exact_flights()
+    checked_calls = _count_calls(monkeypatch, "_checked_flight")
+    evaluated_calls = _count_calls(monkeypatch, "evaluate_profile")
+    reference = _generate_batch(flights)
+    assert (len(checked_calls), len(evaluated_calls)) == (0, 0)
+    flights = variant(flights)
+    batch = _generate_batch(flights)
+    assert (len(checked_calls), len(evaluated_calls)) == (checked, evaluated)
+    for b, (spec, landmarks, noise) in enumerate(flights):
+        alone = generate(spec, landmarks, CAM, WorldParams(), noise)
+        _assert_flight_of_batch(batch, b, alone)
+        if variant is not _with_constant_rates:  # which changes flight 1's rates
+            _assert_flight_of_batch(reference, b, alone)
