@@ -31,24 +31,26 @@ order. `assemble` returns the blocks with their column indices as a
 `pose_boxplus` broadcasts too, so `boxplus` retracts poses 2..n in one call,
 written straight into the new window's arrays.
 
-What assembly needs besides the window's values, the gather indices, the
-factor columns and the weight diagonal, follows from the problem's shapes
-and sorted measurements alone. `Problem.layout` builds it on first use, as a
-`FactorLayout`, and keeps it for the problem and every `with_window` copy,
-so a Gauss-Newton loop builds it once and a problem that is never evaluated
-never builds it. `Problem.imu_terms`, the IMU factors' dt, g dt and
-g dt^2 / 2 (`imu.GravityTerms`), follow from the deltas and gravity alone
-and are kept the same way, but checked on each use against the bits of
-dt_total and gravity they were built from; `stacked_residual` and
-`assemble` pass them to the IMU factor.
+A built `Problem` cannot change except by moving to another window: its
+fields cannot be assigned, and its deltas, measurements, camera and world
+are frozen records of read-only arrays. So what assembly needs besides the
+window's values is built once per problem, on first use, and kept for it
+and every `with_window` copy (`Problem.shared`): the gather indices, the
+factor columns and the weight diagonal, which follow from the problem's
+shapes and sorted measurements (`Problem.layout`, a `FactorLayout`), and
+the IMU factors' dt, g dt and g dt^2 / 2, which follow from the deltas and
+gravity (`Problem.imu_terms`, an `imu.GravityTerms`). A Gauss-Newton loop
+builds each once, and a problem that is never evaluated builds none.
 
 A window may carry leading batch axes before its keyframe and landmark
 axes: poses R (..., n, 3, 3), v and p (..., n, 3), landmarks (..., N, 3).
 `boxplus` takes (..., dim) increments and returns the window with their
 leading axes, and `stacked_residual` then gives (..., rows) residuals, so
 a finite-difference check retracts and evaluates all its perturbed windows
-in one call each. `Problem.with_window` swaps in such a window without
-re-checking or re-sorting the measurements.
+in one call each. `Problem.with_window` gives the problem at such a window
+without re-checking or re-sorting the measurements; it and the constructor
+reject a window whose batch axes do not broadcast against those of the
+deltas and the uv (below), naming their shapes.
 
 A `Problem` may also carry leading batch axes on its measured values: the
 deltas dR (..., n-1, 3, 3), dv and dp (..., n-1, 3), dt_total (..., n-1)
@@ -64,7 +66,6 @@ one problem, and rejects batch axes.
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 from dataclasses import dataclass, field
@@ -158,13 +159,20 @@ class Problem:
 
     Construction rejects a window that is not finite, a delta count or
     shape, a uv shape or a measurement index that does not fit the window,
-    and a delta dt_total that is not finite and > 0, and sorts the
-    measurements by (frame, landmark). The window, deltas and
-    uv may carry leading batch axes (see the module docstring); the checks
-    read their last axes. Only the window is swapped after construction
-    (`with_window`): what `shared` keeps follows from the other fields, so
-    assigning any of them raises AttributeError naming it, and another
-    problem is built with `dataclasses.replace`."""
+    a delta dt_total that is not finite and > 0, and batch axes of the
+    window, the deltas and the uv that do not broadcast, and sorts the
+    measurements by (frame, landmark). The window, deltas and uv may carry
+    leading batch axes (see the module docstring); the checks read their
+    last axes.
+
+    A built problem is immutable: assigning any field, the window included,
+    raises AttributeError, and its deltas, measurements, camera and world
+    are frozen records whose arrays it makes read-only in place: the arrays
+    it was given, and for the measurements their sorted copies. So a
+    caller's own reference to one cannot write into it either (the base of
+    a view stays as it was), and what `shared` builds from them stays
+    valid. `with_window` gives the problem at another window, and
+    `dataclasses.replace` builds another problem."""
 
     window: WindowState
     deltas: PreintegratedDelta
@@ -203,36 +211,53 @@ class Problem:
                 f"measurement (frame {frames[first]}, landmark {ids[first]}) "
                 f"out of range for n={n}, N={N}"
             )
+        _batch_shape(self.window, self.deltas, self.measurements.uv)
         self.measurements = self.measurements[np.lexsort((ids, frames))]
-        self._shared = {}  # set last: from here on only the window may be assigned
+        for record in (self.deltas, self.measurements, self.cam, self.world):
+            for value in vars(record).values():
+                if isinstance(value, np.ndarray):
+                    value.setflags(write=False)
+        self._shared = {}  # set last: from here on no field may be assigned
 
     def __setattr__(self, name: str, value) -> None:
-        if name != "window" and "_shared" in self.__dict__:
+        if "_shared" in self.__dict__:
             raise AttributeError(
-                f"Problem.{name} cannot be assigned after construction, since what the problem "
-                "keeps is built from it; build another problem with dataclasses.replace"
+                f"Problem.{name} cannot be assigned after construction; use with_window or dataclasses.replace"
             )
         object.__setattr__(self, name, value)
 
+    @property
+    def batch_shape(self) -> tuple:
+        """The problem's leading batch axes: those of its window, deltas and
+        uv, broadcast together; () for one problem."""
+        return _batch_shape(self.window, self.deltas, self.measurements.uv)
+
     def with_window(self, window: WindowState) -> "Problem":
         """This problem at another window of the same n and N, which may carry
-        leading batch axes. The measurements were checked and sorted when the
-        problem was built, so they are shared, not checked again."""
+        leading batch axes that broadcast against the deltas' and the uv's.
+        The measurements were checked and sorted when the problem was built,
+        so they are shared, not checked again."""
         if (window.n, window.num_landmarks) != (self.window.n, self.window.num_landmarks):
             raise ValueError(
                 f"window has n={window.n}, N={window.num_landmarks}; "
                 f"problem has n={self.window.n}, N={self.window.num_landmarks}"
             )
-        problem = copy.copy(self)
-        problem.window = window
+        _batch_shape(window, self.deltas, self.measurements.uv)
+        problem = object.__new__(Problem)  # a shallow copy, without copy.copy's protocol lookups
+        problem.__dict__.update(self.__dict__)
+        problem._move(window)
         return problem
+
+    def _move(self, window: WindowState) -> None:
+        """Put this problem at window, unchecked: `with_window` moves its new
+        copy here, and `solve` its working copy to each iterate."""
+        object.__setattr__(self, "window", window)
 
     def shared(self, build: Callable[["Problem"], object]):
         """build(self), run on this problem's first call with that `build` and
         then kept for it and every `with_window` copy of it. Only for what
-        follows from the shapes and the measurements, not the window's values.
-        `imu_terms` keeps what follows from the deltas and gravity in the same
-        cache, checked against them on each use."""
+        follows from the problem's data and the window's shapes, not the
+        window's values."""
         if build not in self._shared:
             self._shared[build] = build(self)
         return self._shared[build]
@@ -245,25 +270,35 @@ class Problem:
     @property
     def imu_terms(self) -> GravityTerms:
         """The deltas' `imu.gravity_terms` under the world's gravity,
-        read-only. Kept like what `shared` builds, but each use compares the
-        bits of dt_total and gravity with those the terms were built from and
-        rebuilds them on a change, so a write into their arrays, or a field
-        of the deltas or the world assigned anew, is seen."""
-        source = (_bits(self.deltas.dt_total), _bits(self.world.gravity))
-        kept = self._shared.get("imu_terms")
-        if kept is None or kept[0] != source:
-            terms = gravity_terms(self.deltas, self.world)
-            for array in terms:
-                array.flags.writeable = False
-            kept = self._shared["imu_terms"] = (source, terms)
-        return kept[1]
+        read-only, built on first use (see `shared`)."""
+        return self.shared(_imu_terms)
 
 
-def _bits(value) -> tuple:
-    """The shape and bytes of value as a float array, equal for two values
-    exactly when every result computed from them has the same bits."""
-    value = np.asarray(value, dtype=float)
-    return value.shape, value.tobytes()
+def _batch_shape(window: WindowState, deltas: PreintegratedDelta, uv) -> tuple:
+    """The batch axes of a problem with this window, deltas and uv, or
+    ValueError naming their shapes when they do not broadcast."""
+    # views of each array's batch axes and at most one keyframe, landmark, delta or detection:
+    # broadcasting them is cheaper than np.broadcast_shapes, which makes an array per shape
+    leads = (
+        window.poses.R[..., :1, 0, 0],
+        window.landmarks[..., :1, 0],
+        np.asarray(deltas.dt_total)[..., :1],
+        uv[..., :1, 0],
+    )
+    try:
+        return np.broadcast(*leads).shape[:-1]
+    except ValueError:
+        raise ValueError(
+            "window batch axes {} (poses) and {} (landmarks) do not broadcast against "
+            "the deltas' {} and the uv's {}".format(*(lead.shape[:-1] for lead in leads))
+        ) from None
+
+
+def _imu_terms(problem: Problem) -> GravityTerms:
+    terms = gravity_terms(problem.deltas, problem.world)
+    for array in terms:
+        array.flags.writeable = False
+    return terms
 
 
 def pose_boxplus(pose: PoseState, delta: np.ndarray, out: PoseState | None = None) -> PoseState:

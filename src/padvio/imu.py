@@ -68,7 +68,7 @@ class ImuSample:
     dt: np.ndarray  # s
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreintegratedDelta:
     """Accumulated relative motion between keyframes. Fresh value is (I, 0, 0, 0).
 
@@ -80,7 +80,7 @@ class PreintegratedDelta:
     dt_total: np.ndarray | float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldParams:
     """World-frame constants. Default frame has z down, so gravity is +9.81 on z."""
 

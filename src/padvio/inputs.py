@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 
+from .manifold import is_rotation
+
 
 def _is_finite_real(value) -> bool:
     # NaN fails the comparison, and an int past the float range could not become a float
@@ -56,6 +58,14 @@ def vector(value, name: str, size: int) -> np.ndarray:
     array = finite_array(value)
     if array is None or array.shape != (size,):
         raise ValueError(f"{name} must be a finite {size}-vector")
+    return array
+
+
+def rotation(value, name: str) -> np.ndarray:
+    """A finite (3, 3) array that is a rotation matrix (`manifold.is_rotation`)."""
+    array = finite_array(value)
+    if array is None or array.shape != (3, 3) or not is_rotation(array):
+        raise ValueError(f"{name} must be a rotation matrix")
     return array
 
 

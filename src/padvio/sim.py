@@ -214,9 +214,7 @@ def _checked_flight(spec: TrajectorySpec, landmarks, noise: NoiseSpec, name: str
     field name after `name`: (landmarks (N, 3), R0, v0, p0, IMU steps per
     keyframe interval, keyframe count n)."""
     landmarks = inputs.ground_landmarks(landmarks, name + "landmarks")
-    R0 = np.asarray(spec.initial_pose.R, dtype=float)
-    if not is_rotation(R0):
-        raise ValueError(f"{name}initial_pose.R must be a rotation matrix")
+    R0 = inputs.rotation(spec.initial_pose.R, name + "initial_pose.R")
     v0 = inputs.vector(spec.initial_pose.v, name + "initial_pose.v", 3)
     p0 = inputs.vector(spec.initial_pose.p, name + "initial_pose.p", 3)
     for field_name in ("duration", "imu_dt", "camera_dt"):

@@ -27,15 +27,18 @@ as in the dense H that `build_normal_system` gives.
 Damping alpha is constant for the whole run; iteration count is fixed unless
 a convergence tolerance is set.
 
-What an iteration reads from the problem's shapes is built once per problem,
-on first use, and kept through `Problem.shared`: the factor layout, the
-landmark altitude entries and the iteration plan, which holds the scatter
-index and the free entries of the step as an integer index (their checks run
-when it is built). `solve` keeps one working copy of the problem and moves
-it to each iterate, so each iteration computes only what the iterate
-changes: the factors' residuals and Jacobians, their products summed into H
-and g, the cost, the altitudes c, the step gathered and scattered through
-the free index with its multipliers, the step norm and the retraction.
+What an iteration reads from the problem's data and shapes is built once per
+problem, on first use, and kept through `Problem.shared`: the factor layout,
+the IMU gravity terms, the landmark altitude entries and the iteration plan,
+which holds the scatter index and the free entries of the step as an integer
+index (their checks run when it is built). A built problem cannot change
+(see `graph.Problem`), so none of it is checked again. `solve` keeps one
+working copy of the problem and moves it to each iterate through the private
+setter that `Problem.with_window` uses, so each iteration computes only what
+the iterate changes: the factors' residuals and Jacobians, their products
+summed into H and g, the cost, the altitudes c, the step gathered and
+scattered through the free index with its multipliers, the step norm and
+the retraction.
 Only the estimator's own failures at an iterate (a degenerate projection
 depth, a singular step, a relative rotation near pi, a cost or step norm
 that is not finite) abort the run with an IterationError; any other
@@ -419,10 +422,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
     iterations = inputs.integer(config.max_iterations, "max_iterations", 1)
     inputs.boolean(config.constrain_altitude, "constrain_altitude")
     inputs.real(config.convergence_tol, "convergence_tol")
-    window, deltas, uv = problem.window, problem.deltas, problem.measurements.uv
-    batch = np.broadcast_shapes(
-        window.poses.R.shape[:-3], window.landmarks.shape[:-2], np.shape(deltas.dt_total)[:-1], np.shape(uv)[:-2]
-    )
+    window, batch = problem.window, problem.batch_shape
     if batch:
         raise ValueError(f"solve takes one problem, not a batch of shape {batch}")
 
@@ -437,7 +437,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
     # print ahead of that cause
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, iterations + 1):
-            current.window = window
+            current._move(window)
             try:
                 residual, jacobian, weights = assemble(current)
                 cost_history.append(_finite("cost", float(residual @ (weights * residual))))

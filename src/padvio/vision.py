@@ -50,7 +50,7 @@ class DegenerateDepthError(RuntimeError):
         super().__init__(f"degenerate projection depth z={depth:.3e}{where}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CameraModel:
     """Pinhole intrinsics; focal (...,) and principal point (..., 2) may carry leading axes."""
 
@@ -58,7 +58,7 @@ class CameraModel:
     principal_point: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PixelMeasurement:
     """Landmark detections in keyframe images, 1-based indices: K detections
     as (K,) frame_index and landmark_id arrays and (K, 2) uv values. The uv

@@ -1,6 +1,6 @@
 """Rewrite report_digests.json, the estimation outputs that tier-1 pins bit for bit.
 
-    PYTHONPATH=src python tests/data/make_report_digests.py
+    PYTHONPATH=src python tests/data/make_report_digests.py [OUT]
 
 The file holds two tables:
 
@@ -13,7 +13,8 @@ The file holds two tables:
   landmark x/y error, as `repr` floats.
 
 A change that alters these bits on purpose reruns this script in the same
-commit and records the old and new values in CHANGES.md.
+commit and records the old and new values in CHANGES.md. Given OUT, the
+script writes there instead of over the committed file.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -100,5 +102,6 @@ def digests() -> dict:
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(digests(), indent=2) + "\n")
-    print(f"wrote {GOLDEN}")
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN
+    out.write_text(json.dumps(digests(), indent=2) + "\n")
+    print(f"wrote {out}")

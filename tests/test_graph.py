@@ -353,6 +353,28 @@ def test_stacked_problem_carries_a_batch_axis_on_every_measured_value():
     assert 0 < np.count_nonzero(jacobian) <= jacobian.size
 
 
+def test_problem_rejects_a_window_batch_that_does_not_broadcast_against_its_data():
+    # built, a 2-window batch over a 3-flight problem would fail only at the
+    # first assemble, with numpy's broadcast error, which names no cause
+    stacked = _reference_batch(range(3), n=4, N=2)
+    batch = make_problem(stacked, stacked.ground_truth)
+    poses = batch.window.poses
+    two = WindowState(PoseState(poses.R[:2], poses.v[:2], poses.p[:2]), batch.window.landmarks[:2])
+    message = re.escape(
+        "window batch axes (2,) (poses) and (2,) (landmarks) do not broadcast against "
+        "the deltas' (3,) and the uv's (3,)"
+    )
+    with pytest.raises(ValueError, match=message):
+        batch.with_window(two)
+    with pytest.raises(ValueError, match=message):
+        replace(batch, window=two)
+    # a certification's central differences evaluate a (2 dim, 3) stack of windows
+    dim = batch.window.dim
+    steps = batch.with_window(boxplus(batch.window, np.zeros((2 * dim, 1, dim))))
+    assert steps.batch_shape == (2 * dim, 3) and stacked_residual(steps).shape[:2] == (2 * dim, 3)
+    assert batch.batch_shape == (3,) and batch.with_window(stacked.ground_truth.copy()).batch_shape == (3,)
+
+
 def test_jacobian_sparsity_pattern():
     _, problem = _reference_problem(n=4, N=2)
     jacobian = assemble(problem)[1].toarray()
@@ -472,17 +494,41 @@ def test_problem_rejects_measurements_assigned_after_first_use(kept):
         assert round(_cost(rebuilt), 2) == 1952.49
 
 
-@pytest.mark.parametrize("name", ["deltas", "measurements", "cam", "world", "photometric_weight", "_shared"])
+@pytest.mark.parametrize(
+    "name", ["deltas", "measurements", "cam", "world", "photometric_weight", "_shared", "window"]
+)
 def test_only_the_window_is_assigned_after_construction(name):
+    # no field is assigned, the window included: only with_window moves a
+    # problem, to a new copy, and solve's working copy through the same setter
     problem = _default_problem()
     before = _cost(problem)
     with pytest.raises(AttributeError, match=rf"^Problem\.{name} cannot be assigned"):
         setattr(problem, name, getattr(problem, name))
-    # the window stays assignable: solve moves its working copy from iterate to iterate
-    moved = problem.with_window(problem.window)
-    moved.window = boxplus(problem.window, np.full(problem.window.dim, 1e-3))
+    moved = problem.with_window(boxplus(problem.window, np.full(problem.window.dim, 1e-3)))
+    with pytest.raises(AttributeError, match=rf"^Problem\.{name} cannot be assigned"):
+        setattr(moved, name, getattr(problem, name))
     assert _cost(moved) != before and _cost(problem) == before
     assert replace(problem, photometric_weight=1.0).photometric_weight == 1.0
+
+
+def test_a_built_problem_keeps_its_records_read_only():
+    dataset = dataset_from_config(ExperimentConfig())
+    problem = make_problem(dataset, perturb_initialization(dataset, ExperimentConfig().init))
+    for name in ("deltas", "measurements", "cam", "world"):
+        record = getattr(problem, name)
+        for field_name, value in vars(record).items():
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field_name}'"):
+                setattr(record, field_name, value)
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    value[...] = value
+            else:  # the focal length, a float
+                assert (name, field_name) == ("cam", "focal") and isinstance(value, float)
+    # in place: the dataset's camera and world are the problem's, and the
+    # measurements' sorted copy leaves the dataset's arrays writeable
+    assert problem.cam is dataset.cam and problem.world is dataset.world
+    assert not dataset.world.gravity.flags.writeable
+    assert all(array.flags.writeable for array in vars(dataset.pixel_measurements).values())
 
 
 def test_min_landmarks_values():

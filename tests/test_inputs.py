@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from padvio.inputs import finite_array
+from padvio.inputs import finite_array, rotation
 
 
 @pytest.mark.parametrize(
@@ -61,3 +61,27 @@ def test_finite_array_of_each_float_dtype_matches_one_conversion(dtype, entries)
         assert got is None
     else:
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.stack([np.eye(3), np.eye(3)]),
+        "abc",
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, True]],
+        2.0 * np.eye(3),
+        np.diag([1.0, 1.0, np.nan]),
+        np.eye(2),
+    ],
+    ids=["stack", "string", "listed bool", "scaled", "nan", "2x2"],
+)
+def test_rotation_rejects_what_is_not_a_finite_rotation_matrix(value):
+    with pytest.raises(ValueError, match=r"^pose\.R must be a rotation matrix$"):
+        rotation(value, "pose.R")
+
+
+@pytest.mark.parametrize("value", [np.eye(3), [[0, -1, 0], [1, 0, 0], [0, 0, 1]], np.eye(3, dtype=np.float32)])
+def test_rotation_returns_a_float_copy(value):
+    array = rotation(value, "pose.R")
+    assert array.dtype == np.float64 and array is not value
+    np.testing.assert_array_equal(array, np.asarray(value, dtype=float))

@@ -10,19 +10,24 @@ fuses a multiply-add (`einsum`, FMA) changes some last bits and fails here.
 
 The kernels also skip work the references do: the SO(3) maps skip the
 small-angle Taylor branch when no element takes it, and `assemble` passes
-the IMU factor its problem's gravity terms, built once and rebuilt only when
-dt_total or gravity change. Neither may change a bit.
+the IMU factor its problem's gravity terms, built once per problem from its
+read-only deltas and world. Neither may change a bit.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from padvio import checks
+from padvio import checks, graph
 from padvio.cli import ExperimentConfig, dataset_from_config
 from padvio.graph import PoseState, assemble, boxplus, stacked_residual
-from padvio.imu import PreintegratedDelta, WorldParams, _inv_right_jacobian, imu_residual, imu_residual_jacobian
+from padvio.imu import (
+    PreintegratedDelta,
+    WorldParams,
+    _inv_right_jacobian,
+    gravity_terms,
+    imu_residual,
+    imu_residual_jacobian,
+)
 from padvio.manifold import PI_MARGIN, SMALL_ANGLE, by_angle, exp_map, hat, log_map
 from padvio.sim import make_problem, perturb_initialization
 
@@ -333,42 +338,58 @@ def test_assembly_with_the_problems_gravity_terms_keeps_every_bit(which):
     assert_same_bits(imu_residual(*factors), expected_residual)
 
 
-def test_gravity_terms_are_read_only_and_shared_by_window_copies():
+def test_gravity_terms_are_read_only_and_shared_by_window_copies(monkeypatch):
+    built = []
+
+    def counted(delta, world):
+        built.append(delta)
+        return gravity_terms(delta, world)
+
+    monkeypatch.setattr(graph, "gravity_terms", counted)
     batch, perturbed = _certification_problems()
     terms = batch.imu_terms
     assert perturbed.imu_terms is terms
     assert batch.with_window(batch.window).imu_terms is terms
+    assemble(perturbed)
+    stacked_residual(batch)
+    assert len(built) == 1 and built[0] is batch.deltas
     for array in terms:
         assert not array.flags.writeable
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
-    # the terms hold a copy of the deltas' dt_total, which stays writeable
-    assert batch.deltas.dt_total.flags.writeable
-    assert not np.shares_memory(terms.dt, batch.deltas.dt_total)
+    # the deltas they were built from are read-only too, so the terms cannot go stale
+    assert not batch.deltas.dt_total.flags.writeable
     assert_same_bits(terms.dt[..., 0], batch.deltas.dt_total)
 
 
+# each route by which a problem's dt_total or gravity could change after its
+# gravity terms are built raises where the change is made
+
+
 def _change_world(problem):
-    problem.world.gravity = np.array([0.5, -0.25, 9.0])
+    with pytest.raises(AttributeError, match="cannot assign to field 'gravity'"):
+        problem.world.gravity = np.array([0.5, -0.25, 9.0])
 
 
 def _write_gravity(problem):
-    problem.world.gravity[0] = -0.0
+    with pytest.raises(ValueError, match="read-only"):
+        problem.world.gravity[0] = -0.0
 
 
 def _write_dt(problem):
-    problem.deltas.dt_total[..., 1] *= 1.5
+    with pytest.raises(ValueError, match="read-only"):
+        problem.deltas.dt_total[..., 1] *= 1.5
 
 
 def _change_deltas(problem):
-    problem.deltas.dt_total = problem.deltas.dt_total * 0.75
+    with pytest.raises(AttributeError, match="cannot assign to field 'dt_total'"):
+        problem.deltas.dt_total = problem.deltas.dt_total * 0.75
 
 
 @pytest.mark.parametrize("change", [_change_world, _write_gravity, _write_dt, _change_deltas])
 def test_gravity_terms_follow_a_change_of_dt_total_or_gravity(change):
-    # each problem gets its own world and deltas, so the writes stay in it
     batch, _ = _certification_problems()
-    batch = replace(batch, world=WorldParams(batch.world.gravity.copy()))
+    gravity, dt_total = batch.world.gravity.copy(), batch.deltas.dt_total.copy()
     before = batch.imu_terms
     assemble(batch)
     change(batch)
@@ -377,14 +398,19 @@ def test_gravity_terms_follow_a_change_of_dt_total_or_gravity(change):
     expected_residual, expected_J = imu_residual_jacobian(*factors)
     rows = expected_residual.shape[-2] * 9
     residual, jacobian, _ = assemble(copy)
-    assert batch.imu_terms is not before and batch.imu_terms is copy.imu_terms
+    assert batch.imu_terms is before and copy.imu_terms is before
+    assert_same_bits(batch.world.gravity, gravity)
+    assert_same_bits(batch.deltas.dt_total, dt_total)
     assert_same_bits(residual[..., :rows], expected_residual.reshape(expected_residual.shape[:-2] + (rows,)))
     assert_same_bits(jacobian.factors[0][0], expected_J)
 
 
 def test_assembly_rejects_a_dt_total_written_to_zero_after_first_use():
+    # the write itself raises, so the problem keeps the dt_total it was built with
     problem = _reference_problem()
-    assemble(problem)
-    problem.deltas.dt_total[2] = 0.0
-    with pytest.raises(ValueError, match="delta.dt_total must be positive"):
-        assemble(problem)
+    residual, jacobian, _ = assemble(problem)
+    with pytest.raises(ValueError, match="read-only"):
+        problem.deltas.dt_total[2] = 0.0
+    again, jacobian_again, _ = assemble(problem)
+    assert_same_bits(again, residual)
+    assert_same_bits(jacobian_again.factors[0][0], jacobian.factors[0][0])

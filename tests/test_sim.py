@@ -272,6 +272,23 @@ def test_generate_rejects_non_rotation_initial_attitude():
         generate(spec, PAD, CAM, WorldParams(), NoiseSpec())
 
 
+@pytest.mark.parametrize(
+    "R",
+    [np.stack([np.eye(3), np.eye(3)]), "abc", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, True]]],
+    ids=["stack", "string", "listed bool"],
+)
+def test_generate_holds_the_initial_attitude_to_its_input_rule(R):
+    # a stack, a string and a listed True: numpy alone would raise its own
+    # errors, naming no field, or read the last as the identity
+    spec = _reference_spec()
+    spec.initial_pose = PoseState(R, np.zeros(3), np.array([0.0, 0.0, -4.0]))
+    with pytest.raises(ValueError, match=r"^initial_pose\.R must be a rotation matrix$"):
+        generate(spec, PAD, CAM, WorldParams(), NoiseSpec())
+    hover = _hover()
+    with pytest.raises(ValueError, match=r"^flight 1 initial_pose\.R must be a rotation matrix$"):
+        _generate_batch([hover, _with(hover, "initial_pose.R", R)])
+
+
 @pytest.mark.parametrize("field", ["v", "p"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_generate_rejects_non_finite_initial_state(field, bad):
