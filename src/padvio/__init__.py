@@ -60,6 +60,7 @@ from .solver import (
     SolverConfig,
     build_normal_system,
     constrained_step,
+    multipliers,
     solve,
 )
 from .vision import (
@@ -110,6 +111,7 @@ __all__ = [
     "log_map",
     "make_problem",
     "min_landmarks",
+    "multipliers",
     "perturb_initialization",
     "photometric_jacobian",
     "photometric_residual",

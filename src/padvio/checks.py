@@ -2,11 +2,12 @@
 
 Each analytic block is compared against central differences of the matching
 residual taken through the boxplus retraction. The relative error of a block
-is max|J_analytic - J_numeric| / max(1, max|J_numeric|). A per-factor check
+is max|J_analytic - J_numeric| / max(1, max|J_numeric|). Every check
 reduces its whole block grid at once (`_block_errors`): |analytic - numeric|
 and |numeric| are reshaped to (T, row blocks, rows, column blocks, columns),
 and their maxima divided; these operations are exact, so each entry holds
-the bits of its own block's error.
+the bits of its own block's error. The stacked check's grid is one block,
+its whole Jacobian.
 
 A check evaluates its residual once: the 2·dim increments ±h·e_k are stacked
 into one (2·dim, dim) array, and the residual, the factor functions and the
@@ -77,17 +78,11 @@ def central_difference(f: Callable[[np.ndarray], np.ndarray], dim: int, h: float
     return np.moveaxis((values[:dim] - values[dim:]) / (2.0 * h), 0, -1)
 
 
-def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """The largest relative error of (..., rows, cols) blocks over their leading axes."""
-    scale = np.maximum(1.0, np.abs(numeric).max(axis=(-2, -1)))
-    return float((np.abs(analytic - numeric).max(axis=(-2, -1)) / scale).max())
-
-
 def _block_errors(analytic: np.ndarray, numeric: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Each rows x cols block's `_relative_error` over the leading axes of
-    (..., R, C) Jacobians, as an (R / rows, C / cols) grid, from one
+    """Each rows x cols block's largest relative error over the leading axes
+    of (..., R, C) Jacobians, as an (R / rows, C / cols) grid, from one
     reduction of the whole: max, abs, subtract and divide are exact, so
-    every entry holds the bits of that block's own `_relative_error`."""
+    every entry holds the bits of that block's error computed on its own."""
     *lead, R, C = numeric.shape
     blocks = (*lead, R // rows, rows, C // cols, cols)
     scale = np.maximum(1.0, np.abs(numeric).reshape(blocks).max(axis=(-3, -1)))
@@ -111,7 +106,7 @@ def _shape_name(n: int, N: int) -> str:
     return f"n={n},N={N}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertificationReport:
     """Every check's largest relative error. `stacked_errors` holds only the
     window shapes that ran, in `STACKED_SHAPES` order; `max_error` and
@@ -303,7 +298,9 @@ def certify_stacked(rng: np.random.Generator, trials: int) -> Dict[str, float]:
         numeric = central_difference(
             lambda d: stacked_residual(batch.with_window(boxplus(batch.window, d[..., None, :]))), batch.window.dim
         )
-        errors[_shape_name(*shape)] = _relative_error(assemble(batch)[1].toarray(), numeric)
+        jacobian = assemble(batch)[1].toarray()
+        # the whole Jacobian is one block
+        errors[_shape_name(*shape)] = float(_block_errors(jacobian, numeric, *jacobian.shape[-2:])[0, 0])
     return errors
 
 
@@ -314,10 +311,13 @@ def run_certification(seed: int = 0, trials: int = 100) -> CertificationReport:
     inputs.integer(seed, "seed")
     inputs.integer(trials, "trials", 1)
     imu_seed, vision_seed, stacked_seed = np.random.SeedSequence(seed).spawn(3)
-    report = CertificationReport(trials=trials, seed=seed)
-    report.imu_block_errors = certify_imu(np.random.default_rng(imu_seed), trials)
+    imu_errors = certify_imu(np.random.default_rng(imu_seed), trials)
     vision_errors, vel_abs = certify_vision(np.random.default_rng(vision_seed), trials)
-    report.vision_block_errors = vision_errors
-    report.vision_velocity_block_max_abs = vel_abs
-    report.stacked_errors = certify_stacked(np.random.default_rng(stacked_seed), trials)
-    return report
+    return CertificationReport(
+        trials=trials,
+        seed=seed,
+        imu_block_errors=imu_errors,
+        vision_block_errors=vision_errors,
+        vision_velocity_block_max_abs=vel_abs,
+        stacked_errors=certify_stacked(np.random.default_rng(stacked_seed), trials),
+    )

@@ -31,11 +31,14 @@ order. `assemble` returns the blocks with their column indices as a
 `pose_boxplus` broadcasts too, so `boxplus` retracts poses 2..n in one call,
 written straight into the new window's arrays.
 
-A built `Problem` cannot change except by moving to another window: its
-fields cannot be assigned, and its deltas, measurements, camera and world
-are frozen records of read-only arrays. So what assembly needs besides the
-window's values is built once per problem, on first use, and kept for it
-and every `with_window` copy (`Problem.shared`): the gather indices, the
+A built `Problem` cannot change except by moving to another window:
+`Problem`, `WindowState` and `PoseState` are frozen dataclasses, so no field
+of a problem, its window or the window's poses can be assigned or deleted,
+and its deltas, measurements, camera and world are frozen records of
+read-only arrays. The window's arrays stay writeable, since only their
+values change from one iterate to the next. So what assembly needs besides
+the window's values is built once per problem, on first use, and kept for
+it and every `with_window` copy (`Problem.shared`): the gather indices, the
 factor columns and the weight diagonal, which follow from the problem's
 shapes and sorted measurements (`Problem.layout`, a `FactorLayout`), and
 the IMU factors' dt, g dt and g dt^2 / 2, which follow from the deltas and
@@ -86,7 +89,7 @@ from .manifold import exp_map
 from .vision import POSE_ENTRIES, CameraModel, PixelMeasurement, photometric_jacobian, photometric_residual
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoseState:
     """Keyframe states: attitude (body to world), velocity and position in world frame.
 
@@ -95,7 +98,8 @@ class PoseState:
     and `poses[k]` read the keyframe axis, the last before each field's
     entries: `poses[k]` picks keyframe k of every batch entry, and an index
     array or slice picks a sub-stack. Factor functions take stacks with any
-    leading axes."""
+    leading axes. The record is frozen: its fields cannot be assigned, but
+    its arrays can be written, as `poses[k] = pose` does."""
 
     R: np.ndarray
     v: np.ndarray
@@ -118,18 +122,19 @@ class PoseState:
         return PoseState(self.R.copy(), self.v.copy(), self.p.copy())
 
 
-@dataclass
+@dataclass(frozen=True)
 class WindowState:
     """n keyframe poses, stacked, plus N landmark positions; pose 1 is the fixed prior.
 
-    Both may carry the same leading batch axes, one window per index."""
+    Both may carry the same leading batch axes, one window per index. The
+    record is frozen, like its poses: `boxplus` gives a new window."""
 
     poses: PoseState  # R (..., n, 3, 3), v and p (..., n, 3)
     landmarks: np.ndarray  # (..., N, 3) world positions
 
     def __post_init__(self):
         landmarks = np.asarray(self.landmarks, dtype=float)
-        self.landmarks = landmarks if landmarks.ndim >= 2 else landmarks.reshape(1, -1)  # np.atleast_2d
+        object.__setattr__(self, "landmarks", landmarks if landmarks.ndim >= 2 else landmarks.reshape(1, -1))
         if len(self.poses) < 2:
             raise ValueError("WindowState needs at least 2 poses")
         if self.landmarks.shape[-2] < 1 or self.landmarks.shape[-1] != 3:
@@ -152,7 +157,7 @@ class WindowState:
         return WindowState(self.poses.copy(), self.landmarks.copy())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
     """A window plus its measurements: the n-1 keyframe-interval deltas as one
     stacked delta and the K pixel detections as one stacked record.
@@ -165,14 +170,16 @@ class Problem:
     leading batch axes (see the module docstring); the checks read their
     last axes.
 
-    A built problem is immutable: assigning any field, the window included,
-    raises AttributeError, and its deltas, measurements, camera and world
-    are frozen records whose arrays it makes read-only in place: the arrays
-    it was given, and for the measurements their sorted copies. So a
-    caller's own reference to one cannot write into it either (the base of
-    a view stays as it was), and what `shared` builds from them stays
-    valid. `with_window` gives the problem at another window, and
-    `dataclasses.replace` builds another problem."""
+    A built problem is immutable. It is a frozen dataclass, as are its
+    window and the window's poses: assigning or deleting any of their
+    fields raises `dataclasses.FrozenInstanceError`, an AttributeError.
+    Its deltas, measurements, camera and world are frozen records whose
+    arrays it makes read-only in place: the arrays it was given, and for
+    the measurements their sorted copies. So a caller's own reference to
+    one cannot write into it either (the base of a view stays as it was),
+    and what `shared` builds from them stays valid. `with_window` gives the
+    problem at another window, and `dataclasses.replace` builds another
+    problem."""
 
     window: WindowState
     deltas: PreintegratedDelta
@@ -212,19 +219,12 @@ class Problem:
                 f"out of range for n={n}, N={N}"
             )
         _batch_shape(self.window, self.deltas, self.measurements.uv)
-        self.measurements = self.measurements[np.lexsort((ids, frames))]
+        object.__setattr__(self, "measurements", self.measurements[np.lexsort((ids, frames))])
         for record in (self.deltas, self.measurements, self.cam, self.world):
             for value in vars(record).values():
                 if isinstance(value, np.ndarray):
                     value.setflags(write=False)
-        self._shared = {}  # set last: from here on no field may be assigned
-
-    def __setattr__(self, name: str, value) -> None:
-        if "_shared" in self.__dict__:
-            raise AttributeError(
-                f"Problem.{name} cannot be assigned after construction; use with_window or dataclasses.replace"
-            )
-        object.__setattr__(self, name, value)
+        object.__setattr__(self, "_shared", {})
 
     @property
     def batch_shape(self) -> tuple:

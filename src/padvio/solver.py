@@ -37,8 +37,8 @@ working copy of the problem and moves it to each iterate through the private
 setter that `Problem.with_window` uses, so each iteration computes only what
 the iterate changes: the factors' residuals and Jacobians, their products
 summed into H and g, the cost, the altitudes c, the step gathered and
-scattered through the free index with its multipliers, the step norm and
-the retraction.
+scattered through the free index, the step norm and the retraction; it
+computes no multipliers (`multipliers` gives them for a step).
 Only the estimator's own failures at an iterate (a degenerate projection
 depth, a singular step, a relative rotation near pi, a cost or step norm
 that is not finite) abort the run with an IterationError; any other
@@ -69,12 +69,16 @@ class SolverConfig:
     convergence_tol: float = 0.0  # 0 runs all iterations
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     cost_history: List[float]  # weighted cost before each step
     final_window: WindowState
-    iterations_run: int
     step_norms: List[float]
+
+    @property
+    def iterations_run(self) -> int:
+        """The iterations that ran, one cost each."""
+        return len(self.cost_history)
 
 
 class RankDeficientError(RuntimeError):
@@ -281,10 +285,9 @@ def _free_entries(dim: int, chain: int, fixed) -> np.ndarray:
 def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray, free: np.ndarray | None = None):
     """Minimise the quadratic model with the increment entries `fixed` set to -c.
 
-    The free entries solve H_ff delta_f = -(g_f + H_fc delta_c); the
-    returned multipliers lambda = -(H[fixed] @ delta + g[fixed]) are those
-    of the equivalent saddle-point system. With no fixed entries this is the
-    plain solve H delta = -g. Returns (delta, lambda).
+    The free entries solve H_ff delta_f = -(g_f + H_fc delta_c). With no
+    fixed entries this is the plain solve H delta = -g. Returns delta;
+    `multipliers` gives the step's multipliers.
 
     `free` is the integer index of the other entries, as `_free_entries`
     gives it for H's layout, which also checks `fixed`; a caller that steps
@@ -295,8 +298,7 @@ def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray, free: n
     all be free, has the fixed entries folded into the right-hand side as
     C delta_l and E delta_l (delta_l the increment's landmark part) and its
     chain eliminated by odd-even reduction (`_reduce_chain`) down to a
-    dense tail of at most TAIL keyframes and the free landmark entries. Its
-    multipliers come from the same two blocks, by symmetry.
+    dense tail of at most TAIL keyframes and the free landmark entries.
     """
     fixed = np.asarray(fixed, dtype=np.intp)
     dim = H.shape[0]
@@ -313,16 +315,27 @@ def constrained_step(H, g: np.ndarray, fixed: np.ndarray, c: np.ndarray, free: n
             r = -(g + np.concatenate([C @ delta_l, E @ delta_l]))
             rest = free[chain:] - chain  # the chain's entries are free[:chain]
             delta[free] = _reduce_chain(H.A, H.B, H.C[:, :, rest], E[rest][:, rest], r[free])
-            local = fixed - chain
-            lam = -(delta[:chain] @ C[:, local] + E[local] @ delta_l + g[fixed])
         else:  # the product over full rows of H keeps the dense step's rounding
             H_free = H.take(free, axis=0)
             delta[free] = np.linalg.solve(H_free[:, free], -(g[free] + H_free @ delta))
-            lam = -(H[fixed] @ delta + g[fixed])
     except np.linalg.LinAlgError:
         H_ff = np.asarray(H)[free][:, free]
         raise RankDeficientError(free.size, int(np.linalg.matrix_rank(H_ff))) from None
-    return delta, lam
+    return delta
+
+
+def multipliers(H, g: np.ndarray, fixed: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The multipliers lambda = -(H[fixed] @ delta + g[fixed]) of a
+    `constrained_step` delta with the entries `fixed`: those of the
+    equivalent saddle-point system. A `NormalBlocks` H gives them from its
+    landmark coupling C and its landmark block E, by symmetry."""
+    fixed = np.asarray(fixed, dtype=np.intp)
+    if not isinstance(H, NormalBlocks):
+        return -(H[fixed] @ delta + g[fixed])
+    chain = 9 * len(H.A)
+    local = fixed - chain
+    C = H.C.reshape(chain, -1)
+    return -(delta[:chain] @ C[:, local] + H.E[local] @ delta[chain:] + g[fixed])
 
 
 def _reduce_chain(A, B, C, E, r):
@@ -444,7 +457,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
                 H, g = _normal_system(residual, jacobian, weights, config.damping, plan.index)
                 if config.constrain_altitude:
                     fixed, c = altitude_constraint(current)
-                delta, _ = constrained_step(H, g, fixed, c, free)
+                delta = constrained_step(H, g, fixed, c, free)
                 step_norm = _finite("step norm", float(np.sqrt(delta.dot(delta))))  # np.linalg.norm(delta)
             except (DegenerateDepthError, RankDeficientError, NearPiRotationError, NonFiniteError) as err:
                 raise IterationError(err, iteration, cost_history, step_norms) from err
@@ -452,4 +465,4 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveReport:
             window = boxplus(window, delta)
             if step_norms[-1] < config.convergence_tol:
                 break
-    return SolveReport(cost_history, window, len(cost_history), step_norms)
+    return SolveReport(cost_history, window, step_norms)

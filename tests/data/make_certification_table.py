@@ -52,6 +52,13 @@ def central_difference_per_column(f, dim, h=checks.FD_STEP):
     return np.stack(cols, axis=-1)
 
 
+def relative_error(analytic, numeric):
+    """The largest relative error of (..., rows, cols) blocks over their
+    leading axes: max|analytic - numeric| / max(1, max|numeric|)."""
+    scale = np.maximum(1.0, np.abs(numeric).max(axis=(-2, -1)))
+    return float((np.abs(analytic - numeric).max(axis=(-2, -1)) / scale).max())
+
+
 def _keep_worst(errors, name, error):
     errors[name] = max(errors.get(name, error), error)
 
@@ -77,7 +84,7 @@ def certify_imu(rng, trials):
         analytic = imu_residual_jacobian(delta, pose_i, pose_j, world)[1]
         for rname, rows in checks._IMU_ROWS.items():
             for cname, cols in checks._POSE_COLS.items():
-                error = checks._relative_error(analytic[rows, cols], numeric[rows, cols])
+                error = relative_error(analytic[rows, cols], numeric[rows, cols])
                 _keep_worst(errors, f"{rname}/{cname}", error)
     return errors
 
@@ -100,7 +107,7 @@ def certify_vision(rng, trials):
         analytic = np.zeros_like(numeric)
         analytic[:, checks._VISION_ENTRIES] = photometric_jacobian(cam, pose, landmark, meas)[1]
         for name, cols in checks._VISION_COLS.items():
-            _keep_worst(errors, name, checks._relative_error(analytic[:, cols], numeric[:, cols]))
+            _keep_worst(errors, name, relative_error(analytic[:, cols], numeric[:, cols]))
         velocity_max_abs = max(velocity_max_abs, float(np.abs(numeric[:, checks._VISION_COLS["dv"]]).max()))
     return errors, velocity_max_abs
 
@@ -136,7 +143,7 @@ def certify_stacked(rng, trials):
             lambda d: stacked_residual(problem.with_window(boxplus(problem.window, d))), problem.window.dim
         )
         _keep_worst(errors, checks._shape_name(*shape),
-                    checks._relative_error(assemble(problem)[1].toarray(), numeric))
+                    relative_error(assemble(problem)[1].toarray(), numeric))
     order = [checks._shape_name(*shape) for shape in checks.STACKED_SHAPES]
     return {name: errors[name] for name in order if name in errors}
 

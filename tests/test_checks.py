@@ -391,7 +391,7 @@ def test_max_error_reads_only_the_checks_that_ran():
 )
 def test_block_tables_hold_each_blocks_relative_error_bit_for_bit(check, jacobian, nan_at, nan_block, monkeypatch):
     # the table comes from one reduction of the block grid; the reference takes
-    # `_relative_error` of each block, and a NaN must stay in its block
+    # the relative error of each block on its own, and a NaN must stay in its block
     original = getattr(checks, jacobian)
 
     def with_nan(*args):
@@ -413,7 +413,7 @@ def test_block_tables_hold_each_blocks_relative_error_bit_for_bit(check, jacobia
         analytic, pixel = np.zeros_like(numeric), analytic
         analytic[..., checks._VISION_ENTRIES] = pixel
         blocks = {name: (slice(None), cols) for name, cols in checks._VISION_COLS.items()}
-    want = {name: checks._relative_error(analytic[..., r, c], numeric[..., r, c]) for name, (r, c) in blocks.items()}
+    want = {name: reference.relative_error(analytic[..., r, c], numeric[..., r, c]) for name, (r, c) in blocks.items()}
     assert list(got) == list(want)
     assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
     assert [name for name, err in got.items() if math.isnan(err)] == [nan_block]

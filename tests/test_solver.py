@@ -26,6 +26,7 @@ from padvio.solver import (
     SolverConfig,
     build_normal_system,
     constrained_step,
+    multipliers,
     solve,
 )
 from padvio.vision import DegenerateDepthError, PixelMeasurement
@@ -167,25 +168,26 @@ def test_zero_residual_gives_zero_step():
     dataset = _reference_dataset(imu_var=0.0, pixel_var=0.0)
     problem = make_problem(dataset, dataset.ground_truth.copy())
     H, g = build_normal_system(problem, damping=0.1)
-    delta, lam = constrained_step(H, g, *altitude_constraint(problem))
+    fixed, c = altitude_constraint(problem)
+    delta = constrained_step(H, g, fixed, c)
     assert np.linalg.norm(delta) < 1e-9
-    assert np.linalg.norm(lam) < 1e-9
+    assert np.linalg.norm(multipliers(H, g, fixed, delta)) < 1e-9
 
 
 def test_constrained_step_trivial_case():
     H = np.eye(4)
-    delta, lam = constrained_step(H, np.zeros(4), np.array([0]), np.zeros(1))
+    delta = constrained_step(H, np.zeros(4), np.array([0]), np.zeros(1))
     np.testing.assert_array_equal(delta, np.zeros(4))
-    np.testing.assert_array_equal(lam, np.zeros(1))
+    np.testing.assert_array_equal(multipliers(H, np.zeros(4), np.array([0]), delta), np.zeros(1))
 
 
 def test_unconstrained_step_reduces_to_plain_solve(rng):
     A = rng.standard_normal((6, 6))
     H = A @ A.T + 6 * np.eye(6)
     g = rng.standard_normal(6)
-    delta, lam = constrained_step(H, g, np.zeros(0, dtype=int), np.zeros(0))
+    delta = constrained_step(H, g, np.zeros(0, dtype=int), np.zeros(0))
     np.testing.assert_allclose(delta, np.linalg.solve(H, -g), atol=1e-12)
-    assert lam.size == 0
+    assert multipliers(H, g, np.zeros(0, dtype=int), delta).size == 0
 
 
 def _saddle_point_step(H, g, fixed, c):
@@ -243,12 +245,14 @@ def _assert_matches_oracle(problem, H, g):
     ref_delta, ref_lam = _saddle_point_step(H, g, fixed, c)
     free_delta = np.linalg.solve(H, -g)
     for system in systems:
-        delta, lam = constrained_step(system, g, fixed, c)
+        delta = constrained_step(system, g, fixed, c)
+        lam = multipliers(system, g, fixed, delta)
         assert np.abs(delta - ref_delta).max() <= 1e-9 * np.abs(ref_delta).max()
         assert np.abs(lam - ref_lam).max() <= 1e-9 * np.abs(ref_lam).max()
-        free, none = constrained_step(system, g, np.zeros(0, dtype=np.intp), np.zeros(0))
+        nothing = np.zeros(0, dtype=np.intp)
+        free = constrained_step(system, g, nothing, np.zeros(0))
         assert np.abs(free - free_delta).max() <= 1e-9 * np.abs(free_delta).max()
-        assert none.size == 0
+        assert multipliers(system, g, nothing, free).size == 0
 
 
 @pytest.mark.parametrize("name", ["n7", "n10", "n18", "n30", "n31", "n60_N10", "n120"])
@@ -286,9 +290,9 @@ def test_constrained_step_without_reduction_is_the_dense_solve(n):
     ref_delta[fixed] = -c
     H_free = H[free]
     ref_delta[free] = np.linalg.solve(H_free[:, free], -(g[free] + H_free @ ref_delta))
-    delta, lam = constrained_step(H, g, fixed, c)
+    delta = constrained_step(H, g, fixed, c)
     assert delta.tobytes() == ref_delta.tobytes()
-    assert lam.tobytes() == (-(H[fixed] @ ref_delta + g[fixed])).tobytes()
+    assert multipliers(H, g, fixed, delta).tobytes() == (-(H[fixed] @ ref_delta + g[fixed])).tobytes()
 
 
 @pytest.mark.parametrize("n", [7, 30])
@@ -336,7 +340,7 @@ def test_constrained_step_lands_on_plane():
     problem = make_problem(dataset, window)
     H, g = build_normal_system(problem, damping=0.1)
     fixed, c = altitude_constraint(problem)
-    delta, _ = constrained_step(H, g, fixed, c)
+    delta = constrained_step(H, g, fixed, c)
     np.testing.assert_array_equal(delta[fixed], -c)
     updated = boxplus(window, delta)
     assert np.all(updated.landmarks[:, 2] == 0.0)
@@ -487,7 +491,7 @@ def _public_loop(problem, config):
                 fixed, c = altitude_constraint(current)
             else:
                 fixed, c = np.zeros(0, dtype=np.intp), np.zeros(0)
-            delta, _ = constrained_step(H, g, fixed, c)
+            delta = constrained_step(H, g, fixed, c)
         except (DegenerateDepthError, RankDeficientError, NearPiRotationError) as err:
             return costs, norms, window, err
         norms.append(float(np.linalg.norm(delta)))
@@ -675,6 +679,17 @@ def test_solve_builds_the_scatter_index_once(monkeypatch):
     assert factor_layouts == [7, 9, 10, 30]
     assert plans == [7, 9, 10, 30]
     assert layouts == 12 * [np.ndarray] + 12 * [NormalBlocks]
+
+
+def test_solve_computes_no_multipliers(monkeypatch):
+    # each iteration takes only the step; its multipliers are thrown away
+    def refuse(*args):
+        raise AssertionError("solve called multipliers")
+
+    monkeypatch.setattr(solver, "multipliers", refuse)
+    for dataset in (_reference_dataset(), _level_circle_dataset(10)):
+        problem = make_problem(dataset, perturb_initialization(dataset, "cold"))
+        assert solve(problem, SolverConfig(max_iterations=3)).iterations_run == 3
 
 
 def test_solve_rejects_a_batched_problem():
